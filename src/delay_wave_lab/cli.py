@@ -16,6 +16,7 @@ import argparse
 import dataclasses
 import math
 import sys
+import typing
 import warnings
 from dataclasses import dataclass
 
@@ -96,26 +97,31 @@ class RunConfig:
             raise ConfigError(str(exc).strip('"')) from exc
 
 
-_FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
-_BOOL_KEYS = {"shifted"}
-_INT_KEYS = {"nx", "nrho", "snapshot_stride"}
-_TUPLE_KEYS = {"betas", "values"}
-_STR_KEYS = {"law", "data", "vary", "out"}
+# each key's type as RunConfig declares it; every other key is a float
+_TYPES = typing.get_type_hints(RunConfig)
+
+
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {raw.strip()!r}")
+    return value
 
 
 def _parse_value(key: str, raw: str):
     raw = raw.strip()
-    if key in _STR_KEYS:
+    kind = _TYPES[key]
+    if kind is str:
         return raw
-    if key in _BOOL_KEYS:
+    if kind is bool:
         if raw.lower() in ("true", "false"):
             return raw.lower() == "true"
         raise ValueError(f"expected true or false, got {raw!r}")
-    if key in _INT_KEYS:
+    if kind is int:
         return int(raw)
-    if key in _TUPLE_KEYS:
-        return tuple(float(part) for part in raw.split(",") if part.strip())
-    return float(raw)
+    if kind is tuple:
+        return tuple(_finite(part) for part in raw.split(",") if part.strip())
+    return _finite(raw)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -129,7 +135,7 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, _, raw = line.partition("=")
         key = key.strip()
-        if key not in _FIELDS:
+        if key not in _TYPES:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         try:
             values[key] = _parse_value(key, raw)
@@ -157,18 +163,16 @@ def _fmt(x) -> str:
 def serialize_config(cfg: RunConfig) -> str:
     """Inverse of parse_config: parse(serialize(cfg)) == cfg."""
     lines = []
-    for name, f in _FIELDS.items():
+    for name, kind in _TYPES.items():
         value = getattr(cfg, name)
         if name == "xi" and value is None:
             continue
-        if name in _TUPLE_KEYS:
+        if kind is tuple:
             lines.append(f"{name} = {', '.join(_fmt(v) for v in value)}")
-        elif name in _STR_KEYS:
+        elif kind is str or kind is int:
             lines.append(f"{name} = {value}")
-        elif name in _BOOL_KEYS:
+        elif kind is bool:
             lines.append(f"{name} = {'true' if value else 'false'}")
-        elif name in _INT_KEYS:
-            lines.append(f"{name} = {value}")
         else:
             lines.append(f"{name} = {_fmt(value)}")
     return "\n".join(lines) + "\n"

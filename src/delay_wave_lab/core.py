@@ -117,15 +117,18 @@ def validate_params(p: Params) -> Params:
     (and in practice still decay) without it, so a violation emits a warning
     instead of an error.
     """
-    if p.tau <= 0.0:
+    for name in ("a", "mu", "tau", "xi", "shift"):
+        if not math.isfinite(getattr(p, name)):
+            raise ParamsError(f"{name} must be finite, got {getattr(p, name)}")
+    if not p.tau > 0.0:
         raise ParamsError(f"tau must be positive, got {p.tau}")
-    if p.mu <= 0.0:
+    if not p.mu > 0.0:
         raise ParamsError(f"mu must be positive, got {p.mu}")
-    if p.xi <= 0.0:
+    if not p.xi > 0.0:
         raise ParamsError(f"xi must be positive, got {p.xi}")
-    if p.a < 0.0:
+    if not p.a >= 0.0:
         raise ParamsError(f"a must be nonnegative, got {p.a}")
-    if p.shift < 0.0:
+    if not p.shift >= 0.0:
         raise ParamsError(f"shift must be nonnegative, got {p.shift}")
 
     if p.law is DampingLaw.KELVIN_VOIGT:

@@ -17,7 +17,7 @@ whenever mu <= a, are negative semidefinite up to roundoff, for every grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -30,7 +30,9 @@ from .core import DampingLaw, Grid, Params, StateVector, SystemLabel
 class DiscreteGenerator:
     """A system matrix together with the Gram matrix of the energy norm.
 
-    Immutable after construction; safe to share between threads.
+    Immutable after construction apart from its caches; safe to share between
+    threads.  ``step_factors`` holds the time stepper's LU factors of
+    (I - dt*A) by dt, so they are freed together with the generator.
     """
 
     matrix: np.ndarray
@@ -38,15 +40,16 @@ class DiscreteGenerator:
     params: Params
     grid: Grid
     label: SystemLabel
+    step_factors: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
     @cached_property
-    def gram_cholesky(self):
-        """Cached Cholesky factor of the Gram matrix (lower triangular)."""
-        return sla.cho_factor(self.gram, lower=True)
+    def gram_cholesky(self) -> np.ndarray:
+        """Cached lower-triangular Cholesky factor L of the Gram matrix, G = L L^T."""
+        return sla.cholesky(self.gram, lower=True)
 
     def energy(self, state: StateVector | np.ndarray) -> float:
         """Energy norm ||V||_G = sqrt(V^T G V)."""

@@ -78,16 +78,16 @@ def eigenvalues(gen: DiscreteGenerator) -> SpectrumReport:
 # resolvent norms
 
 
-def resolvent_norm(gen: DiscreteGenerator, beta: float, rtol: float = 1e-8,
-                   max_iter: int = 100_000) -> float:
+def resolvent_norm(gen: DiscreteGenerator, beta: float) -> float:
     """Operator norm of (i*beta*I - A)^{-1} in the energy norm.
 
-    Power iteration on the G-weighted normal operator of the resolvent,
-    using one complex LU factorization of the shifted matrix.
+    Exact up to roundoff: with the Gram matrix G = L L^T the energy norm of
+    the resolvent is 1/sigma_min(L^T (i*beta*I - A) L^{-T}), taken from one
+    dense SVD.  A shift whose LU condition estimate exceeds 1e14 raises
+    :class:`BetaNearSpectrumError` instead.
     """
-    n = gen.dim
-    m = 1j * beta * np.eye(n) - gen.matrix
-    lu, piv, info = lapack.zgetrf(m)
+    m = 1j * beta * np.eye(gen.dim) - gen.matrix
+    lu, _, info = lapack.zgetrf(m)
     if info != 0:
         raise BetaNearSpectrumError(f"beta={beta} too close to spectrum "
                                     f"(singular shift)")
@@ -97,25 +97,10 @@ def resolvent_norm(gen: DiscreteGenerator, beta: float, rtol: float = 1e-8,
             f"beta={beta} too close to spectrum (condition estimate "
             f"{1.0 / max(rcond, 1e-300):.2e} above 1e14)")
 
-    gram = gen.gram
-    cho = gen.gram_cholesky
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    x /= np.linalg.norm(x)
-    lam_old = 0.0
-    lam = 0.0
-    for it in range(max_iter):
-        y, _ = lapack.zgetrs(lu, piv, x)                     # R x
-        t, _ = lapack.zgetrs(lu, piv, gram @ y, trans=2)     # R^H G R x
-        x_new = sla.cho_solve(cho, t)                        # G^{-1} ...
-        lam = float(np.real(np.vdot(x, gram @ x_new) / np.vdot(x, gram @ x)))
-        x = x_new / np.linalg.norm(x_new)
-        if it >= 2 and abs(lam - lam_old) <= rtol * abs(lam):
-            return math.sqrt(lam)
-        lam_old = lam
-    raise EigensolverError(
-        f"power iteration for the resolvent norm at beta={beta} did not reach "
-        f"rtol={rtol} within {max_iter} iterations (last estimate {math.sqrt(lam)})")
+    chol = gen.gram_cholesky
+    # (L^T m) L^{-T} = (L^{-1} (L^T m)^T)^T
+    weighted = sla.solve_triangular(chol, (chol.T @ m).T, lower=True).T
+    return float(1.0 / sla.svdvals(weighted)[-1])
 
 
 @dataclass(eq=False)
@@ -125,12 +110,14 @@ class ResolventScan:
     The slope is fitted only over the pre-saturation window beta <= the
     largest eigenfrequency the grid resolves: a finite matrix cannot show
     unbounded resolvent growth, so beyond that point the norms merely decay.
+    ``spectrum`` holds the generator's eigenvalues the cutoff was taken from.
     """
 
     betas: np.ndarray
     norms: np.ndarray
     fitted_loglog_slope: float
     presaturation_cutoff: float
+    spectrum: np.ndarray
 
 
 def resolvent_scan(gen: DiscreteGenerator, betas) -> ResolventScan:
@@ -139,14 +126,15 @@ def resolvent_scan(gen: DiscreteGenerator, betas) -> ResolventScan:
     if np.any(betas <= 0.0):
         raise ValueError("betas must be positive")
     norms = np.array([resolvent_norm(gen, b) for b in betas])
-    cutoff = float(np.abs(eigenvalues(gen).eigenvalues.imag).max())
+    spectrum = eigenvalues(gen).eigenvalues
+    cutoff = float(np.abs(spectrum.imag).max())
     window = betas <= cutoff
     if window.sum() >= 2:
         slope = float(np.polyfit(np.log(betas[window]), np.log(norms[window]), 1)[0])
     else:
         slope = float(np.polyfit(np.log(betas), np.log(norms), 1)[0])
     return ResolventScan(betas=betas, norms=norms, fitted_loglog_slope=slope,
-                         presaturation_cutoff=cutoff)
+                         presaturation_cutoff=cutoff, spectrum=spectrum)
 
 
 # ---------------------------------------------------------------------------
@@ -329,10 +317,11 @@ def _clearest_split(f, lo: float, hi: float, span: tuple[float, float],
     return best
 
 
-def _enumerate(f, rect: Rectangle, tol: float, depth: int = 0) -> list[tuple[complex, float]]:
+def _enumerate(f, rect: Rectangle, count: int, tol: float,
+               depth: int = 0) -> list[tuple[complex, float]]:
+    """Roots in ``rect``, whose winding number ``count`` the caller computed."""
     if depth > 80:
         raise RootEnumerationError("subdivision depth exhausted during root search")
-    count = _winding_number(f, rect)
     if count == 0:
         return []
     tiny = (rect.re_max - rect.re_min) < 1e-6 and (rect.im_max - rect.im_min) < 1e-6
@@ -365,7 +354,7 @@ def _enumerate(f, rect: Rectangle, tol: float, depth: int = 0) -> list[tuple[com
                  Rectangle(rect.re_min, rect.re_max, m, rect.im_max)]
     found: list[tuple[complex, float]] = []
     for part in parts:
-        found += _enumerate(f, part, tol, depth + 1)
+        found += _enumerate(f, part, _winding_number(f, part), tol, depth + 1)
     return found
 
 
@@ -385,7 +374,7 @@ def characteristic_roots(p: Params, region: Rectangle,
                 f"lam = -1/a = {pole}; choose a region excluding that point")
     f = characteristic_function(p)
     total = _winding_number(f, region)
-    raw = _enumerate(f, region, tol)
+    raw = _enumerate(f, region, total, tol)
 
     merged: list[list] = []  # [lam, residual, multiplicity]
     for z, r in sorted(raw, key=lambda t: (t[0].real, t[0].imag)):

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 import scipy.linalg as sla
@@ -39,9 +38,10 @@ class SimulationTrace:
     diverged: bool = False
 
 
-@lru_cache(maxsize=16)
 def _factorization(gen: DiscreteGenerator, dt: float):
-    """LU factors of (I - dt*A), computed once per (generator, dt)."""
+    """LU factors of (I - dt*A), computed once per dt and kept on ``gen``."""
+    if dt in gen.step_factors:
+        return gen.step_factors[dt]
     m = np.eye(gen.dim) - dt * gen.matrix
     with warnings.catch_warnings():
         # an exactly singular factor is reported through SingularStepError
@@ -52,6 +52,7 @@ def _factorization(gen: DiscreteGenerator, dt: float):
             diag.min() < 1e-300 * max(diag.max(), 1.0):
         raise SingularStepError(
             f"(I - dt*A) is singular for dt={dt} on the {gen.label.value} system")
+    gen.step_factors[dt] = lu, piv
     return lu, piv
 
 

@@ -181,6 +181,16 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert "config error" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", ["mu", "tau", "a", "xi", "dt", "t_end",
+                                 "betas", "values"])
+def test_non_finite_value_exits_2(capsys, key, value):
+    raw = f"1, {value}" if key in ("betas", "values") else value
+    code, _, err = _run(capsys, ["simulate", f"--{key}", raw])
+    assert code == 2
+    assert "config error" in err and key in err
+
+
 def test_unknown_override_exits_2(capsys):
     code, _, err = _run(capsys, ["simulate", "--cfl", "0.5"])
     assert code == 2

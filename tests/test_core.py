@@ -25,6 +25,7 @@ def test_shifted_run_rejects_xi_at_or_below_threshold():
     ("tau", dict(a=1.0, mu=1.0, tau=-1.0, xi=1.0)),
     ("mu", dict(a=1.0, mu=0.0, tau=2.0, xi=1.0)),
     ("xi", dict(a=1.0, mu=1.0, tau=2.0, xi=-0.5)),
+    ("tau", dict(a=1.0, mu=1.0, tau=math.nan, xi=1.0)),
 ])
 def test_hard_invariants_are_rejected(bad, kwargs):
     with pytest.raises(ParamsError, match=bad):

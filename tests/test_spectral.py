@@ -12,7 +12,7 @@ from delay_wave_lab import (BetaNearSpectrumError, DiscreteGenerator, Grid,
                             characteristic_function, characteristic_roots,
                             eigenvalues, find_c_star, internal_friction,
                             kelvin_voigt, resolvent_norm, resolvent_scan,
-                            robin_eigenvalue)
+                            robin_eigenvalue, spectral)
 
 
 def _bisect(f, lo, hi, tol=1e-14):
@@ -104,15 +104,18 @@ def test_resolvent_norm_of_minus_identity():
                                                           rel=1e-8)
 
 
-def test_resolvent_norm_matches_weighted_svd(ref_params, ref_grid):
-    # independent route: Cholesky change of basis plus a dense SVD
-    gen = assemble_generator(ref_params, ref_grid, SystemLabel.SHIFTED)
-    beta = 3.7
+@pytest.mark.parametrize("beta", [1.0, 2.0, 3.7, 4.0, 8.0, 16.0, 32.0, 64.0])
+@pytest.mark.parametrize("label", [SystemLabel.SHIFTED, SystemLabel.KELVIN_VOIGT])
+def test_resolvent_norm_matches_weighted_svd(ref_params, kv_params, ref_grid,
+                                             label, beta):
+    # independent route: Cholesky change of basis, explicit inverse, dense SVD
+    p = kv_params if label is SystemLabel.KELVIN_VOIGT else ref_params
+    gen = assemble_generator(p, ref_grid, label)
     got = resolvent_norm(gen, beta)
     L = np.linalg.cholesky(gen.gram)
     R = np.linalg.inv(1j * beta * np.eye(gen.dim) - gen.matrix)
     ref = np.linalg.svd(L.T @ R @ np.linalg.inv(L.T), compute_uv=False)[0]
-    assert got == pytest.approx(ref, rel=1e-6)
+    assert got == pytest.approx(ref, rel=1e-12)
 
 
 def test_resolvent_norm_near_eigenvalue_errors():
@@ -137,6 +140,7 @@ def test_resolvent_scan_lower_bound_and_slope(ref_params, ref_grid):
     assert math.isfinite(scan.fitted_loglog_slope)
     assert scan.fitted_loglog_slope <= 2.5
     assert scan.presaturation_cutoff > scan.betas[0]
+    assert np.array_equal(scan.spectrum, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +204,21 @@ def test_reference_shifted_characteristic_roots_all_decay(ref_params):
     assert len(roots) >= 10
     assert all(r.lam.real < 0.0 for r in roots)
     assert all(r.residual < 1e-10 for r in roots)
+
+
+def test_full_region_winding_number_is_walked_once(ref_params, monkeypatch):
+    region = Rectangle(-5.0, 0.5, -20.0, 20.0)
+    expected = characteristic_roots(ref_params, region)
+    walked = []
+    real = spectral._winding_number
+
+    def counting(f, rect, *args, **kwargs):
+        walked.append(rect)
+        return real(f, rect, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "_winding_number", counting)
+    assert characteristic_roots(ref_params, region) == expected
+    assert walked.count(region) == 1
 
 
 def test_shifted_characteristic_function_is_translated(ref_params):

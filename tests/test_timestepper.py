@@ -1,4 +1,7 @@
+import gc
 import math
+import types
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +12,7 @@ from delay_wave_lab import (DiscreteGenerator, Grid, Params, StateVector,
                             assemble_generator, builtin_data,
                             internal_friction, kelvin_voigt,
                             sample_initial_state, shift_consistency, simulate,
-                            step)
+                            step, timestepper)
 
 
 def _toy_generator(matrix, grid=None):
@@ -61,6 +64,52 @@ def test_step_contracts_dissipative_states(ref_params, kv_params, ref_grid,
         sv = StateVector.from_vector(rng.standard_normal(ref_grid.dim), ref_grid)
         out = step(gen, sv, dt=dt)
         assert gen.energy(out) <= gen.energy(sv) * (1.0 + 1e-12)
+
+
+def _track_factorizations(monkeypatch):
+    """Route timestepper.sla.lu_factor through a recorder of weak references."""
+    factors = []
+    real = timestepper.sla
+
+    def lu_factor(m, *args, **kwargs):
+        lu, piv = real.lu_factor(m, *args, **kwargs)
+        factors.append(weakref.ref(lu))
+        return lu, piv
+
+    monkeypatch.setattr(timestepper, "sla", types.SimpleNamespace(
+        lu_factor=lu_factor, lu_solve=real.lu_solve,
+        LinAlgWarning=real.LinAlgWarning))
+    return factors
+
+
+def test_repeated_steps_factor_once(ref_params, ref_grid, monkeypatch):
+    factors = _track_factorizations(monkeypatch)
+    gen = assemble_generator(ref_params, ref_grid, SystemLabel.SHIFTED)
+    sv = sample_initial_state(builtin_data("paper"), ref_grid)
+    for _ in range(5):
+        sv = step(gen, sv, dt=0.1)
+    assert len(factors) == 1
+    step(gen, sv, dt=0.2)
+    assert len(factors) == 2
+
+
+def test_simulate_keeps_no_generator_or_factors_alive(ref_params, ref_grid,
+                                                      ref_data, monkeypatch):
+    factors = _track_factorizations(monkeypatch)
+    generators = []
+    real_assemble = timestepper.assemble_generator
+
+    def assemble(*args):
+        gen = real_assemble(*args)
+        generators.append(weakref.ref(gen))
+        return gen
+
+    monkeypatch.setattr(timestepper, "assemble_generator", assemble)
+    simulate(ref_params, ref_grid, ref_data, dt=0.1, t_end=1.0)
+    simulate(ref_params, ref_grid, ref_data, dt=0.1, t_end=1.0)
+    gc.collect()
+    assert len(generators) == len(factors) == 2
+    assert all(ref() is None for ref in generators + factors)
 
 
 def test_zero_data_trace_is_zero(ref_params, ref_grid):
