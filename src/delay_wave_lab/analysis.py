@@ -19,6 +19,7 @@ from .timestepper import SimulationTrace, simulate
 
 RATE_THRESHOLD = 1e-4
 FIT_THRESHOLD = 0.98
+SWEEP_KEYS = ("a", "mu", "tau", "xi")  # the parameters sweep can vary
 
 
 class Classification(Enum):
@@ -143,8 +144,9 @@ def _params_with(base: Params, name: str, value: float) -> Params:
     weight keeps its ratio xi/(mu*tau) from the base set and the shift is
     recomputed; Kelvin-Voigt runs keep xi pinned to mu*tau.
     """
-    if name not in ("a", "mu", "tau", "xi"):
-        raise ValueError(f"cannot sweep over {name!r}; choose a, mu, tau or xi")
+    if name not in SWEEP_KEYS:
+        raise ValueError(f"cannot sweep over {name!r}; choose one of "
+                         f"{', '.join(SWEEP_KEYS)}")
     p = replace(base, **{name: float(value)})
     if p.law is DampingLaw.KELVIN_VOIGT:
         return replace(p, xi=xi_star(p.mu, p.tau), shift=0.0)

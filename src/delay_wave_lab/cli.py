@@ -21,12 +21,12 @@ import warnings
 from dataclasses import dataclass
 
 from . import analysis, spectral, verification
-from .core import (Grid, InitialData, Params, ParamsError, builtin_data,
+from .core import (Grid, InitialData, Params, builtin_data,
                    internal_friction, kelvin_voigt, system_label,
                    validate_params)
 from .discretization import assemble_generator
-from .spectral import Rectangle
-from .timestepper import simulate
+from .spectral import Rectangle, SingularRegionError
+from .timestepper import simulate, step_count
 
 COMMANDS = ("simulate", "spectrum", "resolvent", "charroots", "robin",
             "sweep", "verify")
@@ -90,6 +90,12 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
+    def region(self) -> Rectangle:
+        try:
+            return Rectangle(self.re_min, self.re_max, self.im_min, self.im_max)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+
     def initial_data(self) -> InitialData:
         try:
             return builtin_data(self.data)
@@ -146,13 +152,17 @@ def parse_config(text: str) -> RunConfig:
     try:
         validate_params(cfg.params())
         cfg.grid()
+        cfg.region()
         cfg.initial_data()
-    except (ParamsError, ConfigError) as exc:
+        step_count(cfg.dt, cfg.t_end)
+        spectral.sorted_betas(cfg.betas)
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if not 0.0 < cfg.window_fraction < 1.0:
         raise ConfigError(f"window_fraction must lie in (0, 1), got {cfg.window_fraction}")
-    if cfg.dt <= 0.0 or cfg.t_end <= 0.0:
-        raise ConfigError("dt and t_end must be positive")
+    if cfg.vary not in analysis.SWEEP_KEYS:
+        raise ConfigError(f"vary must be one of {', '.join(analysis.SWEEP_KEYS)}, "
+                          f"got {cfg.vary!r}")
     return cfg
 
 
@@ -223,8 +233,11 @@ def _cmd_resolvent(cfg: RunConfig) -> int:
 
 
 def _cmd_charroots(cfg: RunConfig) -> int:
-    region = Rectangle(cfg.re_min, cfg.re_max, cfg.im_min, cfg.im_max)
-    roots = spectral.characteristic_roots(cfg.params(), region)
+    try:
+        roots = spectral.characteristic_roots(cfg.params(), cfg.region())
+    except SingularRegionError as exc:
+        # a config error for this command only: simulate ignores the region
+        raise ConfigError(str(exc)) from exc
     rows = ([_fmt(r.lam.real), _fmt(r.lam.imag), _fmt(r.residual),
              str(r.multiplicity_hint)] for r in roots)
     _write_csv(cfg.out, ["re", "im", "residual", "multiplicity"], rows)

@@ -36,6 +36,10 @@ class BetaNearSpectrumError(RuntimeError):
     """The requested shift i*beta sits too close to the spectrum."""
 
 
+class SingularRegionError(ValueError):
+    """The search region contains a singular point of the characteristic function."""
+
+
 class RootEnumerationError(RuntimeError):
     """Winding count and refined roots disagree, or the contour is unusable.
 
@@ -120,25 +124,41 @@ class ResolventScan:
     spectrum: np.ndarray
 
 
-def resolvent_scan(gen: DiscreteGenerator, betas) -> ResolventScan:
-    """Evaluate the resolvent norm at each beta and fit the log-log trend."""
+def sorted_betas(betas) -> np.ndarray:
+    """The scan frequencies as a sorted array; every beta must be positive."""
     betas = np.asarray(sorted(float(b) for b in betas))
-    if np.any(betas <= 0.0):
-        raise ValueError("betas must be positive")
+    if not np.all(betas > 0.0):
+        raise ValueError(f"betas must be positive, got {betas.tolist()}")
+    return betas
+
+
+def resolvent_scan(gen: DiscreteGenerator, betas) -> ResolventScan:
+    """Evaluate the resolvent norm at each beta and fit the log-log trend.
+
+    The slope is NaN when fewer than two distinct betas leave nothing to fit.
+    """
+    betas = sorted_betas(betas)
     norms = np.array([resolvent_norm(gen, b) for b in betas])
     spectrum = eigenvalues(gen).eigenvalues
     cutoff = float(np.abs(spectrum.imag).max())
-    window = betas <= cutoff
-    if window.sum() >= 2:
-        slope = float(np.polyfit(np.log(betas[window]), np.log(norms[window]), 1)[0])
-    else:
-        slope = float(np.polyfit(np.log(betas), np.log(norms), 1)[0])
+    # the pre-saturation window, else every beta; one distinct beta has no slope
+    slope = math.nan
+    for fit in (betas <= cutoff, slice(None)):
+        if np.unique(betas[fit]).size >= 2:
+            slope = float(np.polyfit(np.log(betas[fit]), np.log(norms[fit]), 1)[0])
+            break
     return ResolventScan(betas=betas, norms=norms, fitted_loglog_slope=slope,
                          presaturation_cutoff=cutoff, spectrum=spectrum)
 
 
 # ---------------------------------------------------------------------------
 # characteristic roots of the continuous problems
+
+
+WINDING_MIN_SAMPLES = 32    # boundary samples per side of the first walk
+WINDING_MAX_SAMPLES = 8192  # per-side cap on the doubling refinement
+NEWTON_MAX_ITER = 200
+CONTAINS_SLACK = 1e-12      # tolerance of Rectangle.contains on refined roots
 
 
 @dataclass(frozen=True)
@@ -154,7 +174,9 @@ class Rectangle:
         if not (self.re_min < self.re_max and self.im_min < self.im_max):
             raise ValueError("rectangle must have positive width and height")
 
-    def contains(self, z: complex, slack: float = 1e-12) -> bool:
+    def contains(self, z: complex) -> bool:
+        """Whether z lies in the rectangle, widened by CONTAINS_SLACK."""
+        slack = CONTAINS_SLACK
         return (self.re_min - slack <= z.real <= self.re_max + slack
                 and self.im_min - slack <= z.imag <= self.im_max + slack)
 
@@ -229,19 +251,20 @@ def characteristic_function(p: Params) -> Callable[[complex], complex]:
     return f
 
 
-def _winding_number(f, rect: Rectangle, n0: int = 32, n_max: int = 8192) -> int:
+def _winding_number(f, rect: Rectangle) -> int:
     """Winding number of f along the rectangle boundary.
 
     Trapezoid walk of the boundary, refined until every phase increment is
     below pi/2 and the total stabilizes at an integer within 1e-3.  A root on
     (or next to) the boundary never satisfies the phase criterion, so the
-    per-side sample count is capped rather than refined indefinitely.
+    per-side sample count is capped at WINDING_MAX_SAMPLES rather than
+    refined indefinitely.
     """
     corners = [complex(rect.re_min, rect.im_min), complex(rect.re_max, rect.im_min),
                complex(rect.re_max, rect.im_max), complex(rect.re_min, rect.im_max)]
-    n = n0
+    n = WINDING_MIN_SAMPLES
     prev = None
-    while n <= n_max:
+    while n <= WINDING_MAX_SAMPLES:
         pts = []
         for k in range(4):
             z0, z1 = corners[k], corners[(k + 1) % 4]
@@ -271,13 +294,17 @@ def _winding_number(f, rect: Rectangle, n0: int = 32, n_max: int = 8192) -> int:
         "to a root")
 
 
-def _newton(f, z0: complex, rect: Rectangle, tol: float,
-            max_iter: int = 200) -> tuple[complex, float] | None:
-    """Newton refinement with a numerical derivative, confined near rect."""
+def _newton(f, z0: complex, rect: Rectangle,
+            tol: float) -> tuple[complex, float] | None:
+    """Newton refinement with a numerical derivative, confined near rect.
+
+    Stops at |f| < tol, at a negligible step or after NEWTON_MAX_ITER steps;
+    the last two accept the final point only if |f| < tol there.
+    """
     bound = 4.0 * max(rect.re_max - rect.re_min, rect.im_max - rect.im_min)
     center = complex((rect.re_min + rect.re_max) / 2, (rect.im_min + rect.im_max) / 2)
     z = z0
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         fz = f(z)
         if not (cmath.isfinite(fz)):
             return None
@@ -292,8 +319,7 @@ def _newton(f, z0: complex, rect: Rectangle, tol: float,
         if abs(z - center) > bound:
             return None
         if abs(dz) < 5e-16 * (1.0 + abs(z)):
-            fz = f(z)
-            return (z, abs(fz)) if abs(fz) < tol else None
+            break
     fz = f(z)
     return (z, abs(fz)) if abs(fz) < tol else None
 
@@ -369,7 +395,7 @@ def characteristic_roots(p: Params, region: Rectangle,
     if p.law is DampingLaw.KELVIN_VOIGT and p.a > 0.0:
         pole = -1.0 / p.a
         if region.re_min <= pole <= region.re_max and region.im_min <= 0.0 <= region.im_max:
-            raise ValueError(
+            raise SingularRegionError(
                 f"Kelvin-Voigt characteristic function is singular at "
                 f"lam = -1/a = {pole}; choose a region excluding that point")
     f = characteristic_function(p)

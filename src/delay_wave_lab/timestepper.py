@@ -20,6 +20,9 @@ from .core import (Grid, InitialData, Params, StateVector, SystemLabel,
 from .discretization import DiscreteGenerator, assemble_generator
 
 
+MAX_STEPS = 1_000_000  # largest t_end/dt of a run; step_count enforces it
+
+
 class SingularStepError(RuntimeError):
     """(I - dt*A) is numerically singular; reported, never regularized."""
 
@@ -56,6 +59,28 @@ def _factorization(gen: DiscreteGenerator, dt: float):
     return lu, piv
 
 
+def _march(gen: DiscreteGenerator, vec: np.ndarray, dt: float, n_steps: int):
+    """Yield the backward-Euler iterates V^1, ..., V^n_steps of V^0 = vec."""
+    lu = _factorization(gen, dt)
+    for _ in range(n_steps):
+        vec = sla.lu_solve(lu, vec)
+        yield vec
+
+
+def step_count(dt: float, t_end: float) -> int:
+    """Number of steps round(t_end/dt) of a run from t = 0 to t_end.
+
+    dt and t_end must be positive and t_end/dt at most MAX_STEPS; the ratio
+    is compared before rounding, so an infinite one is rejected too.
+    """
+    if not (dt > 0.0 and t_end > 0.0):
+        raise ValueError(f"dt and t_end must be positive, got dt={dt}, t_end={t_end}")
+    if not t_end / dt <= MAX_STEPS:
+        raise ValueError(f"t_end/dt = {t_end / dt:g} exceeds the cap of "
+                         f"{MAX_STEPS} steps")
+    return int(round(t_end / dt))
+
+
 def step(gen: DiscreteGenerator, state: StateVector, dt: float) -> StateVector:
     """One backward-Euler step: solve (I - dt*A) V+ = V."""
     if dt <= 0.0:
@@ -64,7 +89,7 @@ def step(gen: DiscreteGenerator, state: StateVector, dt: float) -> StateVector:
     if vec.shape[0] != gen.dim:
         raise ValueError(f"state dimension {vec.shape[0]} does not match "
                          f"generator dimension {gen.dim}")
-    out = sla.lu_solve(_factorization(gen, dt), vec)
+    (out,) = _march(gen, vec, dt, 1)
     return StateVector.from_vector(out, gen.grid)
 
 
@@ -75,36 +100,32 @@ def simulate(p: Params, g: Grid, d: InitialData, dt: float, t_end: float,
     Deterministic given its inputs.  If the energy stops being finite the
     trace is truncated at the last finite value and marked as diverged.
     """
-    if dt <= 0.0 or t_end <= 0.0:
-        raise ValueError("dt and t_end must be positive")
+    n_steps = step_count(dt, t_end)
     label = system_label(p)
     gen = assemble_generator(p, g, label)
-    lu = _factorization(gen, dt)
 
-    n_steps = int(round(t_end / dt))
     vec = sample_initial_state(d, g).vector
-    times = [0.0]
-    energies = [gen.energy(vec)]
+    energies = np.empty(n_steps + 1)
+    energies[0] = gen.energy(vec)
     snapshots: list[tuple[float, StateVector]] | None = None
     if snapshot_stride > 0:
         snapshots = [(0.0, StateVector.from_vector(vec.copy(), g))]
-    diverged = False
+    last = n_steps
 
-    for n in range(1, n_steps + 1):
-        vec = sla.lu_solve(lu, vec)
-        with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n, vec in enumerate(_march(gen, vec, dt, n_steps), start=1):
             e = gen.energy(vec)
-        if not np.isfinite(e):
-            diverged = True
-            break
-        times.append(n * dt)
-        energies.append(e)
-        if snapshots is not None and n % snapshot_stride == 0:
-            snapshots.append((n * dt, StateVector.from_vector(vec.copy(), g)))
+            if not np.isfinite(e):
+                last = n - 1
+                break
+            energies[n] = e
+            if snapshots is not None and n % snapshot_stride == 0:
+                snapshots.append((n * dt, StateVector.from_vector(vec.copy(), g)))
 
-    return SimulationTrace(times=np.array(times), energies=np.array(energies),
-                           snapshots=snapshots, params=p, grid=g, label=label,
-                           dt=dt, diverged=diverged)
+    return SimulationTrace(times=np.arange(last + 1) * dt,
+                           energies=energies[:last + 1], snapshots=snapshots,
+                           params=p, grid=g, label=label, dt=dt,
+                           diverged=last < n_steps)
 
 
 @dataclass(frozen=True)
@@ -124,7 +145,8 @@ def shift_consistency(p: Params, g: Grid, d: InitialData, dt: float,
     The generators differ exactly by the shift (asserted entrywise); the two
     backward-Euler trajectories then satisfy
     V_orig(t_n) ~ e^{mu_1 t_n} V_shift(t_n) up to an O(dt) splitting error,
-    reported as the maximal relative deviation in the energy norm.
+    reported as the maximal relative deviation in the energy norm.  A
+    non-finite norm or residual ends the comparison as diverged.
     """
     mu1 = p.shift
     p_orig = replace(p, shift=0.0)
@@ -134,27 +156,28 @@ def shift_consistency(p: Params, g: Grid, d: InitialData, dt: float,
     identity_exact = np.array_equal(
         gen_s.matrix, gen_o.matrix - mu1 * np.eye(gen_o.dim))
 
-    lu_o = _factorization(gen_o, dt)
-    lu_s = _factorization(gen_s, dt)
-    n_steps = int(round(t_end / dt))
-    vo = sample_initial_state(d, g).vector
-    vs = vo.copy()
+    n_steps = step_count(dt, t_end)
+    v0 = sample_initial_state(d, g).vector
     worst = 0.0
     compared = 0
     diverged = False
-    for n in range(1, n_steps + 1):
-        vo = sla.lu_solve(lu_o, vo)
-        vs = sla.lu_solve(lu_s, vs)
-        with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        pairs = zip(_march(gen_o, v0, dt, n_steps), _march(gen_s, v0, dt, n_steps))
+        for n, (vo, vs) in enumerate(pairs, start=1):
             norm_o = gen_o.energy(vo)
-        if not np.isfinite(norm_o):
-            diverged = True
-            break
-        if norm_o == 0.0:
-            continue
-        diff = vo - np.exp(mu1 * n * dt) * vs
-        worst = max(worst, gen_o.energy(diff) / norm_o)
-        compared += 1
+            if norm_o == 0.0:
+                continue
+            # e^{mu1 t_n}/||V_orig|| as one exponent, so it stays finite while
+            # e^{mu1 t_n} alone overflows; both terms share the factor form,
+            # so a zero shift leaves an exactly zero residual
+            log_norm = np.log(norm_o)
+            residual = gen_o.energy(np.exp(-log_norm) * vo
+                                    - np.exp(mu1 * n * dt - log_norm) * vs)
+            if not (np.isfinite(norm_o) and np.isfinite(residual)):
+                diverged = True
+                break
+            worst = max(worst, residual)
+            compared += 1
     return ShiftConsistencyReport(identity_exact=identity_exact,
                                   max_relative_residual=worst,
                                   n_compared=compared, diverged=diverged)

@@ -1,8 +1,12 @@
+import contextlib
+import dataclasses
+import io
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from delay_wave_lab.cli import (ConfigError, RunConfig, main, parse_config,
                                 serialize_config)
@@ -34,6 +38,18 @@ def test_comments_and_blank_lines():
 def test_negative_tau_is_a_config_error():
     with pytest.raises(ConfigError, match="tau"):
         parse_config("tau = -1\n")
+
+
+@pytest.mark.parametrize("text", ["dt = 1e-300", "dt = 1e-320",
+                                  "t_end = 1e300\ndt = 1"])
+def test_uncapped_step_count_is_a_config_error(text):
+    with pytest.raises(ConfigError, match="cap"):
+        parse_config(text)
+
+
+def test_step_count_at_the_cap_parses():
+    cfg = parse_config("t_end = 1000000\ndt = 1")
+    assert (cfg.t_end, cfg.dt) == (1e6, 1.0)
 
 
 def test_unknown_key_names_line_and_key():
@@ -191,6 +207,31 @@ def test_non_finite_value_exits_2(capsys, key, value):
     assert "config error" in err and key in err
 
 
+RUNTIME_CONFIG_ERRORS = [
+    ["charroots", "--re_min", "1", "--re_max", "0"],
+    ["sweep", "--vary", "b"],
+    ["resolvent", "--betas", "-1"],
+    ["charroots", "--law", "kelvin_voigt", "--mu", "0.5"],
+]
+
+
+@pytest.mark.parametrize("argv", RUNTIME_CONFIG_ERRORS, ids=" ".join)
+def test_config_errors_found_at_run_time_exit_2(capsys, argv):
+    code, _, err = _run(capsys, argv)
+    assert code == 2
+    assert "config error" in err
+
+
+@pytest.mark.parametrize("betas", ["2", "2, 2"])
+def test_one_beta_resolvent_has_no_slope(capsys, betas):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = _run(capsys, ["resolvent", "--betas", betas])
+    assert code == 0
+    assert "fitted_loglog_slope = nan" in out
+    assert "advisory" not in err and not caught
+
+
 def test_unknown_override_exits_2(capsys):
     code, _, err = _run(capsys, ["simulate", "--cfl", "0.5"])
     assert code == 2
@@ -215,3 +256,71 @@ def test_verify_passes_on_fresh_checkout(capsys):
     lines = [l for l in out.strip().split("\n") if l]
     assert len(lines) == 11
     assert all(l.startswith("PASS") for l in lines)
+
+
+# Override values for the exit-code property: each key draws from values it
+# accepts or from numbers, zero, negatives, non-finite values and garbage.
+# Grid sizes stay small and dt, t_end are drawn so that no accepted run
+# marches more than 100 steps.
+_ANY = ["1", "2", "0.5", "3.7", "0", "-1", "-2.5", "nan", "inf", "-inf",
+        "abc", "", "1, 2", "true"]
+_VALID = {field.name: ["0.5", "1", "2", "3.7"]
+          for field in dataclasses.fields(RunConfig) if field.name != "out"}
+_VALID.update(nx=["2", "5", "12"], nrho=["1", "4", "12"], dt=["0.05", "0.5"],
+              t_end=["0.5", "5"], law=["internal_friction", "kelvin_voigt"],
+              shifted=["true", "false"], data=["paper", "zero", "ramp"],
+              vary=["a", "mu", "tau", "xi"], snapshot_stride=["0", "3"],
+              window_fraction=["0.5"], betas=["1, 2, 4", "2", "0.5, 64"],
+              values=["1, 2", "0.5"])
+_INVALID = {key: _ANY for key in _VALID}
+_INVALID.update(nx=["0", "-3", "1.5", "abc"], nrho=["0", "-3", "1.5", "abc"],
+                dt=["1e-300", "1e-320", "0", "-1", "nan", "inf"],
+                t_end=["1e300", "0", "inf"], vary=["b", "dt", ""])
+_INPUT_ERRORS = ("ValueError", "OverflowError", "TypeError", "KeyError")
+
+
+@st.composite
+def _overrides(draw):
+    """Accepted values for the small-run keys and up to three more, then up
+    to two of them swapped for a value from _INVALID."""
+    extra = st.lists(st.sampled_from(sorted(_VALID)), max_size=3, unique=True)
+    keys = ["nx", "nrho", "dt", "t_end"] + draw(extra)
+    pairs = [(key, draw(st.sampled_from(_VALID[key]))) for key in keys]
+    for i in draw(st.lists(st.integers(0, len(pairs) - 1), max_size=2)):
+        key = pairs[i][0]
+        pairs[i] = (key, draw(st.sampled_from(_INVALID[key])))
+    return pairs
+
+
+@pytest.mark.filterwarnings("ignore:Kelvin-Voigt stability condition")
+@settings(max_examples=60, deadline=None)
+@given(command=st.sampled_from(["simulate", "sweep", "spectrum", "resolvent",
+                                "charroots"]),
+       overrides=_overrides())
+@example(command="charroots", overrides=[("re_min", "1"), ("re_max", "0")])
+@example(command="sweep", overrides=[("vary", "b")])
+@example(command="resolvent", overrides=[("betas", "-1")])
+@example(command="charroots", overrides=[("law", "kelvin_voigt"), ("mu", "0.5")])
+@example(command="simulate", overrides=[("dt", "1e-320")])
+def test_exit_code_contract(command, overrides):
+    try:
+        cfg = parse_config("\n".join(f"{k} = {v}" for k, v in overrides))
+    except ConfigError:
+        cfg = None
+    if cfg is not None and command in ("simulate", "sweep"):
+        # bounds the run before it starts, so an uncapped count fails here
+        assert cfg.t_end / cfg.dt <= 100
+    argv = [command] + [arg for k, v in overrides for arg in (f"--{k}", v)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    err = err.getvalue()
+    if cfg is None:
+        assert code == 2 and "config error" in err
+    elif code == 2:
+        # the one rule that depends on the command: the Kelvin-Voigt pole
+        assert command == "charroots" and cfg.law == "kelvin_voigt", err
+        assert "-1/a" in err
+    else:
+        assert code in (0, 1), err
+        assert not any(name in err for name in _INPUT_ERRORS), err

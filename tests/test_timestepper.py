@@ -1,6 +1,7 @@
 import gc
 import math
 import types
+import warnings
 import weakref
 from dataclasses import replace
 
@@ -179,6 +180,26 @@ def test_energy_convergence_order(ref_params, ref_grid):
     assert all(o >= 0.9 for o in orders), (ends, orders)
 
 
+@pytest.mark.parametrize("dt, t_end", [(1e-300, 50.0), (1e-320, 50.0),
+                                         (1.0, 1e300), (1.0, 1_000_001.0),
+                                         (0.0, 1.0), (0.1, -1.0),
+                                         (math.nan, 1.0), (0.1, math.inf)])
+def test_step_count_rejects_nonpositive_and_uncapped_runs(dt, t_end):
+    with pytest.raises(ValueError, match="dt"):
+        timestepper.step_count(dt, t_end)
+
+
+def test_step_count_accepts_exactly_the_cap():
+    assert timestepper.step_count(1.0, 1_000_000.0) == timestepper.MAX_STEPS
+    assert timestepper.step_count(0.1, 50.0) == 500
+
+
+def test_simulate_rejects_an_infinite_step_count(ref_params, ref_grid, ref_data):
+    # t_end/dt overflows to inf; it is a bad input, not an OverflowError
+    with pytest.raises(ValueError, match="cap"):
+        simulate(ref_params, ref_grid, ref_data, dt=1e-320, t_end=50.0)
+
+
 def test_shift_consistency_identity_and_residual(ref_params, ref_grid, ref_data):
     rep = shift_consistency(ref_params, ref_grid, ref_data, dt=0.1, t_end=5.0)
     assert rep.identity_exact
@@ -198,3 +219,18 @@ def test_shift_consistency_residual_halves(ref_params, ref_grid, ref_data):
     fine = shift_consistency(ref_params, ref_grid, ref_data, dt=0.05, t_end=5.0)
     ratio = fine.max_relative_residual / coarse.max_relative_residual
     assert 0.4 <= ratio <= 0.6, ratio
+
+
+def test_shift_consistency_reports_overflow_as_divergence(ref_grid, ref_data):
+    # shift 12 at dt = 0.1: e^{mu1 t_n} overflows after t ~ 59 while the
+    # relative residual, about 1e105 there, still fits in a double; once the
+    # rescaled shifted state overflows too the comparison ends as diverged
+    p = internal_friction(a=1.0, mu=8.0, tau=2.0)
+    assert p.shift == 12.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = shift_consistency(p, ref_grid, ref_data, dt=0.1, t_end=200.0)
+    assert rep.diverged
+    assert 600 < rep.n_compared < 2000
+    assert 1e100 < rep.max_relative_residual < math.inf
+    assert rep.max_relative_residual == pytest.approx(8.8515e104, rel=1e-4)
