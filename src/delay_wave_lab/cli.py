@@ -126,7 +126,10 @@ def _parse_value(key: str, raw: str):
     if kind is int:
         return int(raw)
     if kind is tuple:
-        return tuple(_finite(part) for part in raw.split(",") if part.strip())
+        parts = tuple(_finite(part) for part in raw.split(",") if part.strip())
+        if not parts:
+            raise ValueError("expected at least one value")
+        return parts
     return _finite(raw)
 
 

@@ -1,4 +1,9 @@
-"""Dense generator matrices and the energy Gram matrix.
+"""Sparse generator matrices and the energy Gram matrix.
+
+A and G have a handful of nonzeros per row and are stored as ``scipy.sparse``
+CSR arrays; time stepping and the energy use them directly.  The dense views
+``DiscreteGenerator.matrix`` and ``.gram`` are built on first use, only by
+the full-spectrum diagnostics.
 
 The stencils are matched so that the continuous energy computation survives
 discretization *exactly*:
@@ -19,24 +24,31 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.linalg as sla
 
 from .core import DampingLaw, Grid, Params, StateVector, SystemLabel
 
+if TYPE_CHECKING:  # scipy.sparse is imported on first assembly, not with the package
+    from scipy.sparse import sparray
+
 
 @dataclass(eq=False)
 class DiscreteGenerator:
-    """A system matrix together with the Gram matrix of the energy norm.
+    """A sparse system matrix A together with the sparse Gram matrix G of the
+    energy norm.
 
     Immutable after construction apart from its caches; safe to share between
-    threads.  ``step_factors`` holds the time stepper's LU factors of
+    threads.  ``matrix`` and ``gram`` are dense copies made on first use for
+    the full-spectrum diagnostics; time stepping never builds them.
+    ``step_factors`` holds the time stepper's sparse LU factors of
     (I - dt*A) by dt, so they are freed together with the generator.
     """
 
-    matrix: np.ndarray
-    gram: np.ndarray
+    sparse_matrix: sparray
+    sparse_gram: sparray
     params: Params
     grid: Grid
     label: SystemLabel
@@ -44,7 +56,17 @@ class DiscreteGenerator:
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.sparse_matrix.shape[0]
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """Dense copy of A."""
+        return self.sparse_matrix.toarray()
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """Dense copy of G."""
+        return self.sparse_gram.toarray()
 
     @cached_property
     def gram_cholesky(self) -> np.ndarray:
@@ -54,36 +76,66 @@ class DiscreteGenerator:
     def energy(self, state: StateVector | np.ndarray) -> float:
         """Energy norm ||V||_G = sqrt(V^T G V)."""
         vec = state.vector if isinstance(state, StateVector) else np.asarray(state, float)
-        return float(np.sqrt(vec @ self.gram @ vec))
+        return float(np.sqrt(vec @ (self.sparse_gram @ vec)))
 
 
-def assemble_gram(p: Params, g: Grid) -> np.ndarray:
-    """Gram matrix G of the discrete energy.
+def _csr(n: int, entries) -> sparray:
+    """The n x n CSR array summing (rows, cols, value) entries, where a scalar
+    value applies to every position of its block.
+
+    Each position receives at most two values, whose sum is exact in either
+    order, so the result equals the dense entrywise accumulation bit for bit.
+    """
+    import scipy.sparse as sp
+
+    rows, cols, vals = zip(*(np.broadcast_arrays(np.atleast_1d(r), c, float(v))
+                             for r, c, v in entries))
+    return sp.coo_array((np.concatenate(vals),
+                         (np.concatenate(rows), np.concatenate(cols))),
+                        shape=(n, n)).tocsr()
+
+
+def identity(n: int) -> sparray:
+    """The n x n identity as a CSR array."""
+    k = np.arange(n)
+    return _csr(n, [(k, k, 1.0)])
+
+
+def shift_deviation(shifted: DiscreteGenerator, original: DiscreteGenerator,
+                    shift: float) -> float:
+    """Largest entrywise |A_shifted - (A_original - shift*I)|.
+
+    Zero exactly when the shift identity holds entrywise, since x - y == 0
+    only for x == y in floating point.
+    """
+    diff = shifted.sparse_matrix - (original.sparse_matrix
+                                    - shift * identity(original.dim))
+    return float(abs(diff).max()) if diff.nnz else 0.0
+
+
+def assemble_gram(p: Params, g: Grid) -> sparray:
+    """Sparse Gram matrix G of the discrete energy.
 
     ||V||_G^2 = sum_i ((u_i - u_{i-1})/dx)^2 dx + sum_i v_i^2 dx + w^2
                + xi * sum_j z_j^2 drho,  with u_0 = 0.
     """
-    nx, nrho = g.nx, g.nrho
-    n = g.dim
+    nx = g.nx
     dx, drho = g.dx, g.drho
-    G = np.zeros((n, n))
-    # gradient block: (1/dx) * D^T D with D the backward-difference map, u_0 = 0
-    for i in range(1, nx + 1):
-        G[i - 1, i - 1] += 1.0 / dx
-        if i >= 2:
-            G[i - 2, i - 2] += 1.0 / dx
-            G[i - 1, i - 2] += -1.0 / dx
-            G[i - 2, i - 1] += -1.0 / dx
-    for i in range(nx, 2 * nx - 1):
-        G[i, i] = dx
-    G[2 * nx - 1, 2 * nx - 1] = 1.0
-    for j in range(2 * nx, n):
-        G[j, j] = p.xi * drho
-    return G
+    k = np.arange(nx)              # u_1..u_nx
+    return _csr(g.dim, [
+        # gradient block: (1/dx) * D^T D with D the backward-difference map, u_0 = 0
+        (k, k, 1.0 / dx),
+        (k[:-1], k[:-1], 1.0 / dx),
+        (k[1:], k[:-1], -1.0 / dx),
+        (k[:-1], k[1:], -1.0 / dx),
+        (k[:-1] + nx, k[:-1] + nx, dx),   # v_1..v_{nx-1}
+        (2 * nx - 1, 2 * nx - 1, 1.0),    # w
+        (np.arange(2 * nx, g.dim), np.arange(2 * nx, g.dim), p.xi * drho),
+    ])
 
 
 def assemble_generator(p: Params, g: Grid, label: SystemLabel) -> DiscreteGenerator:
-    """Assemble the dense generator A_h for one of the three systems.
+    """Assemble the sparse generator A_h for one of the three systems.
 
     Row layout follows the state (u_1..u_nx, v_1..v_{nx-1}, w, z_1..z_nrho)
     with the eliminated values u_0 = 0, v_0 = 0, v_nx := w and z_0 := w.
@@ -93,57 +145,45 @@ def assemble_generator(p: Params, g: Grid, label: SystemLabel) -> DiscreteGenera
     if label is not SystemLabel.KELVIN_VOIGT and p.law is DampingLaw.KELVIN_VOIGT:
         raise ValueError(f"label {label} requires internal-friction params")
 
-    nx, nrho = g.nx, g.nrho
-    n = g.dim
+    nx, n = g.nx, g.dim
     dx, drho = g.dx, g.drho
-    iu = lambda i: i - 1            # u_i, i = 1..nx
-    iv = lambda i: nx + i - 1       # v_i, i = 1..nx-1
     iw = 2 * nx - 1
-    iz = lambda j: 2 * nx - 1 + j   # z_j, j = 1..nrho
+    i = np.arange(1, nx)           # interior nodes
+    iu = i - 1                     # rows of u_1..u_{nx-1}
+    iv = nx + i - 1                # rows of v_1..v_{nx-1}; iv + 1 is v_{i+1}, or w
+    iz = np.arange(iw + 1, n)      # rows of z_1..z_nrho; iz - 1 is z_{j-1}, or w
 
-    A = np.zeros((n, n))
-
-    # u rows: u_i' = v_i, with the boundary velocity closing the last row
-    for i in range(1, nx):
-        A[iu(i), iv(i)] = 1.0
-    A[iu(nx), iw] = 1.0
-
-    # v rows at interior nodes
-    for i in range(1, nx):
-        A[iv(i), iu(i)] += -2.0 / dx**2
-        if i >= 2:
-            A[iv(i), iu(i - 1)] += 1.0 / dx**2
-        A[iv(i), iu(i + 1)] += 1.0 / dx**2
-        if p.law is DampingLaw.INTERNAL_FRICTION:
-            A[iv(i), iv(i)] += -p.a
-        else:
-            # Kelvin-Voigt: + a * D^2 v, the boundary value v_nx is w
-            A[iv(i), iv(i)] += -2.0 * p.a / dx**2
-            if i >= 2:
-                A[iv(i), iv(i - 1)] += p.a / dx**2
-            if i + 1 <= nx - 1:
-                A[iv(i), iv(i + 1)] += p.a / dx**2
-            else:
-                A[iv(i), iw] += p.a / dx**2
-
-    # w row: one-sided normal derivative plus the delayed feedback
-    A[iw, iu(nx)] += -1.0 / dx
-    A[iw, iu(nx - 1)] += 1.0 / dx
-    A[iw, iz(nrho)] += -p.mu
-    if p.law is DampingLaw.KELVIN_VOIGT:
-        A[iw, iw] += -p.a / dx
-        A[iw, iv(nx - 1)] += p.a / dx
-
-    # z rows: upwind transport with inflow z_0 = w
-    c = 1.0 / (p.tau * drho)
-    for j in range(1, nrho + 1):
-        A[iz(j), iz(j)] += -c
-        A[iz(j), iw if j == 1 else iz(j - 1)] += c
-
+    entries = [
+        # u rows: u_i' = v_i, with the boundary velocity closing the last row
+        (iu, iv, 1.0),
+        (nx - 1, iw, 1.0),
+        # v rows at interior nodes: D^2 u with u_0 = 0
+        (iv, iu, -2.0 / dx**2),
+        (iv[1:], iu[1:] - 1, 1.0 / dx**2),
+        (iv, iu + 1, 1.0 / dx**2),
+        # w row: one-sided normal derivative plus the delayed feedback
+        (iw, nx - 1, -1.0 / dx),
+        (iw, nx - 2, 1.0 / dx),
+        (iw, n - 1, -p.mu),
+        # z rows: upwind transport with inflow z_0 = w
+        (iz, iz, -1.0 / (p.tau * drho)),
+        (iz, iz - 1, 1.0 / (p.tau * drho)),
+    ]
+    if p.law is DampingLaw.INTERNAL_FRICTION:
+        entries.append((iv, iv, -p.a))
+    else:
+        # Kelvin-Voigt: + a * D^2 v, the boundary value v_nx is w
+        entries += [(iv, iv, -2.0 * p.a / dx**2),
+                    (iv[1:], iv[1:] - 1, p.a / dx**2),
+                    (iv, iv + 1, p.a / dx**2),
+                    (iw, iw, -p.a / dx),
+                    (iw, iv[-1], p.a / dx)]
     if label is SystemLabel.SHIFTED:
-        A = A - p.shift * np.eye(n)
+        # summed onto the diagonal as x + (-shift), which is exactly x - shift
+        entries.append((np.arange(n), np.arange(n), -p.shift))
 
-    return DiscreteGenerator(matrix=A, gram=assemble_gram(p, g), params=p,
+    return DiscreteGenerator(sparse_matrix=_csr(n, entries),
+                             sparse_gram=assemble_gram(p, g), params=p,
                              grid=g, label=label)
 
 
@@ -153,7 +193,7 @@ def rayleigh(gen: DiscreteGenerator, state: StateVector) -> float:
     if vec.shape[0] != gen.dim:
         raise ValueError(f"state dimension {vec.shape[0]} does not match "
                          f"generator dimension {gen.dim}")
-    return float(vec @ gen.gram @ gen.matrix @ vec)
+    return float(vec @ (gen.sparse_gram @ (gen.sparse_matrix @ vec)))
 
 
 def symmetrized_max_eigenvalue(gen: DiscreteGenerator) -> float:

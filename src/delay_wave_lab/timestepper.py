@@ -9,15 +9,15 @@ truncated at the last finite energy and flagged.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg as sla
+import scipy.linalg as sla  # noqa: F401 -- perfbench's tracer wraps this attribute by name
 
 from .core import (Grid, InitialData, Params, StateVector, SystemLabel,
                    sample_initial_state, system_label)
-from .discretization import DiscreteGenerator, assemble_generator
+from .discretization import (DiscreteGenerator, assemble_generator, identity,
+                             shift_deviation)
 
 
 MAX_STEPS = 1_000_000  # largest t_end/dt of a run; step_count enforces it
@@ -42,48 +42,61 @@ class SimulationTrace:
 
 
 def _factorization(gen: DiscreteGenerator, dt: float):
-    """LU factors of (I - dt*A), computed once per dt and kept on ``gen``."""
+    """Sparse LU factors of (I - dt*A), computed once per dt and kept on ``gen``."""
     if dt in gen.step_factors:
         return gen.step_factors[dt]
-    m = np.eye(gen.dim) - dt * gen.matrix
-    with warnings.catch_warnings():
-        # an exactly singular factor is reported through SingularStepError
-        warnings.simplefilter("ignore", sla.LinAlgWarning)
-        lu, piv = sla.lu_factor(m)
-    diag = np.abs(np.diag(lu))
-    if not np.all(np.isfinite(lu)) or diag.min() == 0.0 or \
-            diag.min() < 1e-300 * max(diag.max(), 1.0):
-        raise SingularStepError(
-            f"(I - dt*A) is singular for dt={dt} on the {gen.label.value} system")
-    gen.step_factors[dt] = lu, piv
-    return lu, piv
+    from scipy.sparse.linalg import splu
+
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        m = (identity(gen.dim) - dt * gen.sparse_matrix).tocsc()
+    singular = SingularStepError(
+        f"(I - dt*A) is singular for dt={dt} on the {gen.label.value} system")
+    if not np.all(np.isfinite(m.data)):
+        raise singular
+    try:
+        # A + A^T ordering in symmetric mode suits the nearly symmetric
+        # pattern of A; pivoting stays partial (diag_pivot_thresh = 1)
+        lu = splu(m, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
+    except RuntimeError as exc:  # "Factor is exactly singular"
+        raise singular from exc
+    diag = np.abs(lu.U.diagonal())
+    if not (np.all(np.isfinite(diag))
+            and diag.min() >= 1e-300 * max(diag.max(), 1.0)):
+        raise singular
+    gen.step_factors[dt] = lu
+    return lu
 
 
 def _march(gen: DiscreteGenerator, vec: np.ndarray, dt: float, n_steps: int):
     """Yield the backward-Euler iterates V^1, ..., V^n_steps of V^0 = vec."""
-    lu = _factorization(gen, dt)
+    solve = _factorization(gen, dt).solve
     for _ in range(n_steps):
-        vec = sla.lu_solve(lu, vec)
+        vec = solve(vec)
         yield vec
 
 
 def step_count(dt: float, t_end: float) -> int:
     """Number of steps round(t_end/dt) of a run from t = 0 to t_end.
 
-    dt and t_end must be positive and t_end/dt at most MAX_STEPS; the ratio
-    is compared before rounding, so an infinite one is rejected too.
+    dt and t_end must be positive and round(t_end/dt) between 1 and
+    MAX_STEPS; the ratio is compared before rounding, so an infinite one is
+    rejected too.
     """
     if not (dt > 0.0 and t_end > 0.0):
         raise ValueError(f"dt and t_end must be positive, got dt={dt}, t_end={t_end}")
     if not t_end / dt <= MAX_STEPS:
         raise ValueError(f"t_end/dt = {t_end / dt:g} exceeds the cap of "
                          f"{MAX_STEPS} steps")
-    return int(round(t_end / dt))
+    n_steps = int(round(t_end / dt))
+    if n_steps < 1:
+        raise ValueError(f"t_end/dt = {t_end / dt:g} rounds to zero steps; t_end "
+                         f"must exceed dt/2, got dt={dt}, t_end={t_end}")
+    return n_steps
 
 
 def step(gen: DiscreteGenerator, state: StateVector, dt: float) -> StateVector:
     """One backward-Euler step: solve (I - dt*A) V+ = V."""
-    if dt <= 0.0:
+    if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     vec = state.vector
     if vec.shape[0] != gen.dim:
@@ -153,8 +166,7 @@ def shift_consistency(p: Params, g: Grid, d: InitialData, dt: float,
     gen_o = assemble_generator(p_orig, g, SystemLabel.ORIGINAL)
     gen_s = assemble_generator(p, g, SystemLabel.SHIFTED)
 
-    identity_exact = np.array_equal(
-        gen_s.matrix, gen_o.matrix - mu1 * np.eye(gen_o.dim))
+    identity_exact = shift_deviation(gen_s, gen_o, mu1) == 0.0
 
     n_steps = step_count(dt, t_end)
     v0 = sample_initial_state(d, g).vector

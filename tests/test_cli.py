@@ -222,6 +222,21 @@ def test_config_errors_found_at_run_time_exit_2(capsys, argv):
     assert "config error" in err
 
 
+EMPTY_RUN_CONFIG_ERRORS = [
+    ["resolvent", "--betas", ","],
+    ["sweep", "--values", ","],
+    ["simulate", "--dt", "0.5", "--t_end", "0.2"],
+    ["sweep", "--dt", "0.5", "--t_end", "0.2"],
+]
+
+
+@pytest.mark.parametrize("argv", EMPTY_RUN_CONFIG_ERRORS, ids=" ".join)
+def test_empty_value_lists_and_zero_step_runs_exit_2(capsys, argv):
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert "config error" in err and not out
+
+
 @pytest.mark.parametrize("betas", ["2", "2, 2"])
 def test_one_beta_resolvent_has_no_slope(capsys, betas):
     with warnings.catch_warnings(record=True) as caught:

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from delay_wave_lab import (Grid, Params, StateVector, SystemLabel,
+from delay_wave_lab import (DampingLaw, Grid, Params, StateVector, SystemLabel,
                             assemble_generator, assemble_gram,
                             internal_friction, kelvin_voigt, rayleigh,
                             robin_eigenvalue, sample_initial_state,
                             symmetrized_max_eigenvalue, builtin_data)
+from delay_wave_lab.discretization import shift_deviation
 
 
 def _random_state(grid, rng):
@@ -52,6 +53,86 @@ def test_shift_identity_is_exact(ref_grid):
         assert np.array_equal(shifted.matrix,
                               original.matrix - p.shift * np.eye(ref_grid.dim))
         assert np.array_equal(shifted.gram, original.gram)
+        assert shift_deviation(shifted, original, p.shift) == 0.0
+        # a wrong shift shows as the dense entrywise deviation
+        wrong = p.shift * (1.0 + 2.0**-30)
+        dense = np.max(np.abs(shifted.matrix - (original.matrix
+                                                - wrong * np.eye(ref_grid.dim))))
+        assert shift_deviation(shifted, original, wrong) == dense > 0.0
+
+
+def _loop_generator(p, g, label):
+    """The entrywise dense assembly the sparse one replaced, kept as reference."""
+    nx, nrho, n = g.nx, g.nrho, g.dim
+    dx, drho = g.dx, g.drho
+    iu = lambda i: i - 1
+    iv = lambda i: nx + i - 1
+    iw = 2 * nx - 1
+    iz = lambda j: 2 * nx - 1 + j
+    A = np.zeros((n, n))
+    for i in range(1, nx):
+        A[iu(i), iv(i)] = 1.0
+    A[iu(nx), iw] = 1.0
+    for i in range(1, nx):
+        A[iv(i), iu(i)] += -2.0 / dx**2
+        if i >= 2:
+            A[iv(i), iu(i - 1)] += 1.0 / dx**2
+        A[iv(i), iu(i + 1)] += 1.0 / dx**2
+        if p.law is DampingLaw.INTERNAL_FRICTION:
+            A[iv(i), iv(i)] += -p.a
+        else:
+            A[iv(i), iv(i)] += -2.0 * p.a / dx**2
+            if i >= 2:
+                A[iv(i), iv(i - 1)] += p.a / dx**2
+            if i + 1 <= nx - 1:
+                A[iv(i), iv(i + 1)] += p.a / dx**2
+            else:
+                A[iv(i), iw] += p.a / dx**2
+    A[iw, iu(nx)] += -1.0 / dx
+    A[iw, iu(nx - 1)] += 1.0 / dx
+    A[iw, iz(nrho)] += -p.mu
+    if p.law is DampingLaw.KELVIN_VOIGT:
+        A[iw, iw] += -p.a / dx
+        A[iw, iv(nx - 1)] += p.a / dx
+    c = 1.0 / (p.tau * drho)
+    for j in range(1, nrho + 1):
+        A[iz(j), iz(j)] += -c
+        A[iz(j), iw if j == 1 else iz(j - 1)] += c
+    if label is SystemLabel.SHIFTED:
+        A = A - p.shift * np.eye(n)
+
+    G = np.zeros((n, n))
+    for i in range(1, nx + 1):
+        G[i - 1, i - 1] += 1.0 / dx
+        if i >= 2:
+            G[i - 2, i - 2] += 1.0 / dx
+            G[i - 1, i - 2] += -1.0 / dx
+            G[i - 2, i - 1] += -1.0 / dx
+    for i in range(nx, 2 * nx - 1):
+        G[i, i] = dx
+    G[2 * nx - 1, 2 * nx - 1] = 1.0
+    for j in range(2 * nx, n):
+        G[j, j] = p.xi * drho
+    return A, G
+
+
+@pytest.mark.filterwarnings("ignore:Kelvin-Voigt stability condition")
+@pytest.mark.parametrize("nx, nrho", [(2, 1), (3, 5), (20, 22), (320, 322)])
+@pytest.mark.parametrize("label", list(SystemLabel))
+def test_sparse_assembly_equals_the_loop_assembly_bitwise(nx, nrho, label):
+    rng = np.random.default_rng(nx + nrho)
+    a, mu, tau = rng.uniform(0.1, 2.0), rng.uniform(0.1, 4.0), rng.uniform(0.25, 4.0)
+    if label is SystemLabel.KELVIN_VOIGT:
+        p = kelvin_voigt(a=a, mu=mu, tau=tau)
+    else:
+        p = internal_friction(a=a, mu=mu, tau=tau, xi=mu * tau * 1.5,
+                              shifted=label is SystemLabel.SHIFTED)
+    g = Grid(nx=nx, nrho=nrho)
+    gen = assemble_generator(p, g, label)
+    A, G = _loop_generator(p, g, label)
+    assert np.array_equal(gen.matrix, A)
+    assert np.array_equal(gen.gram, G)
+    assert np.array_equal(assemble_gram(p, g).toarray(), G)
 
 
 def test_label_law_mismatch_rejected(ref_params, kv_params, ref_grid):
@@ -62,7 +143,7 @@ def test_label_law_mismatch_rejected(ref_params, kv_params, ref_grid):
 
 
 def test_gram_is_positive_definite(ref_params, ref_grid):
-    G = assemble_gram(ref_params, ref_grid)
+    G = assemble_gram(ref_params, ref_grid).toarray()
     assert np.array_equal(G, G.T)
     assert sla.eigh(G, eigvals_only=True)[0] > 0.0
 

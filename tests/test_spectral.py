@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from delay_wave_lab import (BetaNearSpectrumError, DiscreteGenerator, Grid,
                             Params, Rectangle, RootEnumerationError,
@@ -33,11 +34,12 @@ ROBIN_MINUS_2 = -3.6672558244966540   # -s^2 with tanh(s) = s/2
 
 
 def _toy_generator(matrix, gram=None):
-    matrix = np.asarray(matrix, float)
+    matrix = sp.csr_array(np.asarray(matrix, float))
     n = matrix.shape[0]
     grid = Grid(nx=2, nrho=n - 4)  # any grid with matching dimension
-    return DiscreteGenerator(matrix=matrix,
-                             gram=np.eye(n) if gram is None else gram,
+    return DiscreteGenerator(sparse_matrix=matrix,
+                             sparse_gram=sp.csr_array(np.eye(n))
+                             if gram is None else sp.csr_array(gram),
                              params=Params(a=0.0, mu=1.0, tau=1.0, xi=1.0),
                              grid=grid, label=SystemLabel.ORIGINAL)
 

@@ -1,12 +1,14 @@
 import gc
 import math
-import types
 import warnings
 import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings, strategies as st
 
 from delay_wave_lab import (DiscreteGenerator, Grid, Params, StateVector,
                             SingularStepError, SystemLabel,
@@ -19,8 +21,8 @@ from delay_wave_lab import (DiscreteGenerator, Grid, Params, StateVector,
 def _toy_generator(matrix, grid=None):
     grid = grid or Grid(nx=2, nrho=1)
     n = grid.dim
-    return DiscreteGenerator(matrix=np.asarray(matrix, float),
-                             gram=np.eye(n),
+    return DiscreteGenerator(sparse_matrix=sp.csr_array(np.asarray(matrix, float)),
+                             sparse_gram=sp.csr_array(np.eye(n)),
                              params=Params(a=0.0, mu=1.0, tau=1.0, xi=1.0),
                              grid=grid, label=SystemLabel.ORIGINAL)
 
@@ -40,8 +42,9 @@ def test_zero_state_stays_zero(ref_params, ref_grid):
 
 def test_step_rejects_bad_inputs(ref_params, ref_grid):
     gen = assemble_generator(ref_params, ref_grid, SystemLabel.SHIFTED)
-    with pytest.raises(ValueError, match="dt"):
-        step(gen, StateVector.zeros(ref_grid), dt=0.0)
+    for dt in (math.nan, 0.0, -1.0):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            step(gen, StateVector.zeros(ref_grid), dt=dt)
     with pytest.raises(ValueError, match="dimension"):
         step(gen, StateVector.zeros(Grid(nx=3, nrho=2)), dt=0.1)
 
@@ -52,6 +55,9 @@ def test_singular_step_is_reported():
     sv = StateVector.from_vector(np.ones(5), gen.grid)
     with pytest.raises(SingularStepError, match="dt=0.25.*original"):
         step(gen, sv, dt=0.25)
+    # dt*A overflows: the matrix is rejected before it is factored
+    with pytest.raises(SingularStepError, match="dt=1e"):
+        step(gen, sv, dt=1e308)
 
 
 @pytest.mark.parametrize("dt", [0.01, 0.1, 1.0])
@@ -67,19 +73,33 @@ def test_step_contracts_dissipative_states(ref_params, kv_params, ref_grid,
         assert gen.energy(out) <= gen.energy(sv) * (1.0 + 1e-12)
 
 
+class _FactorProxy:
+    """The parts of a SuperLU object the time stepper uses; unlike SuperLU
+    itself it can be weakly referenced.  Its methods are its own, so whatever
+    holds ``solve`` keeps the proxy, and its weak reference, alive."""
+
+    def __init__(self, lu):
+        self._lu = lu
+
+    def solve(self, b):
+        return self._lu.solve(b)
+
+    @property
+    def U(self):
+        return self._lu.U
+
+
 def _track_factorizations(monkeypatch):
-    """Route timestepper.sla.lu_factor through a recorder of weak references."""
+    """Route scipy.sparse.linalg.splu through a recorder of weak references."""
     factors = []
-    real = timestepper.sla
+    real = spla.splu
 
-    def lu_factor(m, *args, **kwargs):
-        lu, piv = real.lu_factor(m, *args, **kwargs)
+    def splu(m, *args, **kwargs):
+        lu = _FactorProxy(real(m, *args, **kwargs))
         factors.append(weakref.ref(lu))
-        return lu, piv
+        return lu
 
-    monkeypatch.setattr(timestepper, "sla", types.SimpleNamespace(
-        lu_factor=lu_factor, lu_solve=real.lu_solve,
-        LinAlgWarning=real.LinAlgWarning))
+    monkeypatch.setattr(spla, "splu", splu)
     return factors
 
 
@@ -183,7 +203,8 @@ def test_energy_convergence_order(ref_params, ref_grid):
 @pytest.mark.parametrize("dt, t_end", [(1e-300, 50.0), (1e-320, 50.0),
                                          (1.0, 1e300), (1.0, 1_000_001.0),
                                          (0.0, 1.0), (0.1, -1.0),
-                                         (math.nan, 1.0), (0.1, math.inf)])
+                                         (math.nan, 1.0), (0.1, math.inf),
+                                         (0.5, 0.2), (1.0, 0.5)])
 def test_step_count_rejects_nonpositive_and_uncapped_runs(dt, t_end):
     with pytest.raises(ValueError, match="dt"):
         timestepper.step_count(dt, t_end)
@@ -234,3 +255,58 @@ def test_shift_consistency_reports_overflow_as_divergence(ref_grid, ref_data):
     assert 600 < rep.n_compared < 2000
     assert 1e100 < rep.max_relative_residual < math.inf
     assert rep.max_relative_residual == pytest.approx(8.8515e104, rel=1e-4)
+
+
+def _params_for(label, a, mu, tau, xi_factor):
+    if label is SystemLabel.KELVIN_VOIGT:
+        return kelvin_voigt(a=a, mu=mu, tau=tau)
+    return internal_friction(a=a, mu=mu, tau=tau, xi=mu * tau * xi_factor,
+                             shifted=label is SystemLabel.SHIFTED)
+
+
+@pytest.mark.filterwarnings("ignore:Kelvin-Voigt stability condition")
+@settings(max_examples=50, deadline=None)
+@given(nx=st.integers(2, 12), nrho=st.integers(2, 12),
+       label=st.sampled_from(SystemLabel), a=st.floats(0.1, 2.0),
+       mu=st.floats(0.1, 4.0), tau=st.floats(0.25, 4.0),
+       xi_factor=st.floats(1.1, 4.0), dt=st.floats(1e-3, 10.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_sparse_path_matches_the_dense_reference(nx, nrho, label, a, mu, tau,
+                                                 xi_factor, dt, seed):
+    grid = Grid(nx=nx, nrho=nrho)
+    p = _params_for(label, a, mu, tau, xi_factor)
+    gen = assemble_generator(p, grid, label)
+    v0 = np.random.default_rng(seed).standard_normal(grid.dim)
+
+    # each sparse iterate against a dense solve of the previous one; the
+    # two paths round differently, so over many steps the dynamics amplify
+    # the difference beyond what a single solve shows
+    dense = np.eye(grid.dim) - dt * gen.matrix
+    prev = v0
+    for vec in timestepper._march(gen, v0, dt, 20):
+        ref = np.linalg.solve(dense, prev)
+        assert np.linalg.norm(vec - ref) <= 1e-12 * np.linalg.norm(ref)
+        prev = vec
+
+    assert gen.energy(v0) == pytest.approx(np.sqrt(v0 @ gen.gram @ v0), rel=1e-14)
+
+    data = builtin_data("ramp")
+    first = simulate(p, grid, data, dt=dt, t_end=5 * dt)
+    second = simulate(p, grid, data, dt=dt, t_end=5 * dt)
+    assert len(first.energies) == 6
+    assert np.array_equal(first.energies, second.energies)
+
+
+def test_time_stepping_never_builds_a_dense_matrix(ref_params, ref_data,
+                                                   monkeypatch):
+    def dense(self):
+        raise AssertionError("time stepping built a dense n x n matrix")
+
+    monkeypatch.setattr(DiscreteGenerator, "matrix", property(dense))
+    monkeypatch.setattr(DiscreteGenerator, "gram", property(dense))
+    grid = Grid(nx=1280, nrho=1280)
+    trace = simulate(ref_params, grid, ref_data, dt=0.1, t_end=1.0)
+    assert len(trace.energies) == 11 and np.all(np.isfinite(trace.energies))
+    assert np.all(np.diff(trace.energies) <= 0.0)
+    rep = shift_consistency(ref_params, grid, ref_data, dt=0.1, t_end=1.0)
+    assert rep.identity_exact and rep.n_compared == 10
