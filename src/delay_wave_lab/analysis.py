@@ -50,9 +50,20 @@ class PowerLawFit(NamedTuple):
     r_squared: float
 
 
-def _window_samples(trace: SimulationTrace, window_fraction: float):
+def validate_fit_settings(window_fraction: float,
+                          rate_threshold: float = RATE_THRESHOLD,
+                          fit_threshold: float = FIT_THRESHOLD) -> None:
+    """Require window_fraction in (0, 1), a finite rate_threshold >= 0 (so the
+    decay and growth bands cannot overlap) and fit_threshold in [0, 1)."""
     if not 0.0 < window_fraction < 1.0:
-        raise ValueError("window_fraction must lie in (0, 1)")
+        raise ValueError(f"window_fraction must lie in (0, 1), got {window_fraction}")
+    if not (math.isfinite(rate_threshold) and rate_threshold >= 0.0):
+        raise ValueError(f"rate_threshold must be finite and >= 0, got {rate_threshold}")
+    if not 0.0 <= fit_threshold < 1.0:
+        raise ValueError(f"fit_threshold must lie in [0, 1), got {fit_threshold}")
+
+
+def _window_samples(trace: SimulationTrace, window_fraction: float):
     t_hi = float(trace.times[-1])
     t_lo = t_hi * (1.0 - window_fraction)
     mask = (trace.times >= t_lo) & (trace.times <= t_hi)
@@ -73,6 +84,7 @@ def fit_decay(trace: SimulationTrace, window_fraction: float = 0.5,
               rate_threshold: float = RATE_THRESHOLD,
               fit_threshold: float = FIT_THRESHOLD) -> DecayFit:
     """Fit log E(t) against t on the tail window and classify the trace."""
+    validate_fit_settings(window_fraction, rate_threshold, fit_threshold)
     times, energies, window = _window_samples(trace, window_fraction)
     positive = energies > 0.0
 
@@ -113,6 +125,7 @@ def polynomial_fit_decay(trace: SimulationTrace,
     it exceeds any fixed power; the fit is a consistency check against
     polynomial decay bounds, not a model.
     """
+    validate_fit_settings(window_fraction)
     times, energies, _ = _window_samples(trace, window_fraction)
     usable = (energies > 0.0) & (times > 0.0)
     if usable.sum() < 10:

@@ -49,7 +49,6 @@ class RunConfig:
     dt: float = 0.1
     t_end: float = 50.0
     data: str = "paper"
-    snapshot_stride: int = 0
     window_fraction: float = 0.5
     rate_threshold: float = 1e-4
     fit_threshold: float = 0.98
@@ -63,13 +62,6 @@ class RunConfig:
     values: tuple = (1.0, 2.0, 4.0)
     out: str = ""
 
-    def resolved_xi(self) -> float:
-        if self.xi is not None:
-            return self.xi
-        if self.law == "kelvin_voigt":
-            return self.mu * self.tau
-        return 2.0 * self.mu * self.tau
-
     def params(self) -> Params:
         if self.law == "kelvin_voigt":
             p = kelvin_voigt(a=self.a, mu=self.mu, tau=self.tau)
@@ -82,7 +74,7 @@ class RunConfig:
             raise ConfigError(f"unknown law {self.law!r}; choose "
                               f"internal_friction or kelvin_voigt")
         return internal_friction(a=self.a, mu=self.mu, tau=self.tau,
-                                 xi=self.resolved_xi(), shifted=self.shifted)
+                                 xi=self.xi, shifted=self.shifted)
 
     def grid(self) -> Grid:
         try:
@@ -159,10 +151,10 @@ def parse_config(text: str) -> RunConfig:
         cfg.initial_data()
         step_count(cfg.dt, cfg.t_end)
         spectral.sorted_betas(cfg.betas)
+        analysis.validate_fit_settings(cfg.window_fraction, cfg.rate_threshold,
+                                       cfg.fit_threshold)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if not 0.0 < cfg.window_fraction < 1.0:
-        raise ConfigError(f"window_fraction must lie in (0, 1), got {cfg.window_fraction}")
     if cfg.vary not in analysis.SWEEP_KEYS:
         raise ConfigError(f"vary must be one of {', '.join(analysis.SWEEP_KEYS)}, "
                           f"got {cfg.vary!r}")
@@ -202,8 +194,7 @@ def _write_csv(path: str, header: list[str], rows) -> None:
 
 def _cmd_simulate(cfg: RunConfig) -> int:
     trace = simulate(cfg.params(), cfg.grid(), cfg.initial_data(),
-                     dt=cfg.dt, t_end=cfg.t_end,
-                     snapshot_stride=cfg.snapshot_stride)
+                     dt=cfg.dt, t_end=cfg.t_end)
     rows = ([_fmt(t), _fmt(e), _fmt(-math.log10(e)) if e > 0 else "inf"]
             for t, e in zip(trace.times, trace.energies))
     _write_csv(cfg.out, ["t", "E", "neg_log10_E"], rows)

@@ -2,8 +2,9 @@
 
 A and G have a handful of nonzeros per row and are stored as ``scipy.sparse``
 CSR arrays; time stepping and the energy use them directly.  The dense views
-``DiscreteGenerator.matrix`` and ``.gram`` are built on first use, only by
-the full-spectrum diagnostics.
+of ``DiscreteGenerator`` are built on first use, only by the spectral
+diagnostics: ``matrix`` (A) by the full spectrum and, with ``gram`` (G), by
+the dissipativity check; ``weighted_matrix`` by the resolvent norms.
 
 The stencils are matched so that the continuous energy computation survives
 discretization *exactly*:
@@ -41,8 +42,10 @@ class DiscreteGenerator:
     energy norm.
 
     Immutable after construction apart from its caches; safe to share between
-    threads.  ``matrix`` and ``gram`` are dense copies made on first use for
-    the full-spectrum diagnostics; time stepping never builds them.
+    threads.  The dense views are made on first use and time stepping never
+    builds them: ``matrix`` and ``gram`` for ``spectral.eigenvalues`` and
+    ``symmetrized_max_eigenvalue``, ``weighted_matrix`` for
+    ``spectral.resolvent_norm``.
     ``step_factors`` holds the time stepper's sparse LU factors of
     (I - dt*A) by dt, so they are freed together with the generator.
     """
@@ -69,9 +72,12 @@ class DiscreteGenerator:
         return self.sparse_gram.toarray()
 
     @cached_property
-    def gram_cholesky(self) -> np.ndarray:
-        """Cached lower-triangular Cholesky factor L of the Gram matrix, G = L L^T."""
-        return sla.cholesky(self.gram, lower=True)
+    def weighted_matrix(self) -> np.ndarray:
+        """Dense B = L^T A L^{-T}, where G = L L^T: A in a G-orthonormal basis,
+        so that ||f(A)||_G = ||f(B)||_2 for every rational function f."""
+        chol = sla.cholesky(self.gram, lower=True)
+        # (L^T A) L^{-T} = (L^{-1} (L^T A)^T)^T
+        return sla.solve_triangular(chol, (chol.T @ self.matrix).T, lower=True).T
 
     def energy(self, state: StateVector | np.ndarray) -> float:
         """Energy norm ||V||_G = sqrt(V^T G V)."""

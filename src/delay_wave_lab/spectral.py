@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.linalg import lapack
+from scipy.linalg import lapack  # noqa: F401 -- perfbench's tracer wraps this attribute by name
 
 from .core import DampingLaw, Params, SystemLabel, system_label
 from .discretization import DiscreteGenerator
@@ -85,26 +85,17 @@ def eigenvalues(gen: DiscreteGenerator) -> SpectrumReport:
 def resolvent_norm(gen: DiscreteGenerator, beta: float) -> float:
     """Operator norm of (i*beta*I - A)^{-1} in the energy norm.
 
-    Exact up to roundoff: with the Gram matrix G = L L^T the energy norm of
-    the resolvent is 1/sigma_min(L^T (i*beta*I - A) L^{-T}), taken from one
-    dense SVD.  A shift whose LU condition estimate exceeds 1e14 raises
-    :class:`BetaNearSpectrumError` instead.
+    Exact up to roundoff: with B = ``gen.weighted_matrix`` the energy norm of
+    the resolvent is 1/sigma_min(i*beta*I - B), taken from one dense SVD.  A
+    shift where i*beta*I - B has a condition number sigma_max/sigma_min above
+    1e14 raises :class:`BetaNearSpectrumError` instead.
     """
-    m = 1j * beta * np.eye(gen.dim) - gen.matrix
-    lu, _, info = lapack.zgetrf(m)
-    if info != 0:
-        raise BetaNearSpectrumError(f"beta={beta} too close to spectrum "
-                                    f"(singular shift)")
-    rcond, _ = lapack.zgecon(lu, np.linalg.norm(m, 1), norm="1")
-    if rcond < 1e-14:
+    s = sla.svdvals(1j * beta * np.eye(gen.dim) - gen.weighted_matrix)
+    if not s[-1] > 1e-14 * s[0]:
         raise BetaNearSpectrumError(
-            f"beta={beta} too close to spectrum (condition estimate "
-            f"{1.0 / max(rcond, 1e-300):.2e} above 1e14)")
-
-    chol = gen.gram_cholesky
-    # (L^T m) L^{-T} = (L^{-1} (L^T m)^T)^T
-    weighted = sla.solve_triangular(chol, (chol.T @ m).T, lower=True).T
-    return float(1.0 / sla.svdvals(weighted)[-1])
+            f"beta={beta} too close to spectrum (energy-norm condition number "
+            f"{s[0] / max(s[-1], 1e-300):.2e} above 1e14)")
+    return float(1.0 / s[-1])
 
 
 @dataclass(eq=False)
@@ -456,27 +447,27 @@ def robin_eigenvalue(c: float, tol: float = 1e-10) -> float:
     if h0 == 0.0:
         return 0.0
     if h0 > 0.0:
-        # first sign change of h along lam = s^2, s in (0, pi]; h(pi^2) = -1
-        lo = 0.0
-        hi = None
+        # first sign change of h along lam = s^2 on the steps s = k*pi/n_scan.
+        # It comes by k = n_scan + 1 for every c > -1: there cos and sin are
+        # negative.  h(fl(pi)^2) itself is positive for c above about 2.6e16,
+        # because sin(fl(pi)) = 1.2e-16 > 0.
         n_scan = 2000
-        for k in range(1, n_scan + 1):
-            lam = (k * math.pi / n_scan) ** 2
-            if _robin_determinant(lam, c) <= 0.0:
-                hi = lam
-                break
-            lo = lam
-        if hi is None:  # pragma: no cover - h(pi^2) = -1 guarantees a bracket
-            raise RuntimeError("no sign change found on (0, pi^2]")
+        k = 1
+        while _robin_determinant((k * math.pi / n_scan) ** 2, c) > 0.0:
+            k += 1
+        lo, hi = ((k - 1) * math.pi / n_scan) ** 2, (k * math.pi / n_scan) ** 2
     else:
         # unique negative eigenvalue: expand left until h turns positive
         width = 1.0
         while _robin_determinant(-width, c) <= 0.0:
             width *= 2.0
         lo, hi = -width, 0.0
-    # bisect; sign convention: h(lo) > 0, h(hi) <= 0
+    # bisect; sign convention: h(lo) > 0, h(hi) <= 0.  Below -8192 the float
+    # spacing exceeds 1e-12, so stop when no midpoint is left
     while abs(hi - lo) > min(tol, 1e-12):
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         if _robin_determinant(mid, c) > 0.0:
             lo = mid
         else:

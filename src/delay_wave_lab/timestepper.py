@@ -29,11 +29,10 @@ class SingularStepError(RuntimeError):
 
 @dataclass(eq=False)
 class SimulationTrace:
-    """Time series of energies E(t_n) = ||V^n||_G with optional snapshots."""
+    """Time series of energies E(t_n) = ||V^n||_G."""
 
     times: np.ndarray
     energies: np.ndarray
-    snapshots: list[tuple[float, StateVector]] | None
     params: Params | None
     grid: Grid | None
     label: SystemLabel | None
@@ -106,8 +105,8 @@ def step(gen: DiscreteGenerator, state: StateVector, dt: float) -> StateVector:
     return StateVector.from_vector(out, gen.grid)
 
 
-def simulate(p: Params, g: Grid, d: InitialData, dt: float, t_end: float,
-             snapshot_stride: int = 0) -> SimulationTrace:
+def simulate(p: Params, g: Grid, d: InitialData, dt: float,
+             t_end: float) -> SimulationTrace:
     """Integrate from t = 0 to t_end, recording E(t_n) every step.
 
     Deterministic given its inputs.  If the energy stops being finite the
@@ -120,9 +119,6 @@ def simulate(p: Params, g: Grid, d: InitialData, dt: float, t_end: float,
     vec = sample_initial_state(d, g).vector
     energies = np.empty(n_steps + 1)
     energies[0] = gen.energy(vec)
-    snapshots: list[tuple[float, StateVector]] | None = None
-    if snapshot_stride > 0:
-        snapshots = [(0.0, StateVector.from_vector(vec.copy(), g))]
     last = n_steps
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -132,13 +128,10 @@ def simulate(p: Params, g: Grid, d: InitialData, dt: float, t_end: float,
                 last = n - 1
                 break
             energies[n] = e
-            if snapshots is not None and n % snapshot_stride == 0:
-                snapshots.append((n * dt, StateVector.from_vector(vec.copy(), g)))
 
     return SimulationTrace(times=np.arange(last + 1) * dt,
-                           energies=energies[:last + 1], snapshots=snapshots,
-                           params=p, grid=g, label=label, dt=dt,
-                           diverged=last < n_steps)
+                           energies=energies[:last + 1], params=p, grid=g,
+                           label=label, dt=dt, diverged=last < n_steps)
 
 
 @dataclass(frozen=True)

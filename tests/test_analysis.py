@@ -13,7 +13,7 @@ from delay_wave_lab import (Classification, SimulationTrace, fit_decay,
 def _trace(times, energies, diverged=False):
     return SimulationTrace(times=np.asarray(times, float),
                            energies=np.asarray(energies, float),
-                           snapshots=None, params=None, grid=None, label=None,
+                           params=None, grid=None, label=None,
                            dt=float(times[1] - times[0]), diverged=diverged)
 
 
@@ -85,6 +85,16 @@ def test_diverged_trace_classifies_growth():
 def test_window_fraction_validated():
     with pytest.raises(ValueError, match="window_fraction"):
         fit_decay(_exp_trace(0.1), window_fraction=1.5)
+
+
+@pytest.mark.parametrize("key, value", [("rate_threshold", -1.0),
+                                        ("rate_threshold", math.inf),
+                                        ("fit_threshold", 1.0),
+                                        ("fit_threshold", -0.5)])
+def test_fit_thresholds_validated(key, value):
+    # a negative rate_threshold would classify this growing trace as decay
+    with pytest.raises(ValueError, match=key):
+        fit_decay(_exp_trace(-0.5), **{key: value})
 
 
 def test_power_law_exact():

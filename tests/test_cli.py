@@ -16,7 +16,7 @@ def test_empty_config_gives_reference_defaults():
     cfg = parse_config("")
     assert cfg == RunConfig()
     assert (cfg.tau, cfg.nx, cfg.nrho, cfg.dt, cfg.data) == (2.0, 20, 20, 0.1, "paper")
-    assert cfg.resolved_xi() == 2.0 * cfg.mu * cfg.tau
+    assert cfg.params().xi == 2.0 * cfg.mu * cfg.tau
     p = cfg.params()
     assert p.xi == 4.0 and p.shift == 1.5
 
@@ -26,7 +26,7 @@ def test_overrides_apply_and_rest_defaults():
     cfg = parse_config("mu = 1.5\nlaw = kelvin_voigt\n")
     assert cfg.mu == 1.5 and cfg.law == "kelvin_voigt"
     assert cfg.tau == 2.0
-    assert cfg.resolved_xi() == 1.5 * 2.0  # Kelvin-Voigt pins xi = mu*tau
+    assert cfg.params().xi == 1.5 * 2.0  # Kelvin-Voigt pins xi = mu*tau
     assert cfg.params().shift == 0.0
 
 
@@ -212,6 +212,12 @@ RUNTIME_CONFIG_ERRORS = [
     ["sweep", "--vary", "b"],
     ["resolvent", "--betas", "-1"],
     ["charroots", "--law", "kelvin_voigt", "--mu", "0.5"],
+    ["sweep", "--shifted", "false", "--vary", "mu", "--values", "8",
+     "--rate_threshold", "-1"],
+    ["sweep", "--fit_threshold", "1"],
+    ["sweep", "--fit_threshold", "-0.5"],
+    ["sweep", "--window_fraction", "1"],
+    ["simulate", "--snapshot_stride", "3"],
 ]
 
 
@@ -284,7 +290,7 @@ _VALID = {field.name: ["0.5", "1", "2", "3.7"]
 _VALID.update(nx=["2", "5", "12"], nrho=["1", "4", "12"], dt=["0.05", "0.5"],
               t_end=["0.5", "5"], law=["internal_friction", "kelvin_voigt"],
               shifted=["true", "false"], data=["paper", "zero", "ramp"],
-              vary=["a", "mu", "tau", "xi"], snapshot_stride=["0", "3"],
+              vary=["a", "mu", "tau", "xi"], fit_threshold=["0", "0.5", "0.98"],
               window_fraction=["0.5"], betas=["1, 2, 4", "2", "0.5, 64"],
               values=["1, 2", "0.5"])
 _INVALID = {key: _ANY for key in _VALID}

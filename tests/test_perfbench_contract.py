@@ -1,0 +1,26 @@
+"""The names the traced benchmark run looks up in the package.
+
+``perfbench/tracer.py`` wraps scipy calls through module attributes of the
+package (its ``SCIPY_CALLS`` table).  An attribute that is renamed or
+dropped as unused makes the traced run fail with an AttributeError, so the
+table is checked here against the package.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def test_tracer_scipy_calls_exist_on_the_package():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.SCIPY_CALLS
+    for (layer, attr), (span_calls, leaf_calls) in tracer.SCIPY_CALLS.items():
+        module = importlib.import_module(f"delay_wave_lab.{layer}")
+        assert hasattr(module, attr), f"{layer}.{attr}"
+        for call in span_calls + leaf_calls:
+            assert callable(getattr(getattr(module, attr), call, None)), \
+                f"{layer}.{attr}.{call}"

@@ -1,11 +1,13 @@
 import cmath
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.linalg import lapack
 
 from delay_wave_lab import (BetaNearSpectrumError, DiscreteGenerator, Grid,
                             Params, Rectangle, RootEnumerationError,
@@ -106,13 +108,15 @@ def test_resolvent_norm_of_minus_identity():
                                                           rel=1e-8)
 
 
-@pytest.mark.parametrize("beta", [1.0, 2.0, 3.7, 4.0, 8.0, 16.0, 32.0, 64.0])
+@pytest.mark.parametrize("n, beta", [pytest.param(20, b, id=str(b)) for b in
+                                     (1.0, 2.0, 3.7, 4.0, 8.0, 16.0, 32.0, 64.0)]
+                         + [pytest.param(80, b, id=f"nx80-{b}") for b in (1.0, 64.0)])
 @pytest.mark.parametrize("label", [SystemLabel.SHIFTED, SystemLabel.KELVIN_VOIGT])
-def test_resolvent_norm_matches_weighted_svd(ref_params, kv_params, ref_grid,
-                                             label, beta):
+def test_resolvent_norm_matches_weighted_svd(ref_params, kv_params, label, n,
+                                             beta):
     # independent route: Cholesky change of basis, explicit inverse, dense SVD
     p = kv_params if label is SystemLabel.KELVIN_VOIGT else ref_params
-    gen = assemble_generator(p, ref_grid, label)
+    gen = assemble_generator(p, Grid(nx=n, nrho=n), label)
     got = resolvent_norm(gen, beta)
     L = np.linalg.cholesky(gen.gram)
     R = np.linalg.inv(1j * beta * np.eye(gen.dim) - gen.matrix)
@@ -129,6 +133,23 @@ def test_resolvent_norm_near_eigenvalue_errors():
                                    [0, 0, 0, 0, -1.0]]))
     with pytest.raises(BetaNearSpectrumError, match="too close to spectrum"):
         resolvent_norm(gen, beta=1.0)
+
+
+def test_resolvent_scan_factors_the_gram_once(ref_params, ref_grid, monkeypatch):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for mod, name in ((sla, "svdvals"), (sla, "cholesky"),
+                      (lapack, "zgetrf"), (lapack, "zgecon")):
+        monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+    gen = assemble_generator(ref_params, ref_grid, SystemLabel.SHIFTED)
+    resolvent_scan(gen, (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0))
+    assert calls == {"svdvals": 7, "cholesky": 1}
 
 
 def test_resolvent_scan_lower_bound_and_slope(ref_params, ref_grid):
@@ -274,6 +295,12 @@ def test_robin_negative_branch_against_tanh_oracle():
     assert robin_eigenvalue(-2.0) == pytest.approx(-s * s, abs=1e-9)
 
 
+@pytest.mark.parametrize("c", [-100.0, -1e20])
+def test_robin_large_negative_c_terminates(c):
+    # the eigenvalue is -s^2 with tanh(s) = -s/c, so s = -c up to e^{2c}
+    assert robin_eigenvalue(c) == pytest.approx(-c * c, rel=1e-14)
+
+
 def test_robin_curve_strictly_increasing():
     values = [robin_eigenvalue(c) for c in (-3.0, -2.0, -1.0, 0.0, 1.0, 2.0)]
     assert all(x < y for x, y in zip(values, values[1:]))
@@ -282,6 +309,12 @@ def test_robin_curve_strictly_increasing():
 def test_robin_dirichlet_limit_monotone_toward_pi_squared():
     # c -> +infinity approaches the clamped-clamped eigenvalue pi^2
     assert robin_eigenvalue(1e6) == pytest.approx(math.pi ** 2, rel=1e-4)
+
+
+@pytest.mark.parametrize("c", [3e16, 1e300])
+def test_robin_huge_c_brackets_past_rounded_pi(c):
+    # sin(fl(pi)) > 0 leaves h(fl(pi)^2) > 0 for these c
+    assert robin_eigenvalue(c) == pytest.approx(math.pi ** 2, abs=1e-10)
 
 
 def test_find_c_star_is_minus_one():

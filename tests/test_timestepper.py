@@ -175,14 +175,6 @@ def test_divergent_trace_truncated_and_flagged(ref_grid, ref_data):
     assert trace.times[-1] == pytest.approx((len(trace.times) - 1) * 0.1)
 
 
-def test_snapshots_recorded_at_stride(ref_params, ref_grid, ref_data):
-    trace = simulate(ref_params, ref_grid, ref_data, dt=0.1, t_end=1.0,
-                     snapshot_stride=5)
-    assert trace.snapshots is not None
-    assert [t for t, _ in trace.snapshots] == pytest.approx([0.0, 0.5, 1.0])
-    assert trace.snapshots[0][1].w == math.exp(10.0)
-
-
 def test_simulation_is_deterministic(ref_params, ref_grid, ref_data):
     t1 = simulate(ref_params, ref_grid, ref_data, dt=0.1, t_end=10.0)
     t2 = simulate(ref_params, ref_grid, ref_data, dt=0.1, t_end=10.0)
