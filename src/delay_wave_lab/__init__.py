@@ -14,10 +14,10 @@ from .timestepper import (ShiftConsistencyReport, SimulationTrace,
                           SingularStepError, shift_consistency, simulate, step)
 from .spectral import (BetaNearSpectrumError, CharacteristicRoot,
                        EigensolverError, Rectangle, ResolventScan,
-                       RootEnumerationError, SpectrumReport,
-                       characteristic_function, characteristic_roots,
-                       eigenvalues, find_c_star, resolvent_norm,
-                       resolvent_scan, robin_eigenvalue)
+                       RobinOverflowError, RootEnumerationError,
+                       SpectrumReport, characteristic_function,
+                       characteristic_roots, eigenvalues, find_c_star,
+                       resolvent_norm, resolvent_scan, robin_eigenvalue)
 from .analysis import (Classification, DecayFit, PowerLawFit, SweepRow,
                        SweepTable, fit_decay, polynomial_fit_decay, sweep)
 
@@ -32,8 +32,9 @@ __all__ = [
     "ShiftConsistencyReport", "SimulationTrace", "SingularStepError",
     "shift_consistency", "simulate", "step",
     "BetaNearSpectrumError", "CharacteristicRoot", "EigensolverError",
-    "Rectangle", "ResolventScan", "RootEnumerationError", "SpectrumReport",
-    "characteristic_function", "characteristic_roots", "eigenvalues",
+    "Rectangle", "ResolventScan", "RobinOverflowError", "RootEnumerationError",
+    "SpectrumReport", "characteristic_function", "characteristic_roots",
+    "eigenvalues",
     "find_c_star", "resolvent_norm", "resolvent_scan", "robin_eigenvalue",
     "Classification", "DecayFit", "PowerLawFit", "SweepRow", "SweepTable",
     "fit_decay", "polynomial_fit_decay", "sweep",

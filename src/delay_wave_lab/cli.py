@@ -5,7 +5,7 @@ comments, unquoted strings); every key has a default, so an empty file runs
 the reference setup: tau = 2, xi = 2*mu*tau, dx = drho = 1/20, dt = 0.1 and
 the "paper" initial data.  CSV output uses ',' separators, '.' decimal
 points, a header row, LF line endings and 17 significant digits, so repeated
-runs are bit-identical.
+runs at a fixed BLAS thread count are bit-identical.
 
 Exit codes: 0 success, 1 runtime/numeric failure, 2 configuration error.
 """

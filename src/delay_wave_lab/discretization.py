@@ -4,7 +4,10 @@ A and G have a handful of nonzeros per row and are stored as ``scipy.sparse``
 CSR arrays; time stepping and the energy use them directly.  The dense views
 of ``DiscreteGenerator`` are built on first use, only by the spectral
 diagnostics: ``matrix`` (A) by the full spectrum and, with ``gram`` (G), by
-the dissipativity check; ``weighted_matrix`` by the resolvent norms.
+the dissipativity check; ``weighted_matrix`` by the resolvent norms below
+``spectral.SPARSE_RESOLVENT_MIN_DIM``.  Above it the resolvent norms use the
+banded Cholesky factor ``gram_factor`` of G, which is tridiagonal in the
+state order, and build no dense matrix.
 
 The stencils are matched so that the continuous energy computation survives
 discretization *exactly*:
@@ -45,9 +48,12 @@ class DiscreteGenerator:
     threads.  The dense views are made on first use and time stepping never
     builds them: ``matrix`` and ``gram`` for ``spectral.eigenvalues`` and
     ``symmetrized_max_eigenvalue``, ``weighted_matrix`` for
-    ``spectral.resolvent_norm``.
+    ``spectral.resolvent_norm`` below its sparse crossover dimension.
+    These caches are freed together with the generator:
     ``step_factors`` holds the time stepper's sparse LU factors of
-    (I - dt*A) by dt, so they are freed together with the generator.
+    (I - dt*A) by dt; ``gram_factor`` the banded Cholesky factor of G and
+    ``generator_norm`` the energy norm of A, both made by the sparse
+    resolvent norm.
     """
 
     sparse_matrix: sparray
@@ -56,6 +62,7 @@ class DiscreteGenerator:
     grid: Grid
     label: SystemLabel
     step_factors: dict = field(default_factory=dict, init=False, repr=False)
+    generator_norm: float | None = field(default=None, init=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -78,6 +85,16 @@ class DiscreteGenerator:
         chol = sla.cholesky(self.gram, lower=True)
         # (L^T A) L^{-T} = (L^{-1} (L^T A)^T)^T
         return sla.solve_triangular(chol, (chol.T @ self.matrix).T, lower=True).T
+
+    @cached_property
+    def gram_factor(self) -> np.ndarray:
+        """Lower bidiagonal L with G = L L^T, in ``cholesky_banded`` storage:
+        the diagonal in row 0 and the subdiagonal in row 1.  G is tridiagonal
+        in the state order, so L has no other nonzeros."""
+        band = np.zeros((2, self.dim))
+        band[0] = self.sparse_gram.diagonal()
+        band[1, :-1] = self.sparse_gram.diagonal(-1)
+        return sla.cholesky_banded(band, lower=True)
 
     def energy(self, state: StateVector | np.ndarray) -> float:
         """Energy norm ||V||_G = sqrt(V^T G V)."""

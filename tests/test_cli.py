@@ -6,8 +6,11 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings, strategies as st
 
+from delay_wave_lab import (Grid, Params, SystemLabel, assemble_generator, cli,
+                            spectral)
 from delay_wave_lab.cli import (ConfigError, RunConfig, main, parse_config,
                                 serialize_config)
 
@@ -154,6 +157,43 @@ def test_resolvent_command(tmp_path, capsys):
     assert rows[0] == "beta,norm"
     assert len(rows) == 4
     assert all(float(r.split(",")[1]) > 0.0 for r in rows[1:])
+
+
+def test_resolvent_near_spectrum_exits_1(capsys, monkeypatch):
+    # mu = 0 is rejected at parse time; lifting that check reaches the
+    # undamped generator, whose eigenvalues sit on the imaginary axis
+    monkeypatch.setattr(cli, "validate_params", lambda p: p)
+    gen = assemble_generator(Params(a=0.0, mu=0.0, tau=2.0, xi=1.0),
+                             Grid(nx=60, nrho=60), SystemLabel.ORIGINAL)
+    assert gen.dim >= spectral.SPARSE_RESOLVENT_MIN_DIM
+    vals = spectral.eigenvalues(gen).eigenvalues
+    beta = np.abs(vals[np.abs(vals.real) < 1e-10].imag).min()
+    code, stdout, err = _run(capsys, ["resolvent", "--a", "0", "--mu", "0",
+                                      "--xi", "1", "--shifted", "false",
+                                      "--nx", "60", "--nrho", "60",
+                                      "--betas", repr(float(beta))])
+    assert code == 1
+    assert "BetaNearSpectrumError" in err and "too close to spectrum" in err
+    assert stdout == ""
+
+
+def test_resolvent_lanczos_failure_exits_1(capsys, monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise spla.ArpackNoConvergence("No convergence", [], [])
+
+    monkeypatch.setattr(spla, "eigsh", no_convergence)
+    code, stdout, err = _run(capsys, ["resolvent", "--nx", "60", "--nrho", "60",
+                                      "--betas", "1, 2"])
+    assert code == 1
+    assert "EigensolverError" in err and "beta=1.0" in err
+    assert stdout == ""
+
+
+def test_robin_below_float_range_exits_1(capsys):
+    code, stdout, err = _run(capsys, ["robin", "--robin_c", "-1e300"])
+    assert code == 1
+    assert "RobinOverflowError" in err
+    assert stdout == ""
 
 
 def test_charroots_command(tmp_path, capsys):

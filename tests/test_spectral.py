@@ -1,5 +1,7 @@
 import cmath
 import math
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
 
@@ -7,10 +9,13 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import lapack
 
 from delay_wave_lab import (BetaNearSpectrumError, DiscreteGenerator, Grid,
-                            Params, Rectangle, RootEnumerationError,
+                            EigensolverError, Params, Rectangle,
+                            RobinOverflowError, RootEnumerationError,
                             SystemLabel, assemble_generator,
                             characteristic_function, characteristic_roots,
                             eigenvalues, find_c_star, internal_friction,
@@ -133,6 +138,74 @@ def test_resolvent_norm_near_eigenvalue_errors():
                                    [0, 0, 0, 0, -1.0]]))
     with pytest.raises(BetaNearSpectrumError, match="too close to spectrum"):
         resolvent_norm(gen, beta=1.0)
+
+
+# grids nx = nrho on either side of the sparse crossover n = 3 * nx
+DENSE_NX = (20, 30, 40)
+SPARSE_NX = (50, 60, 80)
+assert max(DENSE_NX) * 3 < spectral.SPARSE_RESOLVENT_MIN_DIM <= min(SPARSE_NX) * 3
+
+
+def _law_generator(law: str, mu: float, nx: int) -> DiscreteGenerator:
+    if law == "kelvin_voigt":
+        p, label = kelvin_voigt(a=1.0, mu=mu, tau=2.0), SystemLabel.KELVIN_VOIGT
+    else:
+        shifted = law == "shifted"
+        p = internal_friction(a=1.0, mu=mu, tau=2.0, shifted=shifted)
+        label = SystemLabel.SHIFTED if shifted else SystemLabel.ORIGINAL
+    return assemble_generator(p, Grid(nx=nx, nrho=nx), label)
+
+
+@settings(max_examples=40, deadline=None)
+@given(law=st.sampled_from(["shifted", "original", "kelvin_voigt"]),
+       mu=st.sampled_from([0.25, 0.5, 0.9]),
+       nx=st.sampled_from(DENSE_NX + SPARSE_NX),
+       beta=st.sampled_from([1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0,
+                             0.3, 3.7, 10.5, 100.0]))
+def test_sparse_resolvent_norm_matches_dense_svd(law, mu, nx, beta):
+    gen = _law_generator(law, mu, nx)
+    sparse = spectral._sparse_resolvent_norm(gen, beta)
+    dense = spectral._dense_resolvent_norm(gen, beta)
+    assert sparse == pytest.approx(dense, rel=1e-12)
+    expected = sparse if gen.dim >= spectral.SPARSE_RESOLVENT_MIN_DIM else dense
+    assert resolvent_norm(gen, beta) == expected
+
+
+def test_sparse_resolvent_norm_is_repeatable(ref_params):
+    norms = [resolvent_norm(assemble_generator(ref_params, Grid(nx=60, nrho=60),
+                                               SystemLabel.SHIFTED), 3.7)
+             for _ in range(2)]
+    assert norms[0] == norms[1]
+
+
+def test_sparse_resolvent_norm_near_eigenvalue_errors():
+    # undamped: beta = |Im lambda| of the slowest eigenvalue on the axis
+    gen = assemble_generator(Params(a=0.0, mu=0.0, tau=2.0, xi=1.0),
+                             Grid(nx=60, nrho=60), SystemLabel.ORIGINAL)
+    assert gen.dim >= spectral.SPARSE_RESOLVENT_MIN_DIM
+    vals = eigenvalues(gen).eigenvalues
+    beta = float(np.abs(vals[np.abs(vals.real) < 1e-10].imag).min())
+    with pytest.raises(BetaNearSpectrumError, match="too close to spectrum"):
+        resolvent_norm(gen, beta)
+
+
+def test_sparse_resolvent_norm_reports_lanczos_failure(ref_params, monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise spla.ArpackNoConvergence("No convergence", [], [])
+
+    monkeypatch.setattr(spla, "eigsh", no_convergence)
+    gen = assemble_generator(ref_params, Grid(nx=60, nrho=60), SystemLabel.SHIFTED)
+    with pytest.raises(EigensolverError, match="beta=4.0"):
+        resolvent_norm(gen, 4.0)
+
+
+def test_package_import_leaves_scipy_sparse_unloaded():
+    # scipy.sparse.linalg alone costs about 0.2 s of start-up
+    code = ("import sys, delay_wave_lab.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_resolvent_scan_factors_the_gram_once(ref_params, ref_grid, monkeypatch):
@@ -295,10 +368,16 @@ def test_robin_negative_branch_against_tanh_oracle():
     assert robin_eigenvalue(-2.0) == pytest.approx(-s * s, abs=1e-9)
 
 
-@pytest.mark.parametrize("c", [-100.0, -1e20])
+@pytest.mark.parametrize("c", [-100.0, -1e20, -1e154])
 def test_robin_large_negative_c_terminates(c):
     # the eigenvalue is -s^2 with tanh(s) = -s/c, so s = -c up to e^{2c}
     assert robin_eigenvalue(c) == pytest.approx(-c * c, rel=1e-14)
+
+
+@pytest.mark.parametrize("c", [-1e155, -1e300, -math.inf])
+def test_robin_eigenvalue_below_float_range_is_an_error(c):
+    with pytest.raises(RobinOverflowError):
+        robin_eigenvalue(c)
 
 
 def test_robin_curve_strictly_increasing():
