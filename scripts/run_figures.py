@@ -8,8 +8,9 @@ t, E and -log10(E) into ./figures_out/:
   fig2_original.csv / fig2_shifted.csv   -- influence of a at mu = 1
   fig3_kv_mu.csv / fig3_kv_a.csv         -- Kelvin-Voigt, influence of mu / a
 
-plus decay_rates.csv summarizing the fitted rates and classifications.
-Plot -log10(E) against t to see the decay (straight lines = exponential).
+plus decay_rates.csv summarizing the fitted rates and classifications; each
+figure is one ``sweep``.  Plot -log10(E) against t to see the decay
+(straight lines = exponential).
 """
 
 import csv
@@ -19,8 +20,8 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from delay_wave_lab import (Grid, builtin_data, fit_decay, internal_friction,
-                            kelvin_voigt, simulate)
+from delay_wave_lab import (Grid, builtin_data, internal_friction,
+                            kelvin_voigt, sweep)
 
 GRID = Grid(nx=20, nrho=20)
 DT = 0.1
@@ -28,66 +29,43 @@ T_END = 50.0
 DATA = builtin_data("paper")
 OUT = pathlib.Path(__file__).resolve().parent.parent / "figures_out"
 
+ORIGINAL = internal_friction(a=1.0, mu=1.0, tau=2.0, shifted=False)
+SHIFTED = internal_friction(a=1.0, mu=1.0, tau=2.0)
+KELVIN_VOIGT = kelvin_voigt(a=1.0, mu=0.5, tau=2.0)
 
-def run_family(path, params_for, values):
-    rows = []
-    fits = []
-    for value in values:
-        p = params_for(value)
-        trace = simulate(p, GRID, DATA, dt=DT, t_end=T_END)
-        fit = fit_decay(trace)
-        fits.append((value, trace, fit))
-        for t, e in zip(trace.times, trace.energies):
-            neg_log = -math.log10(e) if e > 0 else math.inf
-            rows.append([value, t, e, neg_log])
+# (figure, base params, varied key, values)
+FAMILIES = [
+    ("fig1_original", ORIGINAL, "mu", (1.0, 2.0, 4.0, 8.0)),
+    ("fig1_shifted", SHIFTED, "mu", (1.0, 2.0, 4.0, 8.0)),
+    ("fig2_original", ORIGINAL, "a", (0.5, 1.0, 2.0)),
+    ("fig2_shifted", SHIFTED, "a", (0.5, 1.0, 2.0)),
+    ("fig3_kv_mu", KELVIN_VOIGT, "mu", (0.25, 0.5, 0.75)),
+    ("fig3_kv_a", KELVIN_VOIGT, "a", (0.5, 1.0, 2.0)),
+]
+
+
+def write_csv(path, rows):
     with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["value", "t", "E", "neg_log10_E"])
-        writer.writerows(rows)
+        csv.writer(fh, lineterminator="\n").writerows(rows)
     print(f"wrote {path}")
-    return fits
 
 
 def main():
     OUT.mkdir(exist_ok=True)
-    summary = []
-
-    def record(figure, vary, fits):
-        for value, trace, fit in fits:
-            summary.append([figure, vary, value, fit.rate, fit.r_squared,
-                            fit.classification.value, trace.diverged])
-
-    record("fig1_original", "mu", run_family(
-        OUT / "fig1_original.csv",
-        lambda mu: internal_friction(a=1.0, mu=mu, tau=2.0, shifted=False),
-        (1.0, 2.0, 4.0, 8.0)))
-    record("fig1_shifted", "mu", run_family(
-        OUT / "fig1_shifted.csv",
-        lambda mu: internal_friction(a=1.0, mu=mu, tau=2.0),
-        (1.0, 2.0, 4.0, 8.0)))
-    record("fig2_original", "a", run_family(
-        OUT / "fig2_original.csv",
-        lambda a: internal_friction(a=a, mu=1.0, tau=2.0, shifted=False),
-        (0.5, 1.0, 2.0)))
-    record("fig2_shifted", "a", run_family(
-        OUT / "fig2_shifted.csv",
-        lambda a: internal_friction(a=a, mu=1.0, tau=2.0),
-        (0.5, 1.0, 2.0)))
-    record("fig3_kv_mu", "mu", run_family(
-        OUT / "fig3_kv_mu.csv",
-        lambda mu: kelvin_voigt(a=1.0, mu=mu, tau=2.0),
-        (0.25, 0.5, 0.75)))
-    record("fig3_kv_a", "a", run_family(
-        OUT / "fig3_kv_a.csv",
-        lambda a: kelvin_voigt(a=a, mu=0.5, tau=2.0),
-        (0.5, 1.0, 2.0)))
-
-    with open(OUT / "decay_rates.csv", "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["figure", "vary", "value", "rate", "r_squared",
-                         "classification", "diverged"])
-        writer.writerows(summary)
-    print(f"wrote {OUT / 'decay_rates.csv'}")
+    summary = [["figure", "vary", "value", "rate", "r_squared",
+                "classification", "diverged"]]
+    for figure, base, vary, values in FAMILIES:
+        curves = [["value", "t", "E", "neg_log10_E"]]
+        for row in sweep(base, GRID, DATA, DT, T_END, vary, values).rows:
+            if row.error:
+                raise RuntimeError(f"{figure}, {vary} = {row.value}: {row.error}")
+            curves += ([row.value, t, e, -math.log10(e) if e > 0 else math.inf]
+                       for t, e in zip(row.trace.times, row.trace.energies))
+            summary.append([figure, vary, row.value, row.fit.rate,
+                            row.fit.r_squared, row.fit.classification.value,
+                            row.diverged])
+        write_csv(OUT / f"{figure}.csv", curves)
+    write_csv(OUT / "decay_rates.csv", summary)
 
 
 if __name__ == "__main__":

@@ -142,6 +142,7 @@ class SweepRow:
     e_final: float
     diverged: bool
     error: str = ""
+    trace: SimulationTrace | None = None
 
 
 @dataclass(eq=False)
@@ -150,23 +151,33 @@ class SweepTable:
     rows: list[SweepRow]
 
 
+def validate_sweep(base: Params, vary: str) -> None:
+    """Require a key that sweep can vary from ``base``: one of SWEEP_KEYS, and
+    not xi for Kelvin-Voigt runs, which pin xi = mu*tau."""
+    if vary not in SWEEP_KEYS:
+        raise ValueError(f"cannot sweep over {vary!r}; vary must be one of "
+                         f"{', '.join(SWEEP_KEYS)}")
+    if vary == "xi" and base.law is DampingLaw.KELVIN_VOIGT:
+        raise ValueError("cannot sweep over 'xi' for Kelvin-Voigt runs, which "
+                         "fix xi = mu*tau; vary a, mu or tau")
+
+
 def _params_with(base: Params, name: str, value: float) -> Params:
     """Rebuild a consistent parameter set with one field replaced.
 
     Changing mu or tau moves the threshold weight mu*tau, so the energy
     weight keeps its ratio xi/(mu*tau) from the base set and the shift is
-    recomputed; Kelvin-Voigt runs keep xi pinned to mu*tau.
+    recomputed; Kelvin-Voigt runs keep xi pinned to mu*tau.  A tau <= 0
+    leaves the shift alone for ``validate_params`` to reject.
     """
-    if name not in SWEEP_KEYS:
-        raise ValueError(f"cannot sweep over {name!r}; choose one of "
-                         f"{', '.join(SWEEP_KEYS)}")
+    validate_sweep(base, name)
     p = replace(base, **{name: float(value)})
     if p.law is DampingLaw.KELVIN_VOIGT:
         return replace(p, xi=xi_star(p.mu, p.tau), shift=0.0)
     if name != "xi":
         ratio = base.xi / xi_star(base.mu, base.tau)
         p = replace(p, xi=ratio * xi_star(p.mu, p.tau))
-    if base.shift > 0.0:
+    if base.shift > 0.0 and p.tau > 0.0:
         p = replace(p, shift=shift_for(p.mu, p.tau, p.xi))
     return p
 
@@ -177,8 +188,8 @@ def sweep(base: Params, grid: Grid, data: InitialData, dt: float, t_end: float,
           fit_threshold: float = FIT_THRESHOLD) -> SweepTable:
     """One simulation and decay fit per parameter value.
 
-    Rows are sorted by value; a failing row records its error and the sweep
-    continues.
+    Rows are sorted by value and keep their trace; a failing row records its
+    error and the sweep continues.
     """
     rows = []
     for value in sorted(float(v) for v in values):
@@ -189,7 +200,7 @@ def sweep(base: Params, grid: Grid, data: InitialData, dt: float, t_end: float,
             rows.append(SweepRow(value=value, fit=fit,
                                  e_initial=float(trace.energies[0]),
                                  e_final=float(trace.energies[-1]),
-                                 diverged=trace.diverged))
+                                 diverged=trace.diverged, trace=trace))
         except Exception as exc:
             rows.append(SweepRow(value=value, fit=None, e_initial=math.nan,
                                  e_final=math.nan, diverged=False,

@@ -145,7 +145,7 @@ def parse_config(text: str) -> RunConfig:
     cfg = RunConfig(**values)
     # surface hard model errors at parse time
     try:
-        validate_params(cfg.params())
+        params = validate_params(cfg.params())
         cfg.grid()
         cfg.region()
         cfg.initial_data()
@@ -153,11 +153,9 @@ def parse_config(text: str) -> RunConfig:
         spectral.sorted_betas(cfg.betas)
         analysis.validate_fit_settings(cfg.window_fraction, cfg.rate_threshold,
                                        cfg.fit_threshold)
+        analysis.validate_sweep(params, cfg.vary)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if cfg.vary not in analysis.SWEEP_KEYS:
-        raise ConfigError(f"vary must be one of {', '.join(analysis.SWEEP_KEYS)}, "
-                          f"got {cfg.vary!r}")
     return cfg
 
 

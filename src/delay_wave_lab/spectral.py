@@ -26,7 +26,7 @@ import scipy.linalg as sla
 from scipy.linalg import lapack  # perfbench's tracer also wraps this attribute by name
 
 from .core import DampingLaw, Params, SystemLabel, system_label
-from .discretization import DiscreteGenerator, identity
+from .discretization import DiscreteGenerator, shifted_lu
 
 
 class EigensolverError(RuntimeError):
@@ -90,6 +90,7 @@ def eigenvalues(gen: DiscreteGenerator) -> SpectrumReport:
 # 7 betas, one BLAS thread: sparse 15-16 ms vs dense 23 at n = 150, 13-14 vs 13 at n = 120
 SPARSE_RESOLVENT_MIN_DIM = 150
 NEAR_SPECTRUM_CONDITION = 1e14  # largest accepted energy-norm condition number
+GENERATOR_NORM_TOL = 1e-2  # Lanczos tolerance of the guard's ||A||_G (31 matvecs at n = 480)
 
 
 def resolvent_norm(gen: DiscreteGenerator, beta: float) -> float:
@@ -127,22 +128,23 @@ def _sparse_resolvent_norm(gen: DiscreteGenerator, beta: float) -> float:
     The guard bounds the condition number by (beta + ||A||_G) * ||R||_G,
     which is at least sigma_max/sigma_min of i*beta - B, so it never fires
     later than the dense path's; an exactly singular LU fires it too.
+    ||R||_G is about 1/beta, so R is applied times ``scale``, the largest
+    power of two not above max(beta, 1): the Lanczos operator then stays
+    near 1 instead of underflowing, and dividing by ``scale`` is exact.
     """
-    from scipy.sparse.linalg import splu
-
-    shifted = (1j * beta * identity(gen.dim) - gen.sparse_matrix).tocsc()
-    try:
-        # the ordering of timestepper._factorization
-        lu = splu(shifted, permc_spec="MMD_AT_PLUS_A",
-                  options={"SymmetricMode": True})
-    except RuntimeError as exc:  # "Factor is exactly singular"
-        raise _near_spectrum(beta, "i*beta - A is exactly singular") from exc
-    norm = _energy_norm(gen, lu.solve, lambda y: lu.solve(y, trans="H"),
-                        complex, f"the resolvent at beta={beta}")
+    lu = shifted_lu(gen, 1j * beta, 1.0)
+    if lu is None:
+        raise _near_spectrum(beta, "i*beta - A is exactly singular")
+    scale = math.ldexp(0.5, math.frexp(max(beta, 1.0))[1])
+    norm = _energy_norm(gen, lambda x: scale * lu.solve(x),
+                        lambda y: scale * lu.solve(y, trans="H"),
+                        f"the resolvent at beta={beta}") / scale
     if gen.generator_norm is None:
         a = gen.sparse_matrix
-        gen.generator_norm = _energy_norm(gen, a.dot, a.T.dot, float,
-                                          "the generator")
+        # Lanczos stops with its Ritz value theta within tol*theta of the top
+        # eigenvalue, so sqrt(1 + tol) * sqrt(theta) bounds ||A||_G from above
+        gen.generator_norm = math.sqrt(1.0 + GENERATOR_NORM_TOL) * _energy_norm(
+            gen, a.dot, a.T.dot, "the generator", tol=GENERATOR_NORM_TOL)
     bound = (beta + gen.generator_norm) * norm
     if not bound <= NEAR_SPECTRUM_CONDITION:
         raise _near_spectrum(beta, f"energy-norm condition number bound "
@@ -150,29 +152,29 @@ def _sparse_resolvent_norm(gen: DiscreteGenerator, beta: float) -> float:
     return norm
 
 
-def _energy_norm(gen: DiscreteGenerator, forward, adjoint, dtype,
-                 what: str) -> float:
+def _energy_norm(gen: DiscreteGenerator, forward, adjoint, what: str,
+                 tol: float = 0.0) -> float:
     """||T||_G for the operator T applied by ``forward``, T^H by ``adjoint``.
 
     ||T||_G^2 is the largest eigenvalue of the Hermitian L^{-1} T^H G T L^{-T},
-    G = L L^T, taken by ARPACK (``eigsh``) from a fixed start vector to
-    machine precision.  An ARPACK failure, such as reaching its iteration
-    limit, raises :class:`EigensolverError`.
+    G = L L^T, taken by ARPACK (``eigsh``) from a fixed start vector to the
+    relative tolerance ``tol``, where 0 means machine precision.  An ARPACK
+    failure, such as reaching its iteration limit, raises
+    :class:`EigensolverError`.
     """
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
-    tbtrs = lapack.ztbtrs if dtype is complex else lapack.dtbtrs
     factor, gram = gen.gram_factor, gen.sparse_gram
 
     def apply(v):
-        x = tbtrs(factor, v, uplo="L", trans="T")[0]
-        return tbtrs(factor, adjoint(gram @ forward(x)), uplo="L")[0]
+        x = lapack.ztbtrs(factor, v, uplo="L", trans="T")[0]
+        return lapack.ztbtrs(factor, adjoint(gram @ forward(x)), uplo="L")[0]
 
     n = gen.dim
     try:
-        lam = eigsh(LinearOperator((n, n), matvec=apply, dtype=dtype), k=1,
-                    which="LM", v0=np.sin(np.arange(1.0, n + 1.0)).astype(dtype),
-                    tol=0, return_eigenvectors=False)
+        lam = eigsh(LinearOperator((n, n), matvec=apply, dtype=complex), k=1,
+                    which="LM", v0=np.sin(np.arange(1.0, n + 1.0)).astype(complex),
+                    tol=tol, return_eigenvectors=False)
     except ArpackError as exc:
         raise EigensolverError(f"Lanczos for the energy norm of {what} "
                                f"failed: {exc}") from exc

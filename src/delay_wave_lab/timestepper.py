@@ -16,8 +16,8 @@ import scipy.linalg as sla  # noqa: F401 -- perfbench's tracer wraps this attrib
 
 from .core import (Grid, InitialData, Params, StateVector, SystemLabel,
                    sample_initial_state, system_label)
-from .discretization import (DiscreteGenerator, assemble_generator, identity,
-                             shift_deviation)
+from .discretization import (DiscreteGenerator, assemble_generator,
+                             shift_deviation, shifted_lu)
 
 
 MAX_STEPS = 1_000_000  # largest t_end/dt of a run; step_count enforces it
@@ -44,26 +44,14 @@ def _factorization(gen: DiscreteGenerator, dt: float):
     """Sparse LU factors of (I - dt*A), computed once per dt and kept on ``gen``."""
     if dt in gen.step_factors:
         return gen.step_factors[dt]
-    from scipy.sparse.linalg import splu
-
-    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-        m = (identity(gen.dim) - dt * gen.sparse_matrix).tocsc()
-    singular = SingularStepError(
+    lu = shifted_lu(gen, 1.0, dt)
+    if lu is not None:
+        diag = np.abs(lu.U.diagonal())
+        if np.all(np.isfinite(diag)) and diag.min() >= 1e-300 * max(diag.max(), 1.0):
+            gen.step_factors[dt] = lu
+            return lu
+    raise SingularStepError(
         f"(I - dt*A) is singular for dt={dt} on the {gen.label.value} system")
-    if not np.all(np.isfinite(m.data)):
-        raise singular
-    try:
-        # A + A^T ordering in symmetric mode suits the nearly symmetric
-        # pattern of A; pivoting stays partial (diag_pivot_thresh = 1)
-        lu = splu(m, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
-    except RuntimeError as exc:  # "Factor is exactly singular"
-        raise singular from exc
-    diag = np.abs(lu.U.diagonal())
-    if not (np.all(np.isfinite(diag))
-            and diag.min() >= 1e-300 * max(diag.max(), 1.0)):
-        raise singular
-    gen.step_factors[dt] = lu
-    return lu
 
 
 def _march(gen: DiscreteGenerator, vec: np.ndarray, dt: float, n_steps: int):

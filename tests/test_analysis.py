@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from delay_wave_lab import (Classification, SimulationTrace, fit_decay,
                             internal_friction, kelvin_voigt,
-                            polynomial_fit_decay, sweep)
+                            polynomial_fit_decay, simulate, sweep)
 
 
 def _trace(times, energies, diverged=False):
@@ -167,3 +167,38 @@ def test_sweep_rejects_unknown_parameter(ref_params, ref_grid, ref_data):
     table = sweep(ref_params, ref_grid, ref_data, dt=0.1, t_end=1.0,
                   vary="dt", values=(0.1,))
     assert "cannot sweep" in table.rows[0].error
+
+
+def test_sweep_rows_keep_their_traces(ref_params, ref_grid, ref_data):
+    table = sweep(ref_params, ref_grid, ref_data, dt=0.1, t_end=5.0,
+                  vary="a", values=(2.0, 0.5))
+    for row, a in zip(table.rows, (0.5, 2.0)):
+        trace = simulate(internal_friction(a=a, mu=1.0, tau=2.0), ref_grid,
+                         ref_data, dt=0.1, t_end=5.0)
+        assert np.array_equal(row.trace.times, trace.times)
+        assert np.array_equal(row.trace.energies, trace.energies)
+        assert row.trace.params == trace.params
+        assert row.fit == fit_decay(trace)
+        assert (row.e_initial, row.e_final) == (trace.energies[0], trace.energies[-1])
+
+
+def test_sweep_kelvin_voigt_cannot_vary_xi(ref_grid, ref_data):
+    # xi is pinned to mu*tau, so each row would silently repeat the base run
+    table = sweep(kelvin_voigt(a=1.0, mu=0.5, tau=2.0), ref_grid, ref_data,
+                  dt=0.1, t_end=1.0, vary="xi", values=(1.0, 2.0, 3.0))
+    assert len(table.rows) == 3
+    for row in table.rows:
+        assert row.fit is None and row.trace is None
+        assert "Kelvin-Voigt" in row.error and "'xi'" in row.error
+
+
+@pytest.mark.parametrize("tau", [0.0, -0.0, -1.0])
+@pytest.mark.parametrize("shifted", [True, False])
+def test_sweep_non_positive_tau_is_a_row_error_naming_tau(ref_grid, ref_data,
+                                                          shifted, tau):
+    base = internal_friction(a=1.0, mu=1.0, tau=2.0, shifted=shifted)
+    table = sweep(base, ref_grid, ref_data, dt=0.1, t_end=1.0, vary="tau",
+                  values=(tau, 2.0))
+    bad, good = table.rows
+    assert bad.error.startswith("ParamsError: tau must be positive"), bad.error
+    assert good.error == "" and good.fit is not None

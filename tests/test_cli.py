@@ -219,6 +219,24 @@ def test_sweep_command(tmp_path, capsys):
     assert all(row.split(",")[5] == "ExponentialDecay" for row in rows[1:])
 
 
+def test_kelvin_voigt_sweep_over_xi_exits_2(capsys):
+    code, out, err = _run(capsys, ["sweep", "--law", "kelvin_voigt", "--mu", "0.5",
+                                   "--vary", "xi", "--values", "1,2,3"])
+    assert code == 2 and not out
+    assert "config error" in err and "Kelvin-Voigt" in err and "'xi'" in err
+
+
+def test_sweep_over_zero_tau_reports_tau(capsys):
+    code, out, err = _run(capsys, ["sweep", "--vary", "tau", "--values", "0,2",
+                                   "--t_end", "2"])
+    assert code == 0
+    rows = out.strip().split("\n")
+    assert rows[1].startswith("tau,0,nan,") and ",Error," in rows[1]
+    assert rows[2].startswith("tau,2,") and ",Error," not in rows[2]
+    assert "tau = 0.0: ParamsError: tau must be positive" in err
+    assert "ZeroDivisionError" not in err
+
+
 def test_config_file_plus_override(tmp_path, capsys):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text("mu = 2.0\nt_end = 5\n")

@@ -10,7 +10,7 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import lapack
 
 from delay_wave_lab import (BetaNearSpectrumError, DiscreteGenerator, Grid,
@@ -161,7 +161,11 @@ def _law_generator(law: str, mu: float, nx: int) -> DiscreteGenerator:
        mu=st.sampled_from([0.25, 0.5, 0.9]),
        nx=st.sampled_from(DENSE_NX + SPARSE_NX),
        beta=st.sampled_from([1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0,
-                             0.3, 3.7, 10.5, 100.0]))
+                             0.3, 3.7, 10.5, 100.0, 1e160, 1e200, 1e300]))
+# ||R||_G is about 1/beta: unscaled, the Lanczos operator underflows here
+@example(law="shifted", mu=0.5, nx=60, beta=1e160)
+@example(law="kelvin_voigt", mu=0.5, nx=60, beta=1e200)
+@example(law="original", mu=0.9, nx=80, beta=1e300)
 def test_sparse_resolvent_norm_matches_dense_svd(law, mu, nx, beta):
     gen = _law_generator(law, mu, nx)
     sparse = spectral._sparse_resolvent_norm(gen, beta)
@@ -169,6 +173,14 @@ def test_sparse_resolvent_norm_matches_dense_svd(law, mu, nx, beta):
     assert sparse == pytest.approx(dense, rel=1e-12)
     expected = sparse if gen.dim >= spectral.SPARSE_RESOLVENT_MIN_DIM else dense
     assert resolvent_norm(gen, beta) == expected
+
+
+@pytest.mark.parametrize("law", ["shifted", "original", "kelvin_voigt"])
+def test_generator_norm_bounds_the_energy_norm_from_above(law):
+    gen = _law_generator(law, 0.5, 60)
+    spectral._sparse_resolvent_norm(gen, 1.0)
+    exact = sla.svdvals(gen.weighted_matrix)[0]
+    assert exact <= gen.generator_norm <= 1.01 * exact
 
 
 def test_sparse_resolvent_norm_is_repeatable(ref_params):
