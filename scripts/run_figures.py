@@ -63,7 +63,7 @@ def main():
                        for t, e in zip(row.trace.times, row.trace.energies))
             summary.append([figure, vary, row.value, row.fit.rate,
                             row.fit.r_squared, row.fit.classification.value,
-                            row.diverged])
+                            row.trace.diverged])
         write_csv(OUT / f"{figure}.csv", curves)
     write_csv(OUT / "decay_rates.csv", summary)
 

@@ -138,9 +138,6 @@ def polynomial_fit_decay(trace: SimulationTrace,
 class SweepRow:
     value: float
     fit: DecayFit | None
-    e_initial: float
-    e_final: float
-    diverged: bool
     error: str = ""
     trace: SimulationTrace | None = None
 
@@ -197,12 +194,8 @@ def sweep(base: Params, grid: Grid, data: InitialData, dt: float, t_end: float,
             p = validate_params(_params_with(base, vary, value))
             trace = simulate(p, grid, data, dt, t_end)
             fit = fit_decay(trace, window_fraction, rate_threshold, fit_threshold)
-            rows.append(SweepRow(value=value, fit=fit,
-                                 e_initial=float(trace.energies[0]),
-                                 e_final=float(trace.energies[-1]),
-                                 diverged=trace.diverged, trace=trace))
+            rows.append(SweepRow(value=value, fit=fit, trace=trace))
         except Exception as exc:
-            rows.append(SweepRow(value=value, fit=None, e_initial=math.nan,
-                                 e_final=math.nan, diverged=False,
+            rows.append(SweepRow(value=value, fit=None,
                                  error=f"{type(exc).__name__}: {exc}"))
     return SweepTable(vary=vary, rows=rows)

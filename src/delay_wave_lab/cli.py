@@ -258,8 +258,9 @@ def _cmd_sweep(cfg: RunConfig) -> int:
             continue
         rows.append([table.vary, _fmt(row.value), _fmt(row.fit.rate),
                      _fmt(row.fit.amplitude), _fmt(row.fit.r_squared),
-                     row.fit.classification.value, _fmt(row.e_initial),
-                     _fmt(row.e_final), "true" if row.diverged else "false"])
+                     row.fit.classification.value, _fmt(row.trace.energies[0]),
+                     _fmt(row.trace.energies[-1]),
+                     "true" if row.trace.diverged else "false"])
     _write_csv(cfg.out, ["param", "value", "rate", "amplitude", "r_squared",
                          "classification", "E0", "E_end", "diverged"], rows)
     for row in table.rows:

@@ -262,29 +262,7 @@ class CharacteristicRoot:
     multiplicity_hint: int = 1
 
 
-def _sinhc_cosh_scaled(y: complex) -> tuple[complex, complex]:
-    """(sinh(k)/k, cosh(k)) for k = sqrt(y), scaled by exp(-|Re k|).
-
-    Both are entire functions of y; the common positive scale factor keeps
-    |k| up to ~1e308 representable.
-    """
-    k = cmath.sqrt(y)
-    if abs(k) < 1e-8:
-        return 1.0 + y / 6.0 + y * y / 120.0, 1.0 + y / 2.0 + y * y / 24.0
-    r = abs(k.real)
-    ep = cmath.exp(k - r)
-    em = cmath.exp(-k - r)
-    return (ep - em) / (2.0 * k), (ep + em) / 2.0
-
-
-def _safe_exp(z: complex) -> complex:
-    try:
-        return cmath.exp(z)
-    except OverflowError:
-        return complex(math.inf, 0.0)
-
-
-def characteristic_function(p: Params) -> Callable[[complex], complex]:
+def characteristic_function(p: Params) -> Callable:
     """Entire function whose zeros are the continuous eigenvalues.
 
     Internal friction: with kappa^2 = lam*(lam + a),
@@ -298,29 +276,46 @@ def characteristic_function(p: Params) -> Callable[[complex], complex]:
         F(lam) = lam^2 sinh(k)/k + (1 + a*lam) cosh(k)
                  + mu*lam*e^{-lam*tau} sinh(k)/k.
     This representation has an essential singularity at lam = -1/a, so
-    Kelvin-Voigt search regions must exclude that point.
+    Kelvin-Voigt search regions must exclude that point; F is inf there.
 
-    Values carry a positive scale factor exp(-|Re kappa|); zeros, residuals
-    and winding numbers are unchanged by it.
+    The returned function takes a complex number or an array and returns F
+    with the same shape.  Values carry a positive scale factor
+    exp(-|Re kappa|); zeros, residuals and winding numbers are unchanged by
+    it.  An overflow of e^{-lam*tau} becomes inf, so F is not finite there.
     """
     a, mu, tau = p.a, p.mu, p.tau
     shift = p.shift if system_label(p) is SystemLabel.SHIFTED else 0.0
     is_kv = p.law is DampingLaw.KELVIN_VOIGT
 
-    def f(lam: complex) -> complex:
-        lam = complex(lam) + shift
-        if is_kv:
-            den = 1.0 + a * lam
-            if den == 0.0:
-                return complex(math.inf, 0.0)
-            y = lam * lam / den
-            s, c = _sinhc_cosh_scaled(y)
-            delay = mu * lam * _safe_exp(-lam * tau) if mu != 0.0 else 0.0
-            return lam * lam * s + den * c + delay * s
-        y = lam * (lam + a)
-        s, c = _sinhc_cosh_scaled(y)
-        delay = mu * lam * _safe_exp(-lam * tau) if mu != 0.0 else 0.0
-        return lam * lam * s + c + delay * s
+    def f(lam):
+        lam = np.asarray(lam, dtype=complex) + shift
+        lam2 = lam * lam
+        with np.errstate(all="ignore"):
+            if is_kv:
+                den = 1.0 + a * lam
+                y = lam2 / den
+            else:
+                y = lam * (lam + a)
+            # sinh(k)/k and cosh(k) for k = sqrt(y), scaled by exp(-|Re k|):
+            # entire in y, with the series near k = 0
+            k = np.sqrt(y)
+            r = np.abs(k.real)
+            ep = np.exp(k - r)
+            em = np.exp(-k - r)
+            s = (ep - em) / (k + k)
+            c = (ep + em) / 2.0
+            small = np.abs(k) < 1e-8
+            if small.any():
+                s = np.where(small, 1.0 + y / 6.0 + y * y / 120.0, s)
+                c = np.where(small, 1.0 + y / 2.0 + y * y / 24.0, c)
+            out = lam2 * s + (den * c if is_kv else c)
+            if mu != 0.0:
+                delay = np.exp(-lam * tau)
+                delay = np.where(np.isfinite(delay), delay, math.inf)
+                out = out + mu * lam * delay * s
+            if is_kv:
+                out = np.where(den == 0.0, math.inf, out)
+        return out[()]
 
     return f
 
@@ -332,60 +327,64 @@ def _winding_number(f, rect: Rectangle) -> int:
     below pi/2 and the total stabilizes at an integer within 1e-3.  A root on
     (or next to) the boundary never satisfies the phase criterion, so the
     per-side sample count is capped at WINDING_MAX_SAMPLES rather than
-    refined indefinitely.
+    refined indefinitely.  Each refinement halves the step, a power of two,
+    so the previous samples are reused exactly and only the midpoints are
+    evaluated, in one array call per level.
     """
-    corners = [complex(rect.re_min, rect.im_min), complex(rect.re_max, rect.im_min),
-               complex(rect.re_max, rect.im_max), complex(rect.re_min, rect.im_max)]
+    corners = np.array([complex(rect.re_min, rect.im_min), complex(rect.re_max, rect.im_min),
+                        complex(rect.re_max, rect.im_max), complex(rect.re_min, rect.im_max)])
+    start, side = corners[:, None], (corners[[1, 2, 3, 0]] - corners)[:, None]
     n = WINDING_MIN_SAMPLES
+    vals = f(start + np.arange(n) * (side / n))  # (side, sample)
     prev = None
-    while n <= WINDING_MAX_SAMPLES:
-        pts = []
-        for k in range(4):
-            z0, z1 = corners[k], corners[(k + 1) % 4]
-            seg = (z1 - z0) / n
-            pts.extend(z0 + j * seg for j in range(n))
-        vals = np.array([f(z) for z in pts])
-        if np.any(vals == 0.0) or np.any(~np.isfinite(vals)):
+    while True:
+        if not (vals.all() and np.isfinite(vals).all()):
             raise RootEnumerationError(
                 "characteristic function vanishes or overflows on the region "
                 "boundary; shrink or move the region")
-        dargs = np.angle(np.roll(vals, -1) / vals)
+        ring = vals.ravel()
+        dargs = np.angle(np.concatenate((ring[1:], ring[:1])) / ring)
         if np.max(np.abs(dargs)) > 0.5 * math.pi:
-            n *= 2
             prev = None
-            continue
-        total = dargs.sum() / (2.0 * math.pi)
-        if prev is not None and abs(total - prev) < 1e-3:
-            if abs(total - round(total)) > 1e-3:
-                raise RootEnumerationError(
-                    f"winding number {total:.6f} along the region boundary is "
-                    f"not integral; the boundary is too close to a root")
-            return int(round(total))
-        prev = total
+        else:
+            total = dargs.sum() / (2.0 * math.pi)
+            if prev is not None and abs(total - prev) < 1e-3:
+                if abs(total - round(total)) > 1e-3:
+                    raise RootEnumerationError(
+                        f"winding number {total:.6f} along the region boundary is "
+                        f"not integral; the boundary is too close to a root")
+                return int(round(total))
+            prev = total
         n *= 2
-    raise RootEnumerationError(
-        "winding number did not stabilize; the region boundary is too close "
-        "to a root")
+        if n > WINDING_MAX_SAMPLES:
+            raise RootEnumerationError(
+                "winding number did not stabilize; the region boundary is too "
+                "close to a root")
+        refined = np.empty((4, n), dtype=complex)
+        refined[:, 0::2] = vals
+        refined[:, 1::2] = f(start + np.arange(1, n, 2) * (side / n))
+        vals = refined
 
 
 def _newton(f, z0: complex, rect: Rectangle,
             tol: float) -> tuple[complex, float] | None:
-    """Newton refinement with a numerical derivative, confined near rect.
+    """Newton refinement with a central-difference derivative, confined near rect.
 
-    Stops at |f| < tol, at a negligible step or after NEWTON_MAX_ITER steps;
-    the last two accept the final point only if |f| < tol there.
+    Each step evaluates f at z and z +- h in one call.  Stops at |f| < tol,
+    at a negligible step or after NEWTON_MAX_ITER steps; the last two accept
+    the final point only if |f| < tol there.
     """
     bound = 4.0 * max(rect.re_max - rect.re_min, rect.im_max - rect.im_min)
     center = complex((rect.re_min + rect.re_max) / 2, (rect.im_min + rect.im_max) / 2)
     z = z0
     for _ in range(NEWTON_MAX_ITER):
-        fz = f(z)
+        h = 1e-7 * (1.0 + abs(z))
+        fz, fp, fm = f(np.array([z, z + h, z - h])).tolist()
         if not (cmath.isfinite(fz)):
             return None
         if abs(fz) < tol:
             return z, abs(fz)
-        h = 1e-7 * (1.0 + abs(z))
-        df = (f(z + h) - f(z - h)) / (2.0 * h)
+        df = (fp - fm) / (2.0 * h)
         if df == 0.0 or not cmath.isfinite(df):
             return None
         dz = fz / df
@@ -394,7 +393,7 @@ def _newton(f, z0: complex, rect: Rectangle,
             return None
         if abs(dz) < 5e-16 * (1.0 + abs(z)):
             break
-    fz = f(z)
+    fz = complex(f(z))
     return (z, abs(fz)) if abs(fz) < tol else None
 
 
@@ -403,18 +402,14 @@ def _clearest_split(f, lo: float, hi: float, span: tuple[float, float],
     """Split coordinate in (lo, hi) whose line keeps |f| largest.
 
     Avoids cutting through a root, which would make the sub-contours unusable.
+    All candidate lines are evaluated in one call; ties go to the earlier
+    candidate, the centre first.
     """
     ts = np.linspace(span[0], span[1], 33)
-    best, best_clear = None, -1.0
-    for frac in (0.5, 0.46, 0.54, 0.42, 0.58, 0.38, 0.62):
-        m = lo + frac * (hi - lo)
-        if vertical:
-            clear = min(abs(f(complex(m, t))) for t in ts)
-        else:
-            clear = min(abs(f(complex(t, m))) for t in ts)
-        if clear > best_clear:
-            best, best_clear = m, clear
-    return best
+    ms = lo + np.array([0.5, 0.46, 0.54, 0.42, 0.58, 0.38, 0.62]) * (hi - lo)
+    pts = ms[:, None] + 1j * ts if vertical else ts + 1j * ms[:, None]
+    clear = np.abs(f(pts)).min(axis=1)
+    return float(ms[np.argmax(clear)])
 
 
 def _enumerate(f, rect: Rectangle, count: int, tol: float,
@@ -465,6 +460,8 @@ def characteristic_roots(p: Params, region: Rectangle,
     Argument-principle winding counts enumerate the roots, Newton refines
     them, and the total multiplicity is reconciled against the winding count
     of the full region; disagreement raises :class:`RootEnumerationError`.
+    Roots are listed by ascending real part; roots whose real parts agree to
+    1e-7*(1 + |lam|), such as a conjugate pair, by ascending imaginary part.
     """
     if p.law is DampingLaw.KELVIN_VOIGT and p.a > 0.0:
         pole = -1.0 / p.a
@@ -491,8 +488,17 @@ def characteristic_roots(p: Params, region: Rectangle,
             f"winding count {total} of the region disagrees with the "
             f"{sum(m for _, _, m in merged)} refined roots; the region "
             f"boundary is probably too close to a root")
+    # rows by ascending Re; real parts equal up to the merge tolerance, like
+    # those of a conjugate pair, form one group listed by ascending Im
+    groups: list[list] = []
+    for entry in merged:
+        z = entry[0]
+        if groups and abs(z.real - groups[-1][0][0].real) < 1e-7 * (1.0 + abs(z)):
+            groups[-1].append(entry)
+        else:
+            groups.append([entry])
     return [CharacteristicRoot(lam=z, residual=r, multiplicity_hint=m)
-            for z, r, m in merged]
+            for group in groups for z, r, m in sorted(group, key=lambda e: e[0].imag)]
 
 
 # ---------------------------------------------------------------------------

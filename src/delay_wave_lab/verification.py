@@ -220,8 +220,8 @@ def check_figure1_classifications() -> CheckResult:
     table_o = analysis.sweep(base_o, REF_GRID, data, REF_DT, REF_T_END,
                              "mu", (1.0, 2.0, 4.0, 8.0))
     growing = [row.value for row in table_o.rows
-               if row.diverged or (row.fit is not None and
-                                   row.fit.classification is analysis.Classification.GROWTH)]
+               if row.trace is not None and (row.trace.diverged or row.fit.classification
+                                             is analysis.Classification.GROWTH)]
     if not growing:
         errs.append("no original run classified Growth or diverged")
     ok = not errs

@@ -32,7 +32,7 @@ GOLDEN = {
     "resolvent --nx 160 --nrho 160":
         "ddc60f94613cd35c91cd5a578e660a31bb51b8cb36bb184333f9f4475e8c11d2",
     "charroots":
-        "23c1daf7a491d42c726dc3ebb8a71af569f2d6b4d34cd84e903445386d6e19a3",
+        "9372ccfcaf513b81bbc081b229446ce5520b6d06607a04a8ce7673754f6d52e8",
     "robin --c-star":
         "8d80dd54cefccd97dd4a137fda2a610a4f72f6c7aa1445fbbf470f5be6cce2fa",
     "robin --robin_c -2":

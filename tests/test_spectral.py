@@ -10,17 +10,18 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.linalg import lapack
 
-from delay_wave_lab import (BetaNearSpectrumError, DiscreteGenerator, Grid,
-                            EigensolverError, Params, Rectangle,
+from delay_wave_lab import (BetaNearSpectrumError, DampingLaw,
+                            DiscreteGenerator, Grid, EigensolverError, Params,
+                            Rectangle,
                             RobinOverflowError, RootEnumerationError,
                             SystemLabel, assemble_generator,
                             characteristic_function, characteristic_roots,
                             eigenvalues, find_c_star, internal_friction,
                             kelvin_voigt, resolvent_norm, resolvent_scan,
-                            robin_eigenvalue, spectral)
+                            robin_eigenvalue, spectral, system_label)
 
 
 def _bisect(f, lo, hi, tol=1e-14):
@@ -255,6 +256,15 @@ def test_resolvent_scan_lower_bound_and_slope(ref_params, ref_grid):
 # characteristic roots
 
 
+# regions of the benchmark's reference and spectral workloads, and a
+# Kelvin-Voigt region checked against the discrete spectrum
+REFERENCE_CASE = (internal_friction(a=1.0, mu=1.0, tau=2.0),
+                  Rectangle(-5.0, 0.5, -20.0, 20.0))
+SPECTRAL_CASE = (internal_friction(a=1.0, mu=1.0, tau=2.0),
+                 Rectangle(-5.0, 0.5, -60.0, 60.0))
+KV_CASE = (kelvin_voigt(a=1.0, mu=0.5, tau=2.0), Rectangle(-0.9, 0.3, 0.05, 8.0))
+
+
 def test_undamped_characteristic_roots_are_imaginary_cot_roots():
     theta1 = _bisect(lambda t: 1.0 / math.tan(t) - t, 1e-6, math.pi / 2 - 1e-6)
     theta2 = _bisect(lambda t: 1.0 / math.tan(t) - t, math.pi + 1e-6,
@@ -337,14 +347,218 @@ def test_shifted_characteristic_function_is_translated(ref_params):
 
 
 def test_kelvin_voigt_characteristic_roots():
-    p = kelvin_voigt(a=1.0, mu=0.5, tau=2.0)
-    roots = characteristic_roots(p, Rectangle(-0.9, 0.3, 0.05, 8.0))
+    p, region = KV_CASE
+    roots = characteristic_roots(p, region)
     assert roots and all(r.lam.real < 0.0 for r in roots)
     # cross-check each root against the discrete spectrum at O(dx)
     gen = assemble_generator(p, Grid(nx=40, nrho=40), SystemLabel.KELVIN_VOIGT)
     vals = eigenvalues(gen).eigenvalues
     for root in sorted(roots, key=lambda r: abs(r.lam))[:2]:
         assert np.min(np.abs(vals - root.lam)) <= 5.0 / 40
+
+
+# the per-point cmath evaluation the array function replaced, kept as reference
+
+
+def _scalar_sinhc_cosh_scaled(y):
+    k = cmath.sqrt(y)
+    if abs(k) < 1e-8:
+        return 1.0 + y / 6.0 + y * y / 120.0, 1.0 + y / 2.0 + y * y / 24.0
+    r = abs(k.real)
+    ep = cmath.exp(k - r)
+    em = cmath.exp(-k - r)
+    return (ep - em) / (2.0 * k), (ep + em) / 2.0
+
+
+def _scalar_safe_exp(z):
+    try:
+        return cmath.exp(z)
+    except OverflowError:
+        return complex(math.inf, 0.0)
+
+
+def _scalar_terms(p):
+    """The summands of F at one point, in the order F adds them."""
+    a, mu, tau = p.a, p.mu, p.tau
+    shift = p.shift if system_label(p) is SystemLabel.SHIFTED else 0.0
+    is_kv = p.law is DampingLaw.KELVIN_VOIGT
+
+    def terms(lam):
+        lam = complex(lam) + shift
+        if is_kv:
+            den = 1.0 + a * lam
+            if den == 0.0:
+                return (complex(math.inf, 0.0),)
+            y = lam * lam / den
+            s, c = _scalar_sinhc_cosh_scaled(y)
+            delay = mu * lam * _scalar_safe_exp(-lam * tau) if mu != 0.0 else 0.0
+            return lam * lam * s, den * c, delay * s
+        y = lam * (lam + a)
+        s, c = _scalar_sinhc_cosh_scaled(y)
+        delay = mu * lam * _scalar_safe_exp(-lam * tau) if mu != 0.0 else 0.0
+        return lam * lam * s, c, delay * s
+
+    return terms
+
+
+def _scalar_characteristic_function(p):
+    terms = _scalar_terms(p)
+
+    def f(lam):
+        t = terms(lam)
+        return t[0] if len(t) == 1 else t[0] + t[1] + t[2]
+
+    return f
+
+
+def _model(law, a, mu, tau, shifted):
+    if law == "kelvin_voigt":
+        return kelvin_voigt(a=a, mu=mu, tau=tau)
+    return internal_friction(a=a, mu=mu, tau=tau, shifted=shifted)
+
+
+def _anchor(p, where, offset):
+    """A point where the series branch (kappa = 0) or the overflow of
+    e^{-lam*tau} is taken, moved by ``offset``."""
+    shift = p.shift if system_label(p) is SystemLabel.SHIFTED else 0.0
+    base = {"zero": 0.0, "minus_a": -p.a, "minus_shift": -shift,
+            "minus_shift_a": -shift - p.a,
+            # Re(-lam*tau) = 800 > log(max float) = 709.8
+            "overflow": -800.0 / p.tau}[where]
+    return complex(base) + offset
+
+
+@settings(max_examples=300, deadline=None)
+@given(law=st.sampled_from(["internal_friction", "kelvin_voigt"]),
+       a=st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.7]),
+       mu=st.sampled_from([0.0, 0.25, 0.5, 1.0, 4.0]),
+       tau=st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+       shifted=st.booleans(),
+       box=st.lists(st.tuples(st.floats(-5.0, 0.5), st.floats(-60.0, 60.0)),
+                    min_size=1, max_size=8),
+       where=st.sampled_from(["zero", "minus_a", "minus_shift", "minus_shift_a",
+                              "overflow"]),
+       offset=st.sampled_from([0j, 1e-18 + 0j, -3e-19j, 1e-10 - 1e-10j, 0.3j]))
+@example(law="internal_friction", a=1.0, mu=1.0, tau=2.0, shifted=True,
+         box=[(0.0, 0.0)], where="minus_shift", offset=0j)
+@example(law="internal_friction", a=1.0, mu=1.0, tau=2.0, shifted=False,
+         box=[(-1.0, 0.0)], where="overflow", offset=3j)
+@example(law="kelvin_voigt", a=1.0, mu=0.5, tau=2.0, shifted=False,
+         box=[(-0.9, 60.0)], where="zero", offset=1e-18 + 0j)
+def test_array_characteristic_function_matches_the_scalar_one(
+        law, a, mu, tau, shifted, box, where, offset):
+    assume(mu > 0.0 or where != "overflow")  # no delay term, no overflow
+    p = _model(law, a, mu, tau, shifted)
+    pts = [complex(x, y) for x, y in box]
+    if law == "kelvin_voigt" and a > 0.0:
+        # next to the essential singularity at -1/a, |kappa| is unbounded and
+        # the phase of F is set by the rounding of kappa
+        pts = [z for z in pts if abs(z + 1.0 / a) > 1e-3]
+    pts = np.array(pts + [_anchor(p, where, offset)])
+    got = characteristic_function(p)(pts)
+    assert got.shape == pts.shape
+    for z, g in zip(pts.tolist(), got.tolist()):
+        # relative to the largest summand: near a root, or near the
+        # Kelvin-Voigt pole, F is far smaller than the terms it sums
+        terms = _scalar_terms(p)(z)
+        w = _scalar_characteristic_function(p)(z)
+        if cmath.isfinite(w):
+            assert abs(g - w) <= 1e-13 * max(abs(t) for t in terms), (z, g, w)
+        else:
+            assert not cmath.isfinite(g), (z, g, w)
+    one = characteristic_function(p)(pts[-1])
+    assert np.shape(one) == ()
+    assert cmath.isfinite(one) == cmath.isfinite(got[-1])
+    if cmath.isfinite(one):
+        assert abs(one - got[-1]) <= 1e-13 * max(abs(t) for t in terms)
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.0, 4.0])
+def test_characteristic_function_is_infinite_at_the_kelvin_voigt_pole(a):
+    p = kelvin_voigt(a=a, mu=0.5, tau=2.0)
+    f = characteristic_function(p)
+    assert f(-1.0 / a) == complex(math.inf, 0.0)
+    assert f(np.array([-1.0 / a, -0.25 / a]))[0] == complex(math.inf, 0.0)
+    assert _scalar_characteristic_function(p)(-1.0 / a) == complex(math.inf, 0.0)
+
+
+@pytest.mark.parametrize("case", [REFERENCE_CASE, SPECTRAL_CASE, KV_CASE],
+                         ids=["reference", "spectral", "kelvin_voigt"])
+def test_roots_match_the_scalar_search(case, monkeypatch):
+    p, region = case
+    fast = characteristic_roots(p, region)
+    # the same search with F evaluated one point at a time by the reference
+    monkeypatch.setattr(spectral, "characteristic_function", lambda q: np.vectorize(
+        _scalar_characteristic_function(q), otypes=[complex]))
+    slow = characteristic_roots(p, region)
+    assert len(fast) == len(slow) > 0
+    for got, want in zip(fast, slow):
+        assert abs(got.lam - want.lam) <= 1e-12 * abs(want.lam), (got, want)
+        assert got.multiplicity_hint == want.multiplicity_hint
+        assert got.residual < 1e-10
+        assert type(got.lam) is complex and type(got.residual) is float
+
+
+def test_conjugate_pairs_are_adjacent_negative_imaginary_part_first():
+    roots = characteristic_roots(*SPECTRAL_CASE)
+    lams = [r.lam for r in roots]
+    assert len(lams) == 77
+    assert all(x.real <= y.real + 1e-7 * (1.0 + abs(y)) for x, y in zip(lams, lams[1:]))
+    pairs = 0
+    for i, lam in enumerate(lams):
+        if abs(lam.imag) < 1e-9:
+            continue
+        mate = lams[i + 1] if lam.imag < 0.0 else lams[i - 1]
+        assert abs(mate - lam.conjugate()) <= 1e-9 * abs(lam), (i, lam, mate)
+        pairs += lam.imag < 0.0
+    assert pairs == 38
+
+
+class _SizeCounter:
+    """F that records the number of points of every call."""
+
+    def __init__(self, f):
+        self.f, self.sizes, self.points = f, [], []
+
+    def __call__(self, z):
+        self.sizes.append(np.size(z))
+        self.points.append(np.ravel(z))
+        return self.f(z)
+
+
+def test_winding_walk_evaluates_each_boundary_point_once(ref_params):
+    f = _SizeCounter(characteristic_function(ref_params))
+    region = Rectangle(-5.0, 0.5, -20.0, 20.0)
+    assert spectral._winding_number(f, region) == 27
+    n = spectral.WINDING_MIN_SAMPLES
+    assert f.sizes[0] == 4 * n and len(f.sizes) >= 2
+    for size in f.sizes[1:]:
+        n *= 2
+        assert size == 4 * n // 2
+    points = np.concatenate(f.points)
+    assert np.unique(points).size == points.size == 4 * n
+    # the reused samples are those of a fresh walk at the final density
+    for k, (z0, z1) in enumerate([(-5.0 - 20.0j, 0.5 - 20.0j), (0.5 - 20.0j, 0.5 + 20.0j),
+                                  (0.5 + 20.0j, -5.0 + 20.0j), (-5.0 + 20.0j, -5.0 - 20.0j)]):
+        seg = (z1 - z0) / n
+        fresh = np.array([z0 + j * seg for j in range(n)])
+        assert np.all(np.isin(fresh, points)), k
+
+
+def test_clearest_split_makes_one_call(ref_params):
+    f = _SizeCounter(characteristic_function(ref_params))
+    spectral._clearest_split(f, -5.0, 0.5, (-20.0, 20.0), vertical=True)
+    spectral._clearest_split(f, -20.0, 20.0, (-5.0, 0.5), vertical=False)
+    assert f.sizes == [7 * 33, 7 * 33]
+
+
+def test_newton_step_makes_one_three_point_call(ref_params):
+    f = _SizeCounter(characteristic_function(ref_params))
+    root = characteristic_roots(ref_params, Rectangle(-5.0, 0.5, 0.05, 4.0))[0].lam
+    got = spectral._newton(f, root + 0.01 + 0.01j, Rectangle(-5.0, 0.5, 0.05, 4.0), 1e-10)
+    assert got is not None and abs(got[0] - root) < 1e-9
+    assert len(f.sizes) >= 3
+    assert all(size == 3 for size in f.sizes[:-1]) and f.sizes[-1] in (1, 3)
 
 
 def test_kelvin_voigt_region_must_avoid_the_pole():
