@@ -13,8 +13,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (DampingLaw, Grid, InitialData, Params, shift_for,
-                   validate_params, xi_star)
+from .core import (DampingLaw, Grid, InitialData, Params, validate_params,
+                   xi_star)
 from .timestepper import SimulationTrace, simulate
 
 RATE_THRESHOLD = 1e-4
@@ -163,19 +163,16 @@ def _params_with(base: Params, name: str, value: float) -> Params:
     """Rebuild a consistent parameter set with one field replaced.
 
     Changing mu or tau moves the threshold weight mu*tau, so the energy
-    weight keeps its ratio xi/(mu*tau) from the base set and the shift is
-    recomputed; Kelvin-Voigt runs keep xi pinned to mu*tau.  A tau <= 0
-    leaves the shift alone for ``validate_params`` to reject.
+    weight keeps its ratio xi/(mu*tau) from the base set, and the shift
+    follows from the new values; Kelvin-Voigt runs keep xi pinned to mu*tau.
     """
     validate_sweep(base, name)
     p = replace(base, **{name: float(value)})
     if p.law is DampingLaw.KELVIN_VOIGT:
-        return replace(p, xi=xi_star(p.mu, p.tau), shift=0.0)
+        return replace(p, xi=xi_star(p.mu, p.tau))
     if name != "xi":
         ratio = base.xi / xi_star(base.mu, base.tau)
         p = replace(p, xi=ratio * xi_star(p.mu, p.tau))
-    if base.shift > 0.0 and p.tau > 0.0:
-        p = replace(p, shift=shift_for(p.mu, p.tau, p.xi))
     return p
 
 

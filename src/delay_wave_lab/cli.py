@@ -22,8 +22,7 @@ from dataclasses import dataclass
 
 from . import analysis, spectral, verification
 from .core import (Grid, InitialData, Params, builtin_data,
-                   internal_friction, kelvin_voigt, system_label,
-                   validate_params)
+                   internal_friction, kelvin_voigt, validate_params)
 from .discretization import assemble_generator
 from .spectral import Rectangle, SingularRegionError
 from .timestepper import simulate, step_count
@@ -202,8 +201,7 @@ def _cmd_simulate(cfg: RunConfig) -> int:
 
 
 def _cmd_spectrum(cfg: RunConfig) -> int:
-    p = cfg.params()
-    gen = assemble_generator(p, cfg.grid(), system_label(p))
+    gen = assemble_generator(cfg.params(), cfg.grid())
     rep = spectral.eigenvalues(gen)
     rows = ([_fmt(v.real), _fmt(v.imag)] for v in rep.eigenvalues)
     _write_csv(cfg.out, ["re", "im"], rows)
@@ -214,8 +212,7 @@ def _cmd_spectrum(cfg: RunConfig) -> int:
 
 
 def _cmd_resolvent(cfg: RunConfig) -> int:
-    p = cfg.params()
-    gen = assemble_generator(p, cfg.grid(), system_label(p))
+    gen = assemble_generator(cfg.params(), cfg.grid())
     scan = spectral.resolvent_scan(gen, cfg.betas)
     rows = ([_fmt(b), _fmt(n)] for b, n in zip(scan.betas, scan.norms))
     _write_csv(cfg.out, ["beta", "norm"], rows)

@@ -6,8 +6,8 @@ from the same block state V = (u, v, w, z):
 * ``ORIGINAL``   -- wave equation with internal friction ``a*u_t`` and a
   delayed velocity feedback of gain ``mu`` acting through the dynamic
   boundary condition at x = 1,
-* ``SHIFTED``    -- the same system with ``shift`` (mu_1) subtracted from the
-  generator, which makes it dissipative in the weighted energy norm,
+* ``SHIFTED``    -- the same system with the shift mu_1 = xi/(2*tau) + mu/2
+  subtracted, which makes it dissipative in the weighted energy norm,
 * ``KELVIN_VOIGT`` -- viscoelastic damping ``-a*(u_t)_xx`` instead of
   internal friction.
 
@@ -66,7 +66,7 @@ class Params:
         tau: time delay, > 0.
         xi: weight of the delay line in the energy norm, > 0.
         law: interior damping mechanism.
-        shift: mu_1 for shifted runs, 0 otherwise.
+        shifted: subtract the derived ``shift`` from A (internal friction only).
     """
 
     a: float
@@ -74,34 +74,35 @@ class Params:
     tau: float
     xi: float
     law: DampingLaw = DampingLaw.INTERNAL_FRICTION
-    shift: float = 0.0
+    shifted: bool = False
+
+    @property
+    def shift(self) -> float:
+        """mu_1 = xi/(2*tau) + mu/2 for shifted runs, 0 otherwise."""
+        return shift_for(self.mu, self.tau, self.xi) if self.shifted else 0.0
 
 
 def internal_friction(a: float, mu: float, tau: float, xi: float | None = None,
                       shifted: bool = True) -> Params:
-    """Params for the internal-friction system.
-
-    ``xi`` defaults to twice the threshold mu*tau.  Shifted runs get
-    shift = xi/(2*tau) + mu/2; unshifted runs get shift = 0.
-    """
+    """Params for the internal-friction system; ``xi`` defaults to twice the
+    threshold mu*tau."""
     if xi is None:
         xi = 2.0 * xi_star(mu, tau)
-    shift = shift_for(mu, tau, xi) if shifted else 0.0
     return Params(a=a, mu=mu, tau=tau, xi=xi, law=DampingLaw.INTERNAL_FRICTION,
-                  shift=shift)
+                  shifted=shifted)
 
 
 def kelvin_voigt(a: float, mu: float, tau: float) -> Params:
     """Params for the Kelvin-Voigt system; the energy weight is pinned to xi = mu*tau."""
     return Params(a=a, mu=mu, tau=tau, xi=xi_star(mu, tau),
-                  law=DampingLaw.KELVIN_VOIGT, shift=0.0)
+                  law=DampingLaw.KELVIN_VOIGT)
 
 
 def system_label(p: Params) -> SystemLabel:
-    """Infer which generator a parameter set describes."""
+    """Which of the three generators a parameter set describes."""
     if p.law is DampingLaw.KELVIN_VOIGT:
         return SystemLabel.KELVIN_VOIGT
-    return SystemLabel.SHIFTED if p.shift > 0.0 else SystemLabel.ORIGINAL
+    return SystemLabel.SHIFTED if p.shifted else SystemLabel.ORIGINAL
 
 
 def kv_condition_satisfied(p: Params) -> bool:
@@ -117,23 +118,23 @@ def validate_params(p: Params) -> Params:
     (and in practice still decay) without it, so a violation emits a warning
     instead of an error.
     """
-    for name in ("a", "mu", "tau", "xi", "shift"):
+    for name in ("a", "mu", "tau", "xi"):
         if not math.isfinite(getattr(p, name)):
             raise ParamsError(f"{name} must be finite, got {getattr(p, name)}")
     if not p.tau > 0.0:
         raise ParamsError(f"tau must be positive, got {p.tau}")
+    if not math.isfinite(p.shift):  # xi/(2*tau) overflows for a tiny tau
+        raise ParamsError(f"shift must be finite, got {p.shift}")
     if not p.mu > 0.0:
         raise ParamsError(f"mu must be positive, got {p.mu}")
     if not p.xi > 0.0:
         raise ParamsError(f"xi must be positive, got {p.xi}")
     if not p.a >= 0.0:
         raise ParamsError(f"a must be nonnegative, got {p.a}")
-    if not p.shift >= 0.0:
-        raise ParamsError(f"shift must be nonnegative, got {p.shift}")
 
     if p.law is DampingLaw.KELVIN_VOIGT:
-        if p.shift != 0.0:
-            raise ParamsError("Kelvin-Voigt runs are never shifted (shift must be 0)")
+        if p.shifted:
+            raise ParamsError("Kelvin-Voigt runs are never shifted")
         if not math.isclose(p.xi, xi_star(p.mu, p.tau), rel_tol=1e-12):
             raise ParamsError(
                 f"Kelvin-Voigt runs fix xi = mu*tau = {xi_star(p.mu, p.tau)}, got {p.xi}")
@@ -142,15 +143,10 @@ def validate_params(p: Params) -> Params:
                 f"Kelvin-Voigt stability condition mu < |c*|*a violated "
                 f"(mu={p.mu}, a={p.a}, |c*|=1); decay is not guaranteed",
                 stacklevel=2)
-    elif p.shift > 0.0:
-        if p.xi <= xi_star(p.mu, p.tau):
-            raise ParamsError(
-                f"xi must exceed xi_star = mu*tau = {xi_star(p.mu, p.tau)} "
-                f"for shifted runs, got xi = {p.xi}")
-        expected = shift_for(p.mu, p.tau, p.xi)
-        if not math.isclose(p.shift, expected, rel_tol=1e-12):
-            raise ParamsError(
-                f"shift must equal xi/(2*tau) + mu/2 = {expected}, got {p.shift}")
+    elif p.shifted and p.xi <= xi_star(p.mu, p.tau):
+        raise ParamsError(
+            f"xi must exceed xi_star = mu*tau = {xi_star(p.mu, p.tau)} "
+            f"for shifted runs, got xi = {p.xi}")
     return p
 
 

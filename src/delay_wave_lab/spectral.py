@@ -25,7 +25,7 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.linalg import lapack  # perfbench's tracer also wraps this attribute by name
 
-from .core import DampingLaw, Params, SystemLabel, system_label
+from .core import DampingLaw, Params, SystemLabel
 from .discretization import DiscreteGenerator, shifted_lu
 
 
@@ -232,6 +232,7 @@ def resolvent_scan(gen: DiscreteGenerator, betas) -> ResolventScan:
 WINDING_MIN_SAMPLES = 32    # boundary samples per side of the first walk
 WINDING_MAX_SAMPLES = 8192  # per-side cap on the doubling refinement
 NEWTON_MAX_ITER = 200
+ROOT_RESIDUAL_TOL = 1e-10   # |F| below which Newton accepts a root
 CONTAINS_SLACK = 1e-12      # tolerance of Rectangle.contains on refined roots
 
 
@@ -283,8 +284,7 @@ def characteristic_function(p: Params) -> Callable:
     exp(-|Re kappa|); zeros, residuals and winding numbers are unchanged by
     it.  An overflow of e^{-lam*tau} becomes inf, so F is not finite there.
     """
-    a, mu, tau = p.a, p.mu, p.tau
-    shift = p.shift if system_label(p) is SystemLabel.SHIFTED else 0.0
+    a, mu, tau, shift = p.a, p.mu, p.tau, p.shift
     is_kv = p.law is DampingLaw.KELVIN_VOIGT
 
     def f(lam):
@@ -297,17 +297,18 @@ def characteristic_function(p: Params) -> Callable:
             else:
                 y = lam * (lam + a)
             # sinh(k)/k and cosh(k) for k = sqrt(y), scaled by exp(-|Re k|):
-            # entire in y, with the series near k = 0
+            # entire in y, with the series where the exponentials cancel
             k = np.sqrt(y)
             r = np.abs(k.real)
             ep = np.exp(k - r)
             em = np.exp(-k - r)
             s = (ep - em) / (k + k)
             c = (ep + em) / 2.0
-            small = np.abs(k) < 1e-8
+            small = np.abs(k) < 1e-2
             if small.any():
-                s = np.where(small, 1.0 + y / 6.0 + y * y / 120.0, s)
-                c = np.where(small, 1.0 + y / 2.0 + y * y / 24.0, c)
+                scale = np.exp(-r)
+                s = np.where(small, scale * (1 + y / 6 * (1 + y / 20 * (1 + y / 42))), s)
+                c = np.where(small, scale * (1 + y / 2 * (1 + y / 12 * (1 + y / 30))), c)
             out = lam2 * s + (den * c if is_kv else c)
             if mu != 0.0:
                 delay = np.exp(-lam * tau)
@@ -366,13 +367,12 @@ def _winding_number(f, rect: Rectangle) -> int:
         vals = refined
 
 
-def _newton(f, z0: complex, rect: Rectangle,
-            tol: float) -> tuple[complex, float] | None:
+def _newton(f, z0: complex, rect: Rectangle) -> tuple[complex, float] | None:
     """Newton refinement with a central-difference derivative, confined near rect.
 
-    Each step evaluates f at z and z +- h in one call.  Stops at |f| < tol,
-    at a negligible step or after NEWTON_MAX_ITER steps; the last two accept
-    the final point only if |f| < tol there.
+    Each step evaluates f at z and z +- h in one call.  Stops at |f| below
+    ROOT_RESIDUAL_TOL, at a negligible step or after NEWTON_MAX_ITER steps;
+    the last two accept the final point only if |f| is that small there.
     """
     bound = 4.0 * max(rect.re_max - rect.re_min, rect.im_max - rect.im_min)
     center = complex((rect.re_min + rect.re_max) / 2, (rect.im_min + rect.im_max) / 2)
@@ -382,7 +382,7 @@ def _newton(f, z0: complex, rect: Rectangle,
         fz, fp, fm = f(np.array([z, z + h, z - h])).tolist()
         if not (cmath.isfinite(fz)):
             return None
-        if abs(fz) < tol:
+        if abs(fz) < ROOT_RESIDUAL_TOL:
             return z, abs(fz)
         df = (fp - fm) / (2.0 * h)
         if df == 0.0 or not cmath.isfinite(df):
@@ -394,7 +394,7 @@ def _newton(f, z0: complex, rect: Rectangle,
         if abs(dz) < 5e-16 * (1.0 + abs(z)):
             break
     fz = complex(f(z))
-    return (z, abs(fz)) if abs(fz) < tol else None
+    return (z, abs(fz)) if abs(fz) < ROOT_RESIDUAL_TOL else None
 
 
 def _clearest_split(f, lo: float, hi: float, span: tuple[float, float],
@@ -412,7 +412,7 @@ def _clearest_split(f, lo: float, hi: float, span: tuple[float, float],
     return float(ms[np.argmax(clear)])
 
 
-def _enumerate(f, rect: Rectangle, count: int, tol: float,
+def _enumerate(f, rect: Rectangle, count: int,
                depth: int = 0) -> list[tuple[complex, float]]:
     """Roots in ``rect``, whose winding number ``count`` the caller computed."""
     if depth > 80:
@@ -427,7 +427,7 @@ def _enumerate(f, rect: Rectangle, count: int, tol: float,
                           rect.im_min + si * (rect.im_max - rect.im_min))
                   for sr in (0.25, 0.75) for si in (0.25, 0.75)]
         for z0 in seeds:
-            got = _newton(f, z0, rect, tol)
+            got = _newton(f, z0, rect)
             if got is not None and rect.contains(got[0]):
                 if count == 1:
                     return [got]
@@ -449,12 +449,11 @@ def _enumerate(f, rect: Rectangle, count: int, tol: float,
                  Rectangle(rect.re_min, rect.re_max, m, rect.im_max)]
     found: list[tuple[complex, float]] = []
     for part in parts:
-        found += _enumerate(f, part, _winding_number(f, part), tol, depth + 1)
+        found += _enumerate(f, part, _winding_number(f, part), depth + 1)
     return found
 
 
-def characteristic_roots(p: Params, region: Rectangle,
-                         tol: float = 1e-10) -> list[CharacteristicRoot]:
+def characteristic_roots(p: Params, region: Rectangle) -> list[CharacteristicRoot]:
     """All characteristic roots inside ``region``.
 
     Argument-principle winding counts enumerate the roots, Newton refines
@@ -471,7 +470,7 @@ def characteristic_roots(p: Params, region: Rectangle,
                 f"lam = -1/a = {pole}; choose a region excluding that point")
     f = characteristic_function(p)
     total = _winding_number(f, region)
-    raw = _enumerate(f, region, total, tol)
+    raw = _enumerate(f, region, total)
 
     merged: list[list] = []  # [lam, residual, multiplicity]
     for z, r in sorted(raw, key=lambda t: (t[0].real, t[0].imag)):
@@ -525,10 +524,14 @@ def _robin_determinant(lam: float, c: float) -> float:
     return (1.0 + c) - lam * (0.5 + c / 6.0) + lam * lam * (1.0 / 24.0 + c / 120.0)
 
 
-def robin_eigenvalue(c: float, tol: float = 1e-10) -> float:
+ROBIN_BISECTION_TOL = 1e-12  # absolute width at which the Robin bisection stops
+C_STAR_TOL = 1e-10  # |eigenvalue| at which the search for c_star stops
+
+
+def robin_eigenvalue(c: float) -> float:
     """First eigenvalue of -u'' on (0,1) with u(0) = 0, u'(1) + c*u(1) = 0.
 
-    Bisection on the analytic determinant to absolute tolerance ``tol``.
+    Bisection on the analytic determinant to within ROBIN_BISECTION_TOL.
     For c > -1 the eigenvalue lies in (0, pi^2]; for c < -1 there is exactly
     one negative eigenvalue, bracketed by geometric expansion; c = -1 gives 0.
     That eigenvalue is about -c^2 for large |c|; where it lies below the most
@@ -559,9 +562,9 @@ def robin_eigenvalue(c: float, tol: float = 1e-10) -> float:
             width = min(2.0 * width, sys.float_info.max)
         lo, hi = -width, 0.0
     # bisect; sign convention: h(lo) > 0, h(hi) <= 0.  Below -8192 the float
-    # spacing exceeds 1e-12, so stop when no midpoint is left.  Halving each
-    # end first is exact and keeps lo + hi from overflowing
-    while abs(hi - lo) > min(tol, 1e-12):
+    # spacing exceeds the tolerance, so stop when no midpoint is left.  Halving
+    # each end first is exact and keeps lo + hi from overflowing
+    while abs(hi - lo) > ROBIN_BISECTION_TOL:
         mid = 0.5 * lo + 0.5 * hi
         if not lo < mid < hi:
             break
@@ -572,11 +575,11 @@ def robin_eigenvalue(c: float, tol: float = 1e-10) -> float:
     return 0.5 * lo + 0.5 * hi
 
 
-def find_c_star(tol: float = 1e-10) -> float:
+def find_c_star() -> float:
     """The unique negative c with a vanishing first Dirichlet-Robin eigenvalue.
 
     Bisection on c -> robin_eigenvalue(c) over an expanding negative bracket,
-    until |eigenvalue| < ``tol``.  On the unit interval the answer is -1.
+    until |eigenvalue| < C_STAR_TOL.  On the unit interval the answer is -1.
     """
     lo = -1.5
     while robin_eigenvalue(lo) >= 0.0:
@@ -585,7 +588,7 @@ def find_c_star(tol: float = 1e-10) -> float:
     while True:
         mid = 0.5 * (lo + hi)
         val = robin_eigenvalue(mid)
-        if abs(val) < tol or (hi - lo) < 1e-15:
+        if abs(val) < C_STAR_TOL or (hi - lo) < 1e-15:
             return mid
         if val > 0.0:
             hi = mid

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg as sla  # noqa: F401 -- perfbench's tracer wraps this attribute by name
 
 from .core import (Grid, InitialData, Params, StateVector, SystemLabel,
-                   sample_initial_state, system_label)
+                   sample_initial_state)
 from .discretization import (DiscreteGenerator, assemble_generator,
                              shift_deviation, shifted_lu)
 
@@ -101,8 +101,7 @@ def simulate(p: Params, g: Grid, d: InitialData, dt: float,
     trace is truncated at the last finite value and marked as diverged.
     """
     n_steps = step_count(dt, t_end)
-    label = system_label(p)
-    gen = assemble_generator(p, g, label)
+    gen = assemble_generator(p, g)
 
     vec = sample_initial_state(d, g).vector
     energies = np.empty(n_steps + 1)
@@ -119,7 +118,7 @@ def simulate(p: Params, g: Grid, d: InitialData, dt: float,
 
     return SimulationTrace(times=np.arange(last + 1) * dt,
                            energies=energies[:last + 1], params=p, grid=g,
-                           label=label, dt=dt, diverged=last < n_steps)
+                           label=gen.label, dt=dt, diverged=last < n_steps)
 
 
 @dataclass(frozen=True)
@@ -143,9 +142,8 @@ def shift_consistency(p: Params, g: Grid, d: InitialData, dt: float,
     non-finite norm or residual ends the comparison as diverged.
     """
     mu1 = p.shift
-    p_orig = replace(p, shift=0.0)
-    gen_o = assemble_generator(p_orig, g, SystemLabel.ORIGINAL)
-    gen_s = assemble_generator(p, g, SystemLabel.SHIFTED)
+    gen_o = assemble_generator(replace(p, shifted=False), g)
+    gen_s = assemble_generator(p, g)
 
     identity_exact = shift_deviation(gen_s, gen_o, mu1) == 0.0
 

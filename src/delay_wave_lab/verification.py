@@ -13,8 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import analysis, spectral
-from .core import (Grid, Params, SystemLabel, builtin_data,
-                   internal_friction, kelvin_voigt)
+from .core import Grid, Params, builtin_data, internal_friction, kelvin_voigt
 from .discretization import (assemble_generator, shift_deviation,
                              symmetrized_max_eigenvalue)
 from .spectral import Rectangle
@@ -49,9 +48,8 @@ def check_shift_identity() -> CheckResult:
     for _ in range(20):
         p = _random_shifted_params(rng)
         dev = shift_deviation(
-            assemble_generator(p, REF_GRID, SystemLabel.SHIFTED),
-            assemble_generator(replace(p, shift=0.0), REF_GRID,
-                               SystemLabel.ORIGINAL), p.shift)
+            assemble_generator(p, REF_GRID),
+            assemble_generator(replace(p, shifted=False), REF_GRID), p.shift)
         if dev != 0.0:
             return CheckResult("shift identity", False,
                                f"entrywise deviation {dev:.3e} (tolerance 0)")
@@ -67,8 +65,7 @@ def check_dissipativity() -> CheckResult:
     cases += [_random_shifted_params(rng) for _ in range(10)]
     worst_s = -math.inf
     for p in cases:
-        lam = symmetrized_max_eigenvalue(
-            assemble_generator(p, REF_GRID, SystemLabel.SHIFTED))
+        lam = symmetrized_max_eigenvalue(assemble_generator(p, REF_GRID))
         worst_s = max(worst_s, lam)
     kv_cases = [kelvin_voigt(a=1.0, mu=0.5, tau=2.0)]
     for _ in range(10):
@@ -77,8 +74,7 @@ def check_dissipativity() -> CheckResult:
                                      tau=rng.uniform(0.25, 4.0)))
     worst_kv = -math.inf
     for p in kv_cases:
-        lam = symmetrized_max_eigenvalue(
-            assemble_generator(p, REF_GRID, SystemLabel.KELVIN_VOIGT))
+        lam = symmetrized_max_eigenvalue(assemble_generator(p, REF_GRID))
         worst_kv = max(worst_kv, lam)
     ok = worst_s <= tol and worst_kv <= tol
     return CheckResult(
@@ -139,8 +135,8 @@ def check_spectrum_location() -> CheckResult:
     """Shifted spectrum: abscissa < 0, conjugation symmetry, exact shift."""
     tol = 1e-10
     p = internal_friction(a=1.0, mu=1.0, tau=2.0)
-    gen_s = assemble_generator(p, REF_GRID, SystemLabel.SHIFTED)
-    gen_o = assemble_generator(replace(p, shift=0.0), REF_GRID, SystemLabel.ORIGINAL)
+    gen_s = assemble_generator(p, REF_GRID)
+    gen_o = assemble_generator(replace(p, shifted=False), REF_GRID)
     rep_s = spectral.eigenvalues(gen_s)
     rep_o = spectral.eigenvalues(gen_o)
     errs = []
@@ -188,7 +184,7 @@ def check_characteristic_oracle() -> CheckResult:
             errs.append(f"characteristic root magnitude off theta1 by {dev:.3e}")
     eig_errs = {}
     for nx in (20, 40):
-        gen = assemble_generator(p0, Grid(nx=nx, nrho=nx), SystemLabel.ORIGINAL)
+        gen = assemble_generator(p0, Grid(nx=nx, nrho=nx))
         vals = spectral.eigenvalues(gen).eigenvalues
         smallest = vals[np.argmin(np.abs(vals))]
         eig_errs[nx] = abs(abs(smallest) - theta1)
@@ -216,7 +212,7 @@ def check_figure1_classifications() -> CheckResult:
         if fit is None or fit.classification is not analysis.Classification.EXPONENTIAL_DECAY \
                 or not (fit.rate > 0.0 and fit.r_squared > 0.98):
             errs.append(f"shifted mu={row.value}: {row.error or (fit and fit.classification.value)}")
-    base_o = replace(base, shift=0.0)
+    base_o = replace(base, shifted=False)
     table_o = analysis.sweep(base_o, REF_GRID, data, REF_DT, REF_T_END,
                              "mu", (1.0, 2.0, 4.0, 8.0))
     growing = [row.value for row in table_o.rows
@@ -273,7 +269,7 @@ def check_shift_consistency() -> CheckResult:
 def check_resolvent_scan() -> CheckResult:
     """Resolvent norms finite, above the spectral-distance bound; slope reported."""
     p = internal_friction(a=1.0, mu=1.0, tau=2.0)
-    gen = assemble_generator(p, REF_GRID, SystemLabel.SHIFTED)
+    gen = assemble_generator(p, REF_GRID)
     betas = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
     scan = spectral.resolvent_scan(gen, betas)
     errs = []

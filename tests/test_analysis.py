@@ -3,11 +3,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from delay_wave_lab import (Classification, SimulationTrace, fit_decay,
                             internal_friction, kelvin_voigt,
-                            polynomial_fit_decay, simulate, sweep)
+                            polynomial_fit_decay, shift_for, simulate, sweep,
+                            validate_params)
+from delay_wave_lab.analysis import SWEEP_KEYS, _params_with
 
 
 def _trace(times, energies, diverged=False):
@@ -147,7 +149,7 @@ def test_sweep_shifted_all_decay(ref_params, ref_grid, ref_data):
 
 
 def test_sweep_original_sees_growth(ref_params, ref_grid, ref_data):
-    base = replace(ref_params, shift=0.0)
+    base = replace(ref_params, shifted=False)
     table = sweep(base, ref_grid, ref_data, dt=0.1, t_end=50.0,
                   vary="mu", values=(1.0, 2.0, 4.0, 8.0))
     growth = [row for row in table.rows
@@ -201,3 +203,19 @@ def test_sweep_non_positive_tau_is_a_row_error_naming_tau(ref_grid, ref_data,
     bad, good = table.rows
     assert bad.error.startswith("ParamsError: tau must be positive"), bad.error
     assert good.error == "" and good.fit is not None
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(SWEEP_KEYS), a=st.floats(0.0, 2.0),
+       mu=st.floats(0.1, 4.0), tau=st.floats(0.25, 4.0),
+       xi_factor=st.floats(1.1, 4.0), scale=st.floats(0.1, 10.0))
+def test_swept_shifted_params_stay_consistent(name, a, mu, tau, xi_factor, scale):
+    base = validate_params(internal_friction(a=a, mu=mu, tau=tau,
+                                             xi=xi_factor * mu * tau))
+    # xi must stay above mu*tau; every other key takes any positive value
+    value = (base.xi * (1.0 + scale) if name == "xi"
+             else scale * max(getattr(base, name), 0.1))
+    p = _params_with(base, name, value)
+    assert getattr(p, name) == value and p.shifted
+    assert p.shift == shift_for(p.mu, p.tau, p.xi)
+    assert validate_params(p) is p

@@ -9,8 +9,7 @@ import pytest
 import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings, strategies as st
 
-from delay_wave_lab import (Grid, Params, SystemLabel, assemble_generator, cli,
-                            spectral)
+from delay_wave_lab import Grid, Params, assemble_generator, cli, spectral
 from delay_wave_lab.cli import (ConfigError, RunConfig, main, parse_config,
                                 serialize_config)
 
@@ -164,7 +163,7 @@ def test_resolvent_near_spectrum_exits_1(capsys, monkeypatch):
     # undamped generator, whose eigenvalues sit on the imaginary axis
     monkeypatch.setattr(cli, "validate_params", lambda p: p)
     gen = assemble_generator(Params(a=0.0, mu=0.0, tau=2.0, xi=1.0),
-                             Grid(nx=60, nrho=60), SystemLabel.ORIGINAL)
+                             Grid(nx=60, nrho=60))
     assert gen.dim >= spectral.SPARSE_RESOLVENT_MIN_DIM
     vals = spectral.eigenvalues(gen).eigenvalues
     beta = np.abs(vals[np.abs(vals.real) < 1e-10].imag).min()
@@ -263,6 +262,15 @@ def test_non_finite_value_exits_2(capsys, key, value):
     code, _, err = _run(capsys, ["simulate", f"--{key}", raw])
     assert code == 2
     assert "config error" in err and key in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--tau", "1e-310", "--xi", "1"], "shift must be finite"),
+    (["--tau", "0"], "tau must be positive")])
+def test_shift_errors_exit_2(capsys, argv, message):
+    code, out, err = _run(capsys, ["simulate"] + argv)
+    assert code == 2 and not out
+    assert f"config error: {message}" in err
 
 
 RUNTIME_CONFIG_ERRORS = [

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,13 +8,18 @@ from hypothesis import given, strategies as st
 from delay_wave_lab import (DampingLaw, Grid, InitialData, Params, ParamsError,
                             StateVector, builtin_data, internal_friction,
                             kelvin_voigt, kv_condition_satisfied,
-                            sample_initial_state, validate_params, xi_star)
+                            sample_initial_state, shift_for, validate_params,
+                            xi_star)
 
 
 def test_shifted_params_compute_the_documented_shift():
     p = validate_params(internal_friction(a=1.0, mu=1.0, tau=2.0, xi=4.0))
     assert p.xi == 2.0 * xi_star(1.0, 2.0)
     assert p.shift == 4.0 / 4.0 + 0.5  # xi/(2 tau) + mu/2 = 1.5
+    # derived, never stored: it follows the flag and the other fields
+    assert replace(p, mu=3.0).shift == shift_for(3.0, 2.0, 4.0)
+    assert replace(p, shifted=False).shift == 0.0
+    assert kelvin_voigt(a=1.0, mu=0.5, tau=2.0).shift == 0.0
 
 
 def test_shifted_run_rejects_xi_at_or_below_threshold():
@@ -26,6 +32,11 @@ def test_shifted_run_rejects_xi_at_or_below_threshold():
     ("mu", dict(a=1.0, mu=0.0, tau=2.0, xi=1.0)),
     ("xi", dict(a=1.0, mu=1.0, tau=2.0, xi=-0.5)),
     ("tau", dict(a=1.0, mu=1.0, tau=math.nan, xi=1.0)),
+    # tau is checked before the shift xi/(2*tau) is formed
+    ("tau must be positive", dict(a=1.0, mu=1.0, tau=0.0, xi=1.0, shifted=True)),
+    ("shift must be finite", dict(a=1.0, mu=1.0, tau=1e-310, xi=1.0, shifted=True)),
+    ("never shifted", dict(a=1.0, mu=0.5, tau=2.0, xi=1.0,
+                           law=DampingLaw.KELVIN_VOIGT, shifted=True)),
 ])
 def test_hard_invariants_are_rejected(bad, kwargs):
     with pytest.raises(ParamsError, match=bad):

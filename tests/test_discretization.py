@@ -9,7 +9,8 @@ from delay_wave_lab import (DampingLaw, Grid, Params, StateVector, SystemLabel,
                             assemble_generator, assemble_gram,
                             internal_friction, kelvin_voigt, rayleigh,
                             robin_eigenvalue, sample_initial_state,
-                            symmetrized_max_eigenvalue, builtin_data)
+                            symmetrized_max_eigenvalue, builtin_data,
+                            system_label)
 from delay_wave_lab.discretization import shift_deviation
 
 
@@ -21,7 +22,7 @@ def test_smallest_grid_matrix_by_hand():
     # nx=2, nrho=1, a=0, mu=0, tau=1: dx=1/2, drho=1; rows read off the scheme
     p = Params(a=0.0, mu=0.0, tau=1.0, xi=1.0)
     g = Grid(nx=2, nrho=1)
-    gen = assemble_generator(p, g, SystemLabel.ORIGINAL)
+    gen = assemble_generator(p, g)
     expected = np.array([
         [0.0, 0.0, 1.0, 0.0, 0.0],   # u1' = v1
         [0.0, 0.0, 0.0, 1.0, 0.0],   # u2' = w
@@ -47,9 +48,8 @@ def test_shift_identity_is_exact(ref_grid):
         tau = rng.uniform(0.25, 4.0)
         p = internal_friction(a=rng.uniform(0.0, 2.0), mu=mu, tau=tau,
                               xi=mu * tau * rng.uniform(1.1, 4.0))
-        shifted = assemble_generator(p, ref_grid, SystemLabel.SHIFTED)
-        original = assemble_generator(replace(p, shift=0.0), ref_grid,
-                                      SystemLabel.ORIGINAL)
+        shifted = assemble_generator(p, ref_grid)
+        original = assemble_generator(replace(p, shifted=False), ref_grid)
         assert np.array_equal(shifted.matrix,
                               original.matrix - p.shift * np.eye(ref_grid.dim))
         assert np.array_equal(shifted.gram, original.gram)
@@ -128,7 +128,7 @@ def test_sparse_assembly_equals_the_loop_assembly_bitwise(nx, nrho, label):
         p = internal_friction(a=a, mu=mu, tau=tau, xi=mu * tau * 1.5,
                               shifted=label is SystemLabel.SHIFTED)
     g = Grid(nx=nx, nrho=nrho)
-    gen = assemble_generator(p, g, label)
+    gen = assemble_generator(p, g)
     A, G = _loop_generator(p, g, label)
     assert np.array_equal(gen.matrix, A)
     assert np.array_equal(gen.gram, G)
@@ -142,6 +142,18 @@ def test_label_law_mismatch_rejected(ref_params, kv_params, ref_grid):
         assemble_generator(kv_params, ref_grid, SystemLabel.SHIFTED)
 
 
+@pytest.mark.parametrize("shifted", [True, False])
+def test_generator_label_follows_the_params(kv_params, ref_grid, shifted):
+    p = internal_friction(a=1.0, mu=1.0, tau=2.0, shifted=shifted)
+    expected = SystemLabel.SHIFTED if shifted else SystemLabel.ORIGINAL
+    for params, label in ((p, expected), (kv_params, SystemLabel.KELVIN_VOIGT)):
+        gen = assemble_generator(params, ref_grid)
+        assert gen.label is system_label(params) is label
+        # the named form builds the same matrix
+        named = assemble_generator(params, ref_grid, label)
+        assert np.array_equal(named.matrix, gen.matrix)
+
+
 def test_gram_is_positive_definite(ref_params, ref_grid):
     G = assemble_gram(ref_params, ref_grid).toarray()
     assert np.array_equal(G, G.T)
@@ -149,7 +161,7 @@ def test_gram_is_positive_definite(ref_params, ref_grid):
 
 
 def test_gram_energy_closed_forms(ref_params, ref_grid):
-    gen = assemble_generator(ref_params, ref_grid, SystemLabel.SHIFTED)
+    gen = assemble_generator(ref_params, ref_grid)
     zero = StateVector.zeros(ref_grid)
     assert gen.energy(zero) == 0.0
     # unit-slope ramp: sum over cells of (du/dx)^2 * dx = 1
@@ -161,33 +173,31 @@ def test_gram_energy_closed_forms(ref_params, ref_grid):
 
 
 def test_dissipativity_shifted_reference_parameters(ref_params, ref_grid):
-    gen = assemble_generator(ref_params, ref_grid, SystemLabel.SHIFTED)
+    gen = assemble_generator(ref_params, ref_grid)
     assert symmetrized_max_eigenvalue(gen) <= 1e-10
 
 
 def test_dissipativity_kelvin_voigt_when_mu_below_a(ref_grid):
-    gen = assemble_generator(kelvin_voigt(a=1.0, mu=0.5, tau=2.0), ref_grid,
-                             SystemLabel.KELVIN_VOIGT)
+    gen = assemble_generator(kelvin_voigt(a=1.0, mu=0.5, tau=2.0), ref_grid)
     assert symmetrized_max_eigenvalue(gen) <= 1e-10
     # boundary case mu = a still dissipative
-    gen_eq = assemble_generator(kelvin_voigt(a=1.0, mu=1.0, tau=2.0), ref_grid,
-                                SystemLabel.KELVIN_VOIGT)
+    gen_eq = assemble_generator(kelvin_voigt(a=1.0, mu=1.0, tau=2.0), ref_grid)
     assert symmetrized_max_eigenvalue(gen_eq) <= 1e-10
 
 
 def test_rayleigh_zero_state(ref_params, ref_grid):
-    gen = assemble_generator(ref_params, ref_grid, SystemLabel.SHIFTED)
+    gen = assemble_generator(ref_params, ref_grid)
     assert rayleigh(gen, StateVector.zeros(ref_grid)) == 0.0
 
 
 def test_rayleigh_dimension_mismatch(ref_params, ref_grid):
-    gen = assemble_generator(ref_params, ref_grid, SystemLabel.SHIFTED)
+    gen = assemble_generator(ref_params, ref_grid)
     with pytest.raises(ValueError, match="dimension"):
         rayleigh(gen, StateVector.zeros(Grid(nx=4, nrho=3)))
 
 
 def test_rayleigh_nonpositive_for_shifted(ref_params, ref_grid):
-    gen = assemble_generator(ref_params, ref_grid, SystemLabel.SHIFTED)
+    gen = assemble_generator(ref_params, ref_grid)
     rng = np.random.default_rng(42)
     for _ in range(100):
         sv = _random_state(ref_grid, rng)
@@ -197,7 +207,7 @@ def test_rayleigh_nonpositive_for_shifted(ref_params, ref_grid):
 def test_rayleigh_kelvin_voigt_robin_bound(ref_grid):
     # <A V, V>_G <= -a * C(-mu/a) * ||v||_2^2 with C from the Robin oracle
     p = kelvin_voigt(a=1.0, mu=0.5, tau=2.0)
-    gen = assemble_generator(p, ref_grid, SystemLabel.KELVIN_VOIGT)
+    gen = assemble_generator(p, ref_grid)
     c_robin = robin_eigenvalue(-p.mu / p.a)
     dx = ref_grid.dx
     rng = np.random.default_rng(43)
@@ -239,7 +249,7 @@ def _manufactured_residual(label, nx):
     sv = StateVector(u=np.array([u(x) for x in g.x_nodes]),
                      v=np.array([v(x) for x in g.x_nodes[:-1]]),
                      w=w, z=np.array([z(r) for r in g.rho_nodes]))
-    gen = assemble_generator(p, g, label)
+    gen = assemble_generator(p, g)
     got = gen.matrix @ sv.vector
 
     exact_u = np.array([v(x) for x in g.x_nodes[:-1]] + [w])
@@ -263,6 +273,6 @@ def test_generator_consistency_order(label):
 
 def test_reference_initial_energy_scale(ref_params, ref_grid, ref_data):
     # steep exponential data: E(0)^2 is of order 1e10 and stays finite
-    gen = assemble_generator(ref_params, ref_grid, SystemLabel.SHIFTED)
+    gen = assemble_generator(ref_params, ref_grid)
     e0 = gen.energy(sample_initial_state(ref_data, ref_grid))
     assert np.isfinite(e0) and 1e4 < e0 < 1e6

@@ -21,7 +21,7 @@ from delay_wave_lab import (BetaNearSpectrumError, DampingLaw,
                             characteristic_function, characteristic_roots,
                             eigenvalues, find_c_star, internal_friction,
                             kelvin_voigt, resolvent_norm, resolvent_scan,
-                            robin_eigenvalue, spectral, system_label)
+                            robin_eigenvalue, spectral)
 
 
 def _bisect(f, lo, hi, tol=1e-14):
@@ -49,7 +49,7 @@ def _toy_generator(matrix, gram=None):
                              sparse_gram=sp.csr_array(np.eye(n))
                              if gram is None else sp.csr_array(gram),
                              params=Params(a=0.0, mu=1.0, tau=1.0, xi=1.0),
-                             grid=grid, label=SystemLabel.ORIGINAL)
+                             grid=grid)
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +65,7 @@ def test_diagonal_matrix_spectrum():
 
 
 def test_shifted_spectrum_strictly_left_of_axis(ref_params, ref_grid):
-    gen = assemble_generator(ref_params, ref_grid, SystemLabel.SHIFTED)
+    gen = assemble_generator(ref_params, ref_grid)
     rep = eigenvalues(gen)
     assert rep.spectral_abscissa < 0.0
     # regression baseline for the reference setup
@@ -77,16 +77,15 @@ def test_shifted_spectrum_strictly_left_of_axis(ref_params, ref_grid):
 def test_spectrum_conjugate_symmetry(ref_params, kv_params, ref_grid, label):
     p = kv_params if label is SystemLabel.KELVIN_VOIGT else ref_params
     if label is SystemLabel.ORIGINAL:
-        p = replace(p, shift=0.0)
-    vals = eigenvalues(assemble_generator(p, ref_grid, label)).eigenvalues
+        p = replace(p, shifted=False)
+    vals = eigenvalues(assemble_generator(p, ref_grid)).eigenvalues
     dev = np.max(np.abs(np.sort_complex(vals) - np.sort_complex(vals.conj())))
     assert dev <= 1e-10
 
 
 def test_spectrum_shifts_with_the_generator(ref_params, ref_grid):
-    gen_s = assemble_generator(ref_params, ref_grid, SystemLabel.SHIFTED)
-    gen_o = assemble_generator(replace(ref_params, shift=0.0), ref_grid,
-                               SystemLabel.ORIGINAL)
+    gen_s = assemble_generator(ref_params, ref_grid)
+    gen_o = assemble_generator(replace(ref_params, shifted=False), ref_grid)
     ev_s = np.sort_complex(eigenvalues(gen_s).eigenvalues)
     ev_o = np.sort_complex(eigenvalues(gen_o).eigenvalues - ref_params.shift)
     assert np.max(np.abs(ev_s - ev_o)) <= 1e-10
@@ -96,7 +95,7 @@ def test_undamped_eigenvalues_sit_on_axis_at_theta(ref_grid):
     theta1 = _bisect(lambda t: 1.0 / math.tan(t) - t, 1e-6, math.pi / 2 - 1e-6)
     assert theta1 == pytest.approx(THETA_1, abs=1e-12)
     p = Params(a=0.0, mu=0.0, tau=2.0, xi=1.0)
-    gen = assemble_generator(p, ref_grid, SystemLabel.ORIGINAL)
+    gen = assemble_generator(p, ref_grid)
     vals = eigenvalues(gen).eigenvalues
     smallest = vals[np.argmin(np.abs(vals))]
     assert abs(smallest.real) < 1e-10
@@ -122,7 +121,7 @@ def test_resolvent_norm_matches_weighted_svd(ref_params, kv_params, label, n,
                                              beta):
     # independent route: Cholesky change of basis, explicit inverse, dense SVD
     p = kv_params if label is SystemLabel.KELVIN_VOIGT else ref_params
-    gen = assemble_generator(p, Grid(nx=n, nrho=n), label)
+    gen = assemble_generator(p, Grid(nx=n, nrho=n))
     got = resolvent_norm(gen, beta)
     L = np.linalg.cholesky(gen.gram)
     R = np.linalg.inv(1j * beta * np.eye(gen.dim) - gen.matrix)
@@ -149,12 +148,10 @@ assert max(DENSE_NX) * 3 < spectral.SPARSE_RESOLVENT_MIN_DIM <= min(SPARSE_NX) *
 
 def _law_generator(law: str, mu: float, nx: int) -> DiscreteGenerator:
     if law == "kelvin_voigt":
-        p, label = kelvin_voigt(a=1.0, mu=mu, tau=2.0), SystemLabel.KELVIN_VOIGT
+        p = kelvin_voigt(a=1.0, mu=mu, tau=2.0)
     else:
-        shifted = law == "shifted"
-        p = internal_friction(a=1.0, mu=mu, tau=2.0, shifted=shifted)
-        label = SystemLabel.SHIFTED if shifted else SystemLabel.ORIGINAL
-    return assemble_generator(p, Grid(nx=nx, nrho=nx), label)
+        p = internal_friction(a=1.0, mu=mu, tau=2.0, shifted=law == "shifted")
+    return assemble_generator(p, Grid(nx=nx, nrho=nx))
 
 
 @settings(max_examples=40, deadline=None)
@@ -185,8 +182,7 @@ def test_generator_norm_bounds_the_energy_norm_from_above(law):
 
 
 def test_sparse_resolvent_norm_is_repeatable(ref_params):
-    norms = [resolvent_norm(assemble_generator(ref_params, Grid(nx=60, nrho=60),
-                                               SystemLabel.SHIFTED), 3.7)
+    norms = [resolvent_norm(assemble_generator(ref_params, Grid(nx=60, nrho=60)), 3.7)
              for _ in range(2)]
     assert norms[0] == norms[1]
 
@@ -194,7 +190,7 @@ def test_sparse_resolvent_norm_is_repeatable(ref_params):
 def test_sparse_resolvent_norm_near_eigenvalue_errors():
     # undamped: beta = |Im lambda| of the slowest eigenvalue on the axis
     gen = assemble_generator(Params(a=0.0, mu=0.0, tau=2.0, xi=1.0),
-                             Grid(nx=60, nrho=60), SystemLabel.ORIGINAL)
+                             Grid(nx=60, nrho=60))
     assert gen.dim >= spectral.SPARSE_RESOLVENT_MIN_DIM
     vals = eigenvalues(gen).eigenvalues
     beta = float(np.abs(vals[np.abs(vals.real) < 1e-10].imag).min())
@@ -207,7 +203,7 @@ def test_sparse_resolvent_norm_reports_lanczos_failure(ref_params, monkeypatch):
         raise spla.ArpackNoConvergence("No convergence", [], [])
 
     monkeypatch.setattr(spla, "eigsh", no_convergence)
-    gen = assemble_generator(ref_params, Grid(nx=60, nrho=60), SystemLabel.SHIFTED)
+    gen = assemble_generator(ref_params, Grid(nx=60, nrho=60))
     with pytest.raises(EigensolverError, match="beta=4.0"):
         resolvent_norm(gen, 4.0)
 
@@ -233,13 +229,13 @@ def test_resolvent_scan_factors_the_gram_once(ref_params, ref_grid, monkeypatch)
     for mod, name in ((sla, "svdvals"), (sla, "cholesky"),
                       (lapack, "zgetrf"), (lapack, "zgecon")):
         monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
-    gen = assemble_generator(ref_params, ref_grid, SystemLabel.SHIFTED)
+    gen = assemble_generator(ref_params, ref_grid)
     resolvent_scan(gen, (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0))
     assert calls == {"svdvals": 7, "cholesky": 1}
 
 
 def test_resolvent_scan_lower_bound_and_slope(ref_params, ref_grid):
-    gen = assemble_generator(ref_params, ref_grid, SystemLabel.SHIFTED)
+    gen = assemble_generator(ref_params, ref_grid)
     scan = resolvent_scan(gen, (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0))
     assert np.all(np.isfinite(scan.norms)) and np.all(scan.norms > 0.0)
     vals = eigenvalues(gen).eigenvalues
@@ -295,7 +291,7 @@ def test_damped_undelayed_roots_match_discrete_spectrum():
     p = Params(a=1.0, mu=0.0, tau=2.0, xi=1.0)  # no delay coupling
     roots = characteristic_roots(p, Rectangle(-3.0, 0.3, 0.05, 8.0))
     assert all(r.lam.real < 0.0 for r in roots)
-    gen = assemble_generator(p, Grid(nx=20, nrho=20), SystemLabel.ORIGINAL)
+    gen = assemble_generator(p, Grid(nx=20, nrho=20))
     vals = eigenvalues(gen).eigenvalues
     vals = vals[vals.imag > 0.0]
     for root in sorted(roots, key=lambda r: abs(r.lam))[:3]:
@@ -310,11 +306,28 @@ def test_discrete_eigenvalues_converge_to_characteristic_roots():
     assert len(targets) == 3
     errors = {}
     for nx in (20, 40, 80):
-        gen = assemble_generator(p, Grid(nx=nx, nrho=nx), SystemLabel.ORIGINAL)
+        gen = assemble_generator(p, Grid(nx=nx, nrho=nx))
         vals = eigenvalues(gen).eigenvalues
         errors[nx] = max(float(np.min(np.abs(vals - t))) for t in targets)
     orders = [math.log2(errors[20] / errors[40]), math.log2(errors[40] / errors[80])]
     assert all(o >= 0.9 for o in orders), (errors, orders)
+
+
+@pytest.mark.parametrize("p, region", [
+    (internal_friction(a=1.0, mu=1.0, tau=2.0), Rectangle(-5.0, 0.5, 0.05, 8.0)),
+    KV_CASE], ids=["shifted", "kelvin_voigt"])
+def test_delayed_eigenvalue_converges_at_first_order(p, region):
+    # the discrete eigenvalue nearest the rightmost characteristic root, by
+    # shift-invert from that root, on the ladder nx = nrho in {20, 80, 320, 1280};
+    # errors fall from about 2e-2 to 3e-4 for both systems
+    root = max((r.lam for r in characteristic_roots(p, region)), key=lambda z: z.real)
+    errors = []
+    for nx in (20, 80, 320, 1280):
+        a = assemble_generator(p, Grid(nx=nx, nrho=nx)).sparse_matrix.astype(complex)
+        (val,) = spla.eigs(a, k=1, sigma=root, return_eigenvectors=False)
+        errors.append(abs(val - root))
+    orders = [math.log(e0 / e1, 4) for e0, e1 in zip(errors, errors[1:])]
+    assert all(abs(o - 1.0) <= 0.1 for o in orders), (errors, orders)
 
 
 def test_reference_shifted_characteristic_roots_all_decay(ref_params):
@@ -341,7 +354,7 @@ def test_full_region_winding_number_is_walked_once(ref_params, monkeypatch):
 
 def test_shifted_characteristic_function_is_translated(ref_params):
     f_shift = characteristic_function(ref_params)
-    f_orig = characteristic_function(replace(ref_params, shift=0.0))
+    f_orig = characteristic_function(replace(ref_params, shifted=False))
     for z in (0.3 + 1.1j, -2.0 + 0.4j, -0.5 - 3.0j):
         assert f_shift(z) == f_orig(z + ref_params.shift)
 
@@ -351,7 +364,7 @@ def test_kelvin_voigt_characteristic_roots():
     roots = characteristic_roots(p, region)
     assert roots and all(r.lam.real < 0.0 for r in roots)
     # cross-check each root against the discrete spectrum at O(dx)
-    gen = assemble_generator(p, Grid(nx=40, nrho=40), SystemLabel.KELVIN_VOIGT)
+    gen = assemble_generator(p, Grid(nx=40, nrho=40))
     vals = eigenvalues(gen).eigenvalues
     for root in sorted(roots, key=lambda r: abs(r.lam))[:2]:
         assert np.min(np.abs(vals - root.lam)) <= 5.0 / 40
@@ -379,8 +392,7 @@ def _scalar_safe_exp(z):
 
 def _scalar_terms(p):
     """The summands of F at one point, in the order F adds them."""
-    a, mu, tau = p.a, p.mu, p.tau
-    shift = p.shift if system_label(p) is SystemLabel.SHIFTED else 0.0
+    a, mu, tau, shift = p.a, p.mu, p.tau, p.shift
     is_kv = p.law is DampingLaw.KELVIN_VOIGT
 
     def terms(lam):
@@ -411,6 +423,41 @@ def _scalar_characteristic_function(p):
     return f
 
 
+# below it the scalar reference loses digits to cancellation in
+# (e^k - e^-k)/(2k), so points there are compared with mpmath instead
+MP_KAPPA = 0.1
+
+
+def _mp_terms(p, z):
+    """The summands of F at z from a 40-digit mpmath evaluation, scaled like
+    F by exp(-|Re kappa|), or None unless |kappa| < MP_KAPPA.
+
+    lam = z + shift is rounded as F rounds it, so both see the same point."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        lam = mp.mpc(complex(z) + p.shift)
+        kv = p.law is DampingLaw.KELVIN_VOIGT
+        den = 1 + p.a * lam if kv else mp.mpf(1)
+        if den == 0:
+            return None
+        k = mp.sqrt(lam * lam / den if kv else lam * (lam + p.a))
+        if abs(k) >= MP_KAPPA:
+            return None
+        s = mp.sinh(k) / k if k != 0 else mp.mpf(1)
+        scale = mp.exp(-abs(mp.re(k)))
+        terms = (lam * lam * s, den * mp.cosh(k),
+                 p.mu * lam * mp.exp(-lam * p.tau) * s)
+        return tuple(complex(t * scale) for t in terms)
+
+
+def _reference(p, z):
+    """F at z and its largest summand: from mpmath for small kappa, else from
+    the scalar code."""
+    terms = _mp_terms(p, z) or _scalar_terms(p)(z)
+    return (terms[0] if len(terms) == 1 else terms[0] + terms[1] + terms[2],
+            max(abs(t) for t in terms))
+
+
 def _model(law, a, mu, tau, shifted):
     if law == "kelvin_voigt":
         return kelvin_voigt(a=a, mu=mu, tau=tau)
@@ -420,9 +467,8 @@ def _model(law, a, mu, tau, shifted):
 def _anchor(p, where, offset):
     """A point where the series branch (kappa = 0) or the overflow of
     e^{-lam*tau} is taken, moved by ``offset``."""
-    shift = p.shift if system_label(p) is SystemLabel.SHIFTED else 0.0
-    base = {"zero": 0.0, "minus_a": -p.a, "minus_shift": -shift,
-            "minus_shift_a": -shift - p.a,
+    base = {"zero": 0.0, "minus_a": -p.a, "minus_shift": -p.shift,
+            "minus_shift_a": -p.shift - p.a,
             # Re(-lam*tau) = 800 > log(max float) = 709.8
             "overflow": -800.0 / p.tau}[where]
     return complex(base) + offset
@@ -460,17 +506,38 @@ def test_array_characteristic_function_matches_the_scalar_one(
     for z, g in zip(pts.tolist(), got.tolist()):
         # relative to the largest summand: near a root, or near the
         # Kelvin-Voigt pole, F is far smaller than the terms it sums
-        terms = _scalar_terms(p)(z)
-        w = _scalar_characteristic_function(p)(z)
+        w, big = _reference(p, z)
         if cmath.isfinite(w):
-            assert abs(g - w) <= 1e-13 * max(abs(t) for t in terms), (z, g, w)
+            assert abs(g - w) <= 1e-13 * big, (z, g, w)
         else:
             assert not cmath.isfinite(g), (z, g, w)
     one = characteristic_function(p)(pts[-1])
     assert np.shape(one) == ()
     assert cmath.isfinite(one) == cmath.isfinite(got[-1])
     if cmath.isfinite(one):
-        assert abs(one - got[-1]) <= 1e-13 * max(abs(t) for t in terms)
+        assert abs(one - got[-1]) <= 1e-13 * big
+
+
+@pytest.mark.parametrize("p", [
+    internal_friction(a=1.0, mu=1.0, tau=2.0, shifted=False),
+    internal_friction(a=1.0, mu=1.0, tau=2.0),
+    internal_friction(a=0.7, mu=2.5, tau=0.5),
+    kelvin_voigt(a=1.3, mu=0.4, tau=2.0)], ids=["original", "shifted",
+                                                "shifted_small_tau", "kelvin_voigt"])
+@pytest.mark.parametrize("where", ["zero", "minus_a", "minus_shift", "minus_shift_a"])
+def test_characteristic_function_matches_mpmath_near_kappa_zero(p, where):
+    # the series branch, the exponential form just outside it, and the seam
+    # between them at |kappa| = 1e-2, in four directions
+    radii = [0.0, 1e-17, 1e-15, 1e-12, 1e-9, 1e-6, 1e-5, 9e-5, 1.1e-4, 1e-3, 1e-2]
+    pts = np.array([_anchor(p, where, r * d) for r in radii
+                    for d in (1.0, -1.0, 1j, cmath.exp(0.7j))])
+    got = characteristic_function(p)(pts)
+    for z, g in zip(pts.tolist(), got.tolist()):
+        terms = _mp_terms(p, z)
+        if terms is None:  # kappa is not small here, e.g. -a for Kelvin-Voigt
+            continue
+        want = sum(terms)
+        assert abs(g - want) <= 1e-13 * abs(want), (z, g, want)
 
 
 @pytest.mark.parametrize("a", [0.5, 1.0, 2.0, 4.0])
@@ -555,7 +622,7 @@ def test_clearest_split_makes_one_call(ref_params):
 def test_newton_step_makes_one_three_point_call(ref_params):
     f = _SizeCounter(characteristic_function(ref_params))
     root = characteristic_roots(ref_params, Rectangle(-5.0, 0.5, 0.05, 4.0))[0].lam
-    got = spectral._newton(f, root + 0.01 + 0.01j, Rectangle(-5.0, 0.5, 0.05, 4.0), 1e-10)
+    got = spectral._newton(f, root + 0.01 + 0.01j, Rectangle(-5.0, 0.5, 0.05, 4.0))
     assert got is not None and abs(got[0] - root) < 1e-9
     assert len(f.sizes) >= 3
     assert all(size == 3 for size in f.sizes[:-1]) and f.sizes[-1] in (1, 3)

@@ -24,7 +24,7 @@ def _toy_generator(matrix, grid=None):
     return DiscreteGenerator(sparse_matrix=sp.csr_array(np.asarray(matrix, float)),
                              sparse_gram=sp.csr_array(np.eye(n)),
                              params=Params(a=0.0, mu=1.0, tau=1.0, xi=1.0),
-                             grid=grid, label=SystemLabel.ORIGINAL)
+                             grid=grid)
 
 
 def test_zero_generator_is_identity_flow():
@@ -35,13 +35,13 @@ def test_zero_generator_is_identity_flow():
 
 
 def test_zero_state_stays_zero(ref_params, ref_grid):
-    gen = assemble_generator(ref_params, ref_grid, SystemLabel.SHIFTED)
+    gen = assemble_generator(ref_params, ref_grid)
     out = step(gen, StateVector.zeros(ref_grid), dt=0.1)
     assert not out.vector.any()
 
 
 def test_step_rejects_bad_inputs(ref_params, ref_grid):
-    gen = assemble_generator(ref_params, ref_grid, SystemLabel.SHIFTED)
+    gen = assemble_generator(ref_params, ref_grid)
     for dt in (math.nan, 0.0, -1.0):
         with pytest.raises(ValueError, match="dt must be positive"):
             step(gen, StateVector.zeros(ref_grid), dt=dt)
@@ -65,7 +65,7 @@ def test_singular_step_is_reported():
 def test_step_contracts_dissipative_states(ref_params, kv_params, ref_grid,
                                            label, dt):
     p = kv_params if label is SystemLabel.KELVIN_VOIGT else ref_params
-    gen = assemble_generator(p, ref_grid, label)
+    gen = assemble_generator(p, ref_grid)
     rng = np.random.default_rng(5)
     for _ in range(100):
         sv = StateVector.from_vector(rng.standard_normal(ref_grid.dim), ref_grid)
@@ -105,7 +105,7 @@ def _track_factorizations(monkeypatch):
 
 def test_repeated_steps_factor_once(ref_params, ref_grid, monkeypatch):
     factors = _track_factorizations(monkeypatch)
-    gen = assemble_generator(ref_params, ref_grid, SystemLabel.SHIFTED)
+    gen = assemble_generator(ref_params, ref_grid)
     sv = sample_initial_state(builtin_data("paper"), ref_grid)
     for _ in range(5):
         sv = step(gen, sv, dt=0.1)
@@ -147,7 +147,7 @@ def test_reference_shifted_trace_monotone(ref_params, ref_grid, ref_data):
     assert np.all(np.diff(trace.energies) <= 0.0)
     assert np.all(trace.energies >= 0.0)
     assert np.all(np.diff(trace.times) > 0.0)
-    gen = assemble_generator(ref_params, ref_grid, SystemLabel.SHIFTED)
+    gen = assemble_generator(ref_params, ref_grid)
     assert trace.energies[0] == gen.energy(sample_initial_state(ref_data, ref_grid))
 
 
@@ -267,7 +267,7 @@ def test_sparse_path_matches_the_dense_reference(nx, nrho, label, a, mu, tau,
                                                  xi_factor, dt, seed):
     grid = Grid(nx=nx, nrho=nrho)
     p = _params_for(label, a, mu, tau, xi_factor)
-    gen = assemble_generator(p, grid, label)
+    gen = assemble_generator(p, grid)
     v0 = np.random.default_rng(seed).standard_normal(grid.dim)
 
     # each sparse iterate against a dense solve of the previous one; the
