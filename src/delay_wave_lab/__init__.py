@@ -3,15 +3,13 @@ feedback: simulation, spectra, resolvent scans and decay-rate diagnostics for
 the original, shifted and Kelvin-Voigt systems."""
 
 from .core import (BUILTIN_DATA, DampingLaw, Grid, InitialData, Params,
-                   ParamsError, StateVector, SystemLabel, builtin_data,
-                   internal_friction, kelvin_voigt, kv_condition_satisfied,
-                   sample_initial_state, shift_for, system_label,
-                   validate_params, xi_star)
+                   ParamsError, SystemLabel, builtin_data, internal_friction,
+                   kelvin_voigt, kv_condition_satisfied, sample_initial_state,
+                   shift_for, system_label, validate_params, xi_star)
 from .discretization import (DiscreteGenerator, assemble_generator,
-                             assemble_gram, rayleigh,
-                             symmetrized_max_eigenvalue)
+                             assemble_gram, symmetrized_max_eigenvalue)
 from .timestepper import (ShiftConsistencyReport, SimulationTrace,
-                          SingularStepError, shift_consistency, simulate, step)
+                          SingularStepError, shift_consistency, simulate)
 from .spectral import (BetaNearSpectrumError, CharacteristicRoot,
                        EigensolverError, Rectangle, ResolventScan,
                        RobinOverflowError, RootEnumerationError,
@@ -23,14 +21,13 @@ from .analysis import (Classification, DecayFit, PowerLawFit, SweepRow,
 
 __all__ = [
     "BUILTIN_DATA", "DampingLaw", "Grid", "InitialData", "Params",
-    "ParamsError", "StateVector", "SystemLabel", "builtin_data",
-    "internal_friction", "kelvin_voigt", "kv_condition_satisfied",
-    "sample_initial_state", "shift_for", "system_label", "validate_params",
-    "xi_star",
-    "DiscreteGenerator", "assemble_generator", "assemble_gram", "rayleigh",
+    "ParamsError", "SystemLabel", "builtin_data", "internal_friction",
+    "kelvin_voigt", "kv_condition_satisfied", "sample_initial_state",
+    "shift_for", "system_label", "validate_params", "xi_star",
+    "DiscreteGenerator", "assemble_generator", "assemble_gram",
     "symmetrized_max_eigenvalue",
     "ShiftConsistencyReport", "SimulationTrace", "SingularStepError",
-    "shift_consistency", "simulate", "step",
+    "shift_consistency", "simulate",
     "BetaNearSpectrumError", "CharacteristicRoot", "EigensolverError",
     "Rectangle", "ResolventScan", "RobinOverflowError", "RootEnumerationError",
     "SpectrumReport", "characteristic_function", "characteristic_roots",

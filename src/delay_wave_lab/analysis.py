@@ -64,7 +64,11 @@ def validate_fit_settings(window_fraction: float,
 
 
 def _window_samples(trace: SimulationTrace, window_fraction: float):
-    t_hi = float(trace.times[-1])
+    """Samples in [t_hi*(1 - window_fraction), t_hi], where t_hi is the time
+    of the last positive energy (the last time if there is none), so that a
+    decay which underflows to exactly 0 is fitted before it does."""
+    positive = np.flatnonzero(trace.energies > 0.0)
+    t_hi = float(trace.times[positive[-1] if positive.size else -1])
     t_lo = t_hi * (1.0 - window_fraction)
     mask = (trace.times >= t_lo) & (trace.times <= t_hi)
     return trace.times[mask], trace.energies[mask], (t_lo, t_hi)
@@ -117,16 +121,14 @@ def fit_decay(trace: SimulationTrace, window_fraction: float = 0.5,
                     window=window, classification=cls, note=note)
 
 
-def polynomial_fit_decay(trace: SimulationTrace,
-                         window_fraction: float = 0.5) -> PowerLawFit:
-    """Fit log E against log t on the tail window; exponent p in E ~ t^-p.
+def polynomial_fit_decay(trace: SimulationTrace) -> PowerLawFit:
+    """Fit log E against log t on the tail half; exponent p in E ~ t^-p.
 
     For exponentially decaying traces the exponent grows with the window, so
     it exceeds any fixed power; the fit is a consistency check against
     polynomial decay bounds, not a model.
     """
-    validate_fit_settings(window_fraction)
-    times, energies, _ = _window_samples(trace, window_fraction)
+    times, energies, _ = _window_samples(trace, 0.5)
     usable = (energies > 0.0) & (times > 0.0)
     if usable.sum() < 10:
         return PowerLawFit(exponent=math.nan, r_squared=math.nan)

@@ -14,6 +14,11 @@ from the same block state V = (u, v, w, z):
 The delay is carried by a transport variable z(rho, t) = u_t(1, t - tau*rho)
 on the auxiliary interval rho in (0, 1); its inflow value z(0) equals the
 boundary velocity w, which the state layout enforces by construction.
+
+A discrete state is one flat float64 array of length ``Grid.dim``:
+(u_1..u_nx, v_1..v_{nx-1}, w, z_1..z_nrho), with u at x_1..x_nx, v at the
+interior nodes x_1..x_{nx-1}, w the velocity at x_nx = 1 and z at
+rho_1..rho_nrho.  The values u_0 = v_0 = 0 and z_0 = w are not stored.
 """
 
 from __future__ import annotations
@@ -192,57 +197,6 @@ class Grid:
         return 2 * self.nx + self.nrho
 
 
-@dataclass(eq=False)
-class StateVector:
-    """Block state (u, v, w, z).
-
-    u holds displacement at x_1..x_nx, v velocity at interior nodes
-    x_1..x_{nx-1}, w the boundary velocity at x_nx = 1 and z the delay line
-    at rho_1..rho_nrho.  The inflow value z_0 is not stored; it is w by the
-    compatibility condition, see :attr:`z0`.
-    """
-
-    u: np.ndarray
-    v: np.ndarray
-    w: float
-    z: np.ndarray
-
-    def __post_init__(self):
-        self.u = np.asarray(self.u, dtype=float)
-        self.v = np.asarray(self.v, dtype=float)
-        self.w = float(self.w)
-        self.z = np.asarray(self.z, dtype=float)
-        if self.v.shape != (self.u.shape[0] - 1,):
-            raise ValueError(
-                f"v must have length len(u)-1, got {self.v.shape[0]} vs {self.u.shape[0]}")
-
-    @property
-    def z0(self) -> float:
-        """Inflow value of the delay line; an alias of w, never stored separately."""
-        return self.w
-
-    @property
-    def dim(self) -> int:
-        return self.u.size + self.v.size + 1 + self.z.size
-
-    @property
-    def vector(self) -> np.ndarray:
-        """Flat layout (u_1..u_nx, v_1..v_{nx-1}, w, z_1..z_nrho)."""
-        return np.concatenate([self.u, self.v, [self.w], self.z])
-
-    @classmethod
-    def from_vector(cls, vec: np.ndarray, grid: Grid) -> "StateVector":
-        vec = np.asarray(vec, dtype=float)
-        if vec.shape != (grid.dim,):
-            raise ValueError(f"expected vector of length {grid.dim}, got {vec.shape}")
-        nx = grid.nx
-        return cls(u=vec[:nx], v=vec[nx:2 * nx - 1], w=vec[2 * nx - 1], z=vec[2 * nx:])
-
-    @classmethod
-    def zeros(cls, grid: Grid) -> "StateVector":
-        return cls.from_vector(np.zeros(grid.dim), grid)
-
-
 @dataclass(frozen=True)
 class InitialData:
     """Initial displacement u0, velocity u1 and delay history f0.
@@ -254,16 +208,17 @@ class InitialData:
     u0: Callable[[float], float]
     u1: Callable[[float], float]
     f0: Callable[[float], float]
-    name: str = ""
 
 
-def sample_initial_state(d: InitialData, g: Grid) -> StateVector:
-    """Sample initial data pointwise onto the grid."""
-    u = np.array([d.u0(x) for x in g.x_nodes])
-    v = np.array([d.u1(x) for x in g.x_nodes[:-1]])
-    w = float(d.u1(1.0))
-    z = np.array([d.f0(r) for r in g.rho_nodes])
-    return StateVector(u=u, v=v, w=w, z=z)
+def sample_initial_state(d: InitialData, g: Grid) -> np.ndarray:
+    """Sample initial data pointwise onto the grid as the flat float64 state
+    (u_1..u_nx, v_1..v_{nx-1}, w, z_1..z_nrho) of length ``g.dim``.
+
+    w = u1(1) is the boundary velocity.  The inflow value z_0 is not stored:
+    it is w by the compatibility condition, whatever f0(0) is.
+    """
+    return np.array([*map(d.u0, g.x_nodes), *map(d.u1, g.x_nodes[:-1]),
+                     d.u1(1.0), *map(d.f0, g.rho_nodes)], dtype=float)
 
 
 def _reference_data() -> InitialData:
@@ -276,16 +231,15 @@ def _reference_data() -> InitialData:
         u0=lambda x: x * math.exp(10.0 * x),
         u1=lambda x: x * math.exp(10.0 * x),
         f0=lambda rho: math.exp(rho) * math.exp(10.0),
-        name="paper",
     )
 
 
 BUILTIN_DATA: dict[str, Callable[[], InitialData]] = {
     "paper": _reference_data,
     "zero": lambda: InitialData(u0=lambda x: 0.0, u1=lambda x: 0.0,
-                                f0=lambda rho: 0.0, name="zero"),
+                                f0=lambda rho: 0.0),
     "ramp": lambda: InitialData(u0=lambda x: x, u1=lambda x: 0.0,
-                                f0=lambda rho: 0.0, name="ramp"),
+                                f0=lambda rho: 0.0),
 }
 
 

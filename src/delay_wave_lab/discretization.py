@@ -1,10 +1,11 @@
 """Sparse generator matrices and the energy Gram matrix.
 
 A and G have a handful of nonzeros per row and are stored as ``scipy.sparse``
-CSR arrays; time stepping and the energy use them directly.  The dense views
-of ``DiscreteGenerator`` are built on first use, only by the spectral
-diagnostics: ``matrix`` (A) by the full spectrum and, with ``gram`` (G), by
-the dissipativity check; ``weighted_matrix`` by the resolvent norms below
+CSR arrays; time stepping and the energy apply them directly to the flat
+state arrays of ``core``.  The dense views of ``DiscreteGenerator`` are built
+on first use, only by the spectral diagnostics: ``matrix`` (A) by the full
+spectrum and, with ``gram`` (G), by the dissipativity check;
+``weighted_matrix`` by the resolvent norms below
 ``spectral.SPARSE_RESOLVENT_MIN_DIM``.  Above it the resolvent norms use the
 banded Cholesky factor ``gram_factor`` of G, which is tridiagonal in the
 state order, and build no dense matrix.  ``shifted_lu`` makes every sparse
@@ -38,7 +39,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 import scipy.linalg as sla
 
-from .core import DampingLaw, Grid, Params, StateVector, SystemLabel, system_label
+from .core import DampingLaw, Grid, Params, SystemLabel, system_label
 
 if TYPE_CHECKING:  # scipy.sparse is imported on first assembly, not with the package
     from scipy.sparse import sparray
@@ -64,7 +65,6 @@ class DiscreteGenerator:
     sparse_matrix: sparray
     sparse_gram: sparray
     params: Params
-    grid: Grid
     step_factors: dict = field(default_factory=dict, init=False, repr=False)
     generator_norm: float | None = field(default=None, init=False, repr=False)
 
@@ -104,9 +104,8 @@ class DiscreteGenerator:
         band[1, :-1] = self.sparse_gram.diagonal(-1)
         return sla.cholesky_banded(band, lower=True)
 
-    def energy(self, state: StateVector | np.ndarray) -> float:
-        """Energy norm ||V||_G = sqrt(V^T G V)."""
-        vec = state.vector if isinstance(state, StateVector) else np.asarray(state, float)
+    def energy(self, vec: np.ndarray) -> float:
+        """Energy norm ||V||_G = sqrt(V^T G V) of a flat state."""
         return float(np.sqrt(vec @ (self.sparse_gram @ vec)))
 
 
@@ -232,16 +231,7 @@ def assemble_generator(p: Params, g: Grid,
         entries.append((np.arange(n), np.arange(n), -p.shift))
 
     return DiscreteGenerator(sparse_matrix=_csr(n, entries),
-                             sparse_gram=assemble_gram(p, g), params=p, grid=g)
-
-
-def rayleigh(gen: DiscreteGenerator, state: StateVector) -> float:
-    """The quadratic form <A V, V>_G = V^T G A V driving the dissipativity checks."""
-    vec = state.vector
-    if vec.shape[0] != gen.dim:
-        raise ValueError(f"state dimension {vec.shape[0]} does not match "
-                         f"generator dimension {gen.dim}")
-    return float(vec @ (gen.sparse_gram @ (gen.sparse_matrix @ vec)))
+                             sparse_gram=assemble_gram(p, g), params=p)
 
 
 def symmetrized_max_eigenvalue(gen: DiscreteGenerator) -> float:

@@ -25,7 +25,7 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.linalg import lapack  # perfbench's tracer also wraps this attribute by name
 
-from .core import DampingLaw, Params, SystemLabel
+from .core import DampingLaw, Params
 from .discretization import DiscreteGenerator, shifted_lu
 
 
@@ -64,7 +64,6 @@ class SpectrumReport:
     eigenvalues: np.ndarray
     spectral_abscissa: float
     min_distance_to_imaginary_axis: float
-    label: SystemLabel
 
 
 def eigenvalues(gen: DiscreteGenerator) -> SpectrumReport:
@@ -79,7 +78,6 @@ def eigenvalues(gen: DiscreteGenerator) -> SpectrumReport:
         eigenvalues=vals,
         spectral_abscissa=float(vals.real.max()),
         min_distance_to_imaginary_axis=float(np.abs(vals.real).min()),
-        label=gen.label,
     )
 
 

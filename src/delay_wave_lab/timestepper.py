@@ -14,8 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg as sla  # noqa: F401 -- perfbench's tracer wraps this attribute by name
 
-from .core import (Grid, InitialData, Params, StateVector, SystemLabel,
-                   sample_initial_state)
+from .core import Grid, InitialData, Params, sample_initial_state
 from .discretization import (DiscreteGenerator, assemble_generator,
                              shift_deviation, shifted_lu)
 
@@ -29,14 +28,11 @@ class SingularStepError(RuntimeError):
 
 @dataclass(eq=False)
 class SimulationTrace:
-    """Time series of energies E(t_n) = ||V^n||_G."""
+    """Time series of energies E(t_n) = ||V^n||_G; ``diverged`` marks a trace
+    truncated at its last finite energy."""
 
     times: np.ndarray
     energies: np.ndarray
-    params: Params | None
-    grid: Grid | None
-    label: SystemLabel | None
-    dt: float
     diverged: bool = False
 
 
@@ -81,18 +77,6 @@ def step_count(dt: float, t_end: float) -> int:
     return n_steps
 
 
-def step(gen: DiscreteGenerator, state: StateVector, dt: float) -> StateVector:
-    """One backward-Euler step: solve (I - dt*A) V+ = V."""
-    if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    vec = state.vector
-    if vec.shape[0] != gen.dim:
-        raise ValueError(f"state dimension {vec.shape[0]} does not match "
-                         f"generator dimension {gen.dim}")
-    (out,) = _march(gen, vec, dt, 1)
-    return StateVector.from_vector(out, gen.grid)
-
-
 def simulate(p: Params, g: Grid, d: InitialData, dt: float,
              t_end: float) -> SimulationTrace:
     """Integrate from t = 0 to t_end, recording E(t_n) every step.
@@ -103,7 +87,7 @@ def simulate(p: Params, g: Grid, d: InitialData, dt: float,
     n_steps = step_count(dt, t_end)
     gen = assemble_generator(p, g)
 
-    vec = sample_initial_state(d, g).vector
+    vec = sample_initial_state(d, g)
     energies = np.empty(n_steps + 1)
     energies[0] = gen.energy(vec)
     last = n_steps
@@ -117,8 +101,7 @@ def simulate(p: Params, g: Grid, d: InitialData, dt: float,
             energies[n] = e
 
     return SimulationTrace(times=np.arange(last + 1) * dt,
-                           energies=energies[:last + 1], params=p, grid=g,
-                           label=gen.label, dt=dt, diverged=last < n_steps)
+                           energies=energies[:last + 1], diverged=last < n_steps)
 
 
 @dataclass(frozen=True)
@@ -148,7 +131,7 @@ def shift_consistency(p: Params, g: Grid, d: InitialData, dt: float,
     identity_exact = shift_deviation(gen_s, gen_o, mu1) == 0.0
 
     n_steps = step_count(dt, t_end)
-    v0 = sample_initial_state(d, g).vector
+    v0 = sample_initial_state(d, g)
     worst = 0.0
     compared = 0
     diverged = False

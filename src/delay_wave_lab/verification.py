@@ -158,9 +158,9 @@ def check_spectrum_location() -> CheckResult:
     return CheckResult("spectrum location", ok, detail)
 
 
-def _bisect(f, lo, hi, tol=1e-14):
+def _bisect(f, lo, hi):
     flo = f(lo)
-    while hi - lo > tol:
+    while hi - lo > 1e-14:
         mid = 0.5 * (lo + hi)
         if f(mid) * flo > 0.0:
             lo = mid

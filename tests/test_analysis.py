@@ -14,9 +14,7 @@ from delay_wave_lab.analysis import SWEEP_KEYS, _params_with
 
 def _trace(times, energies, diverged=False):
     return SimulationTrace(times=np.asarray(times, float),
-                           energies=np.asarray(energies, float),
-                           params=None, grid=None, label=None,
-                           dt=float(times[1] - times[0]), diverged=diverged)
+                           energies=np.asarray(energies, float), diverged=diverged)
 
 
 def _exp_trace(rate, amplitude=5.0, t_end=50.0, dt=0.1):
@@ -75,6 +73,29 @@ def test_too_few_positive_samples_is_undetermined():
     fit = fit_decay(_trace(t, e))
     assert fit.classification is Classification.UNDETERMINED
     assert "positive-energy samples" in fit.note
+
+
+def test_decay_that_underflows_to_zero_is_fitted_before_it_does():
+    # a decaying run whose energy underflows ends in exact zeros; the window
+    # ends at the last positive energy instead of holding only zeros
+    t = np.arange(0.0, 800.05, 0.1)
+    e = 5.0 * np.exp(-0.5 * t)
+    e[501:] = 0.0
+    fit = fit_decay(_trace(t, e))
+    assert fit.classification is Classification.EXPONENTIAL_DECAY
+    assert fit.rate == pytest.approx(0.5, abs=1e-10)
+    assert fit.window == (0.5 * t[500], t[500])
+
+
+def test_underflowing_reference_run_fits_as_before_the_underflow(ref_params,
+                                                                 ref_grid, ref_data):
+    # the shifted reference run underflows to E = 0 after t = 274.2, so these
+    # two runs have the same last positive energy and the same fit
+    fits = [fit_decay(simulate(ref_params, ref_grid, ref_data, dt=0.1, t_end=t_end))
+            for t_end in (500.0, 800.0)]
+    assert fits[1] == fits[0]
+    assert fits[1].classification is Classification.EXPONENTIAL_DECAY
+    assert fits[1].rate == pytest.approx(1.39687, abs=1e-5)
 
 
 def test_diverged_trace_classifies_growth():
@@ -179,7 +200,6 @@ def test_sweep_rows_keep_their_traces(ref_params, ref_grid, ref_data):
                          ref_data, dt=0.1, t_end=5.0)
         assert np.array_equal(row.trace.times, trace.times)
         assert np.array_equal(row.trace.energies, trace.energies)
-        assert row.trace.params == trace.params
         assert row.fit == fit_decay(trace)
 
 

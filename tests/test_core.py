@@ -6,10 +6,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from delay_wave_lab import (DampingLaw, Grid, InitialData, Params, ParamsError,
-                            StateVector, builtin_data, internal_friction,
-                            kelvin_voigt, kv_condition_satisfied,
-                            sample_initial_state, shift_for, validate_params,
-                            xi_star)
+                            builtin_data, internal_friction, kelvin_voigt,
+                            kv_condition_satisfied, sample_initial_state,
+                            shift_for, validate_params, xi_star)
+
+
+def _blocks(vec, g):
+    """The blocks (u, v, w, z) of a flat state on the grid g."""
+    nx = g.nx
+    return vec[:nx], vec[nx:2 * nx - 1], vec[2 * nx - 1], vec[2 * nx:]
 
 
 def test_shifted_params_compute_the_documented_shift():
@@ -84,51 +89,41 @@ def test_grid_invariants():
 
 
 def test_zero_data_samples_to_zero_state(ref_grid):
-    sv = sample_initial_state(builtin_data("zero"), ref_grid)
-    assert not sv.vector.any()
+    vec = sample_initial_state(builtin_data("zero"), ref_grid)
+    assert vec.dtype == np.float64 and not vec.any()
 
 
 def test_ref_data_samples_match_closed_forms(ref_grid):
-    sv = sample_initial_state(builtin_data("paper"), ref_grid)
-    assert sv.w == math.exp(10.0)  # u1(1) = 1 * e^{10}
-    assert sv.z[0] == math.exp(0.05) * math.exp(10.0)
-    assert sv.u[0] == 0.05 * math.exp(0.5)
+    u, v, w, z = _blocks(sample_initial_state(builtin_data("paper"), ref_grid),
+                         ref_grid)
+    assert w == math.exp(10.0)  # u1(1) = 1 * e^{10}
+    assert z[0] == math.exp(0.05) * math.exp(10.0)
+    assert u[0] == 0.05 * math.exp(0.5)
 
 
 def test_ramp_data(ref_grid):
-    sv = sample_initial_state(builtin_data("ramp"), ref_grid)
-    np.testing.assert_allclose(sv.u, ref_grid.x_nodes)
-    assert not sv.v.any() and sv.w == 0.0 and not sv.z.any()
+    u, v, w, z = _blocks(sample_initial_state(builtin_data("ramp"), ref_grid),
+                         ref_grid)
+    np.testing.assert_allclose(u, ref_grid.x_nodes)
+    assert not v.any() and w == 0.0 and not z.any()
 
 
 @given(nx=st.integers(2, 40), nrho=st.integers(1, 40))
 def test_sampled_state_dimension(nx, nrho):
     g = Grid(nx=nx, nrho=nrho)
-    sv = sample_initial_state(builtin_data("paper"), g)
-    assert sv.dim == 2 * nx + nrho == g.dim
-
-
-def test_z0_is_an_alias_of_w_not_stored(ref_grid):
-    sv = sample_initial_state(builtin_data("paper"), ref_grid)
-    # structural: z stores only rho_1..rho_nrho, the inflow value reads w
-    assert sv.z.shape == (ref_grid.nrho,)
-    assert sv.z0 == sv.w
-    sv2 = StateVector(u=sv.u, v=sv.v, w=-3.25, z=sv.z)
-    assert sv2.z0 == -3.25
-
-
-def test_vector_round_trip(ref_grid):
-    sv = sample_initial_state(builtin_data("paper"), ref_grid)
-    back = StateVector.from_vector(sv.vector, ref_grid)
-    assert np.array_equal(back.vector, sv.vector)
+    d = builtin_data("paper")
+    vec = sample_initial_state(d, g)
+    assert vec.shape == (2 * nx + nrho,) == (g.dim,)
+    # structural: z stores only rho_1..rho_nrho, the inflow value z_0 is w
+    assert np.array_equal(_blocks(vec, g)[3], [d.f0(r) for r in g.rho_nodes])
 
 
 def test_incompatible_history_is_allowed_but_visible():
-    # f0(0) need not equal u1(1); the alias holds regardless, the sampled
-    # z_1 simply differs from w
+    # f0(0) need not equal u1(1); the sampled z_1 simply differs from w
     d = InitialData(u0=lambda x: 0.0, u1=lambda x: 1.0, f0=lambda r: 5.0)
-    sv = sample_initial_state(d, Grid(nx=2, nrho=4))
-    assert sv.w == 1.0 and sv.z0 == 1.0 and sv.z[0] == 5.0
+    g = Grid(nx=2, nrho=4)
+    u, v, w, z = _blocks(sample_initial_state(d, g), g)
+    assert w == 1.0 and z[0] == 5.0
 
 
 def test_unknown_builtin_data():

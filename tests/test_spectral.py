@@ -1,9 +1,11 @@
 import cmath
 import math
+import os
 import subprocess
 import sys
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,12 +46,10 @@ ROBIN_MINUS_2 = -3.6672558244966540   # -s^2 with tanh(s) = s/2
 def _toy_generator(matrix, gram=None):
     matrix = sp.csr_array(np.asarray(matrix, float))
     n = matrix.shape[0]
-    grid = Grid(nx=2, nrho=n - 4)  # any grid with matching dimension
     return DiscreteGenerator(sparse_matrix=matrix,
                              sparse_gram=sp.csr_array(np.eye(n))
                              if gram is None else sp.csr_array(gram),
-                             params=Params(a=0.0, mu=1.0, tau=1.0, xi=1.0),
-                             grid=grid)
+                             params=Params(a=0.0, mu=1.0, tau=1.0, xi=1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +212,10 @@ def test_package_import_leaves_scipy_sparse_unloaded():
     # scipy.sparse.linalg alone costs about 0.2 s of start-up
     code = ("import sys, delay_wave_lab.cli; "
             "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))")
+    src = Path(__file__).resolve().parents[1] / "src"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True).stdout
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=str(src))).stdout
     assert out.strip() == "[]"
 
 
