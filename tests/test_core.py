@@ -129,3 +129,14 @@ def test_incompatible_history_is_allowed_but_visible():
 def test_unknown_builtin_data():
     with pytest.raises(KeyError, match="unknown data set"):
         builtin_data("nope")
+
+
+def test_public_names_resolve_and_the_state_has_no_wrapper():
+    import delay_wave_lab
+    names = delay_wave_lab.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        assert hasattr(delay_wave_lab, name), name
+    for gone in ("StateVector", "rayleigh", "step"):
+        assert gone not in names
+        assert not hasattr(delay_wave_lab, gone)

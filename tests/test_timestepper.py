@@ -300,3 +300,12 @@ def test_time_stepping_never_builds_a_dense_matrix(ref_params, ref_data,
     assert np.all(np.diff(trace.energies) <= 0.0)
     rep = shift_consistency(ref_params, grid, ref_data, dt=0.1, t_end=1.0)
     assert rep.identity_exact and rep.n_compared == 10
+
+
+def test_trace_records_only_times_energies_and_diverged(ref_params, ref_grid):
+    from dataclasses import fields
+    assert [f.name for f in fields(timestepper.SimulationTrace)] == [
+        "times", "energies", "diverged"]
+    trace = simulate(ref_params, ref_grid, builtin_data("paper"), 0.02, 0.1)
+    assert trace.times.shape == trace.energies.shape
+    assert trace.diverged is False
