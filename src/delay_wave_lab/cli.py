@@ -76,22 +76,13 @@ class RunConfig:
                                  xi=self.xi, shifted=self.shifted)
 
     def grid(self) -> Grid:
-        try:
-            return Grid(nx=self.nx, nrho=self.nrho)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return Grid(nx=self.nx, nrho=self.nrho)
 
     def region(self) -> Rectangle:
-        try:
-            return Rectangle(self.re_min, self.re_max, self.im_min, self.im_max)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return Rectangle(self.re_min, self.re_max, self.im_min, self.im_max)
 
     def initial_data(self) -> InitialData:
-        try:
-            return builtin_data(self.data)
-        except KeyError as exc:
-            raise ConfigError(str(exc).strip('"')) from exc
+        return builtin_data(self.data)
 
 
 # each key's type as RunConfig declares it; every other key is a float
@@ -153,8 +144,9 @@ def parse_config(text: str) -> RunConfig:
         analysis.validate_fit_settings(cfg.window_fraction, cfg.rate_threshold,
                                        cfg.fit_threshold)
         analysis.validate_sweep(params, cfg.vary)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    except (ValueError, KeyError) as exc:
+        # builtin_data raises KeyError, whose str() would quote the message
+        raise ConfigError(exc.args[0] if isinstance(exc, KeyError) else str(exc)) from exc
     return cfg
 
 
@@ -325,16 +317,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         text = ""
         if args.config:
-            with open(args.config) as fh:
+            with open(args.config, encoding="utf-8") as fh:
                 text = fh.read()
         text = _apply_overrides(text, extras)
         cfg = parse_config(text)
         if args.out:
             cfg = dataclasses.replace(cfg, out=args.out)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # also UnicodeDecodeError, a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -56,8 +56,7 @@ class DiscreteGenerator:
     ``symmetrized_max_eigenvalue``, ``weighted_matrix`` for
     ``spectral.resolvent_norm`` below its sparse crossover dimension.
     These caches are freed together with the generator:
-    ``step_factors`` holds the time stepper's ``shifted_lu`` factors of
-    (I - dt*A) by dt; ``gram_factor`` the banded Cholesky factor of G and
+    ``gram_factor`` holds the banded Cholesky factor of G and
     ``generator_norm`` an upper bound on the energy norm of A, at most
     sqrt(1.01) times it, both made by the sparse resolvent norm.
     """
@@ -65,7 +64,6 @@ class DiscreteGenerator:
     sparse_matrix: sparray
     sparse_gram: sparray
     params: Params
-    step_factors: dict = field(default_factory=dict, init=False, repr=False)
     generator_norm: float | None = field(default=None, init=False, repr=False)
 
     @property

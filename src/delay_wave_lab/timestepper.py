@@ -37,14 +37,11 @@ class SimulationTrace:
 
 
 def _factorization(gen: DiscreteGenerator, dt: float):
-    """Sparse LU factors of (I - dt*A), computed once per dt and kept on ``gen``."""
-    if dt in gen.step_factors:
-        return gen.step_factors[dt]
+    """Sparse LU factors of (I - dt*A)."""
     lu = shifted_lu(gen, 1.0, dt)
     if lu is not None:
         diag = np.abs(lu.U.diagonal())
         if np.all(np.isfinite(diag)) and diag.min() >= 1e-300 * max(diag.max(), 1.0):
-            gen.step_factors[dt] = lu
             return lu
     raise SingularStepError(
         f"(I - dt*A) is singular for dt={dt} on the {gen.label.value} system")

@@ -3,6 +3,13 @@
 Each check exercises one of the headline guarantees of the lab at a pinned
 tolerance and reports a single pass/fail line.  The same checks back both
 ``delay-wave-lab verify`` and the acceptance test module.
+
+A check collects one message per violated tolerance and passes exactly when
+it collects none; its detail is then a summary of what held, else the
+messages joined by "; ".  The reference setup (``REF_*``) is the "paper"
+data on a 20 x 20 grid, dt = 0.1 up to t = 50, the shifted internal-friction
+system at a = mu = 1, tau = 2, xi = 2*mu*tau and Kelvin-Voigt at a = 1,
+mu = 0.5, tau = 2, used by every check that names no other parameters.
 """
 
 from __future__ import annotations
@@ -22,6 +29,9 @@ from .timestepper import shift_consistency, simulate
 REF_GRID = Grid(nx=20, nrho=20)
 REF_DT = 0.1
 REF_T_END = 50.0
+REF_DATA = builtin_data("paper")
+REF_SHIFTED = internal_friction(a=1.0, mu=1.0, tau=2.0)
+REF_KV = kelvin_voigt(a=1.0, mu=0.5, tau=2.0)
 
 
 @dataclass(frozen=True)
@@ -32,6 +42,11 @@ class CheckResult:
 
     def line(self) -> str:
         return f"{'PASS' if self.passed else 'FAIL'}  {self.name}: {self.detail}"
+
+
+def _verdict(name: str, errs: list[str], passed: str) -> CheckResult:
+    """Pass exactly when ``errs`` is empty; the detail is ``passed`` then."""
+    return CheckResult(name, not errs, "; ".join(errs) if errs else passed)
 
 
 def _random_shifted_params(rng) -> Params:
@@ -61,21 +76,16 @@ def check_dissipativity() -> CheckResult:
     """Gram-symmetrized generator is negative semidefinite (<= 1e-10)."""
     tol = 1e-10
     rng = np.random.default_rng(20240 + 2)
-    cases = [internal_friction(a=1.0, mu=1.0, tau=2.0)]
-    cases += [_random_shifted_params(rng) for _ in range(10)]
-    worst_s = -math.inf
-    for p in cases:
-        lam = symmetrized_max_eigenvalue(assemble_generator(p, REF_GRID))
-        worst_s = max(worst_s, lam)
-    kv_cases = [kelvin_voigt(a=1.0, mu=0.5, tau=2.0)]
+    cases = [REF_SHIFTED] + [_random_shifted_params(rng) for _ in range(10)]
+    kv_cases = [REF_KV]
     for _ in range(10):
         a = rng.uniform(0.2, 2.0)
         kv_cases.append(kelvin_voigt(a=a, mu=a * rng.uniform(0.05, 1.0),
                                      tau=rng.uniform(0.25, 4.0)))
-    worst_kv = -math.inf
-    for p in kv_cases:
-        lam = symmetrized_max_eigenvalue(assemble_generator(p, REF_GRID))
-        worst_kv = max(worst_kv, lam)
+    worst_s, worst_kv = (
+        max(-math.inf, *(symmetrized_max_eigenvalue(assemble_generator(p, REF_GRID))
+                         for p in ps))
+        for ps in (cases, kv_cases))
     ok = worst_s <= tol and worst_kv <= tol
     return CheckResult(
         "discrete dissipativity", ok,
@@ -86,27 +96,21 @@ def check_dissipativity() -> CheckResult:
 def check_energy_monotonicity() -> CheckResult:
     """E(t_{n+1}) <= E(t_n)*(1 + 1e-12) for every dt in {0.01, 0.1, 1.0}."""
     slack = 1e-12
-    data = builtin_data("paper")
-    cases = [(internal_friction(a=1.0, mu=1.0, tau=2.0), "shifted"),
-             (kelvin_voigt(a=1.0, mu=0.5, tau=2.0), "kelvin_voigt")]
-    details = []
-    ok = True
-    for p, tag in cases:
+    errs = []
+    for p, tag in ((REF_SHIFTED, "shifted"), (REF_KV, "kelvin_voigt")):
         for dt in (0.01, 0.1, 1.0):
-            trace = simulate(p, REF_GRID, data, dt=dt, t_end=REF_T_END)
+            trace = simulate(p, REF_GRID, REF_DATA, dt=dt, t_end=REF_T_END)
             if trace.diverged or not np.all(np.isfinite(trace.energies)):
-                ok = False
-                details.append(f"{tag} dt={dt}: non-finite energy")
+                errs.append(f"{tag} dt={dt}: non-finite energy")
                 continue
             ratio = trace.energies[1:] / trace.energies[:-1]
             worst = float(ratio.max(initial=0.0))
             if worst > 1.0 + slack:
-                ok = False
-                details.append(f"{tag} dt={dt}: step ratio {worst - 1.0:.3e} above slack")
-    detail = "; ".join(details) if details else (
+                errs.append(f"{tag} dt={dt}: step ratio {worst - 1.0:.3e} above slack")
+    return _verdict(
+        "unconditional energy monotonicity", errs,
         "nonincreasing energies for shifted and Kelvin-Voigt at dt in "
         "{0.01, 0.1, 1.0}, slack 1e-12, E(0) finite at steep data")
-    return CheckResult("unconditional energy monotonicity", ok, detail)
 
 
 def check_robin_oracle() -> CheckResult:
@@ -124,21 +128,18 @@ def check_robin_oracle() -> CheckResult:
     curve = [spectral.robin_eigenvalue(c) for c in (-3.0, -2.0, -1.0, 0.0, 1.0, 2.0)]
     if not all(x < y for x, y in zip(curve, curve[1:])):
         errs.append(f"curve not strictly increasing: {curve}")
-    ok = not errs
-    detail = "; ".join(errs) if errs else (
+    return _verdict(
+        "Robin eigenvalue oracle", errs,
         f"C(0) = pi^2/4 and C(-1) = 0 within 1e-8, c_star = {cs:.10f} within "
         f"1e-6, curve strictly increasing on {{-3..2}}")
-    return CheckResult("Robin eigenvalue oracle", ok, detail)
 
 
 def check_spectrum_location() -> CheckResult:
     """Shifted spectrum: abscissa < 0, conjugation symmetry, exact shift."""
     tol = 1e-10
-    p = internal_friction(a=1.0, mu=1.0, tau=2.0)
-    gen_s = assemble_generator(p, REF_GRID)
-    gen_o = assemble_generator(replace(p, shifted=False), REF_GRID)
-    rep_s = spectral.eigenvalues(gen_s)
-    rep_o = spectral.eigenvalues(gen_o)
+    rep_s = spectral.eigenvalues(assemble_generator(REF_SHIFTED, REF_GRID))
+    rep_o = spectral.eigenvalues(
+        assemble_generator(replace(REF_SHIFTED, shifted=False), REF_GRID))
     errs = []
     if rep_s.spectral_abscissa >= 0.0:
         errs.append(f"abscissa {rep_s.spectral_abscissa:.3e} not negative")
@@ -146,16 +147,15 @@ def check_spectrum_location() -> CheckResult:
                              - np.sort_complex(rep_s.eigenvalues.conj())))
     if pair_dev > tol:
         errs.append(f"conjugation pairing deviation {pair_dev:.3e}")
-    shift_dev = np.max(np.abs(np.sort_complex(rep_o.eigenvalues - p.shift)
+    shift_dev = np.max(np.abs(np.sort_complex(rep_o.eigenvalues - REF_SHIFTED.shift)
                               - np.sort_complex(rep_s.eigenvalues)))
     if shift_dev > tol:
         errs.append(f"spectrum shift deviation {shift_dev:.3e}")
-    ok = not errs
-    detail = "; ".join(errs) if errs else (
+    return _verdict(
+        "spectrum location", errs,
         f"abscissa {rep_s.spectral_abscissa:.4f} < 0, conjugation within "
         f"{pair_dev:.1e}, spectrum(shifted) = spectrum(original) - mu1 within "
         f"{shift_dev:.1e} (tolerance 1e-10)")
-    return CheckResult("spectrum location", ok, detail)
 
 
 def _bisect(f, lo, hi):
@@ -173,8 +173,7 @@ def check_characteristic_oracle() -> CheckResult:
     """Undamped roots agree with cot(theta) = theta; eigenvalue error halves with dx."""
     theta1 = _bisect(lambda t: 1.0 / math.tan(t) - t, 1e-6, math.pi / 2 - 1e-6)
     p0 = Params(a=0.0, mu=0.0, tau=2.0, xi=1.0)
-    roots = spectral.characteristic_roots(
-        p0, Rectangle(-0.5, 0.5, 0.05, 2.0))
+    roots = spectral.characteristic_roots(p0, Rectangle(-0.5, 0.5, 0.05, 2.0))
     errs = []
     if len(roots) != 1:
         errs.append(f"expected 1 root in the window, got {len(roots)}")
@@ -193,18 +192,15 @@ def check_characteristic_oracle() -> CheckResult:
     factor = eig_errs[20] / eig_errs[40]
     if not 1.7 <= factor <= 2.3:
         errs.append(f"error halving factor {factor:.3f} outside [1.7, 2.3]")
-    ok = not errs
-    detail = "; ".join(errs) if errs else (
+    return _verdict(
+        "characteristic-root oracle", errs,
         f"theta1 = {theta1:.8f} matched to 1e-8; eigenvalue error "
         f"{eig_errs[20]:.2e} <= 5*dx, halving factor {factor:.2f} in [1.7, 2.3]")
-    return CheckResult("characteristic-root oracle", ok, detail)
 
 
 def check_figure1_classifications() -> CheckResult:
     """Shifted decays for mu in {1,2,4}; original grows for some mu in {1,2,4,8}."""
-    data = builtin_data("paper")
-    base = internal_friction(a=1.0, mu=1.0, tau=2.0)
-    table = analysis.sweep(base, REF_GRID, data, REF_DT, REF_T_END,
+    table = analysis.sweep(REF_SHIFTED, REF_GRID, REF_DATA, REF_DT, REF_T_END,
                            "mu", (1.0, 2.0, 4.0))
     errs = []
     for row in table.rows:
@@ -212,66 +208,54 @@ def check_figure1_classifications() -> CheckResult:
         if fit is None or fit.classification is not analysis.Classification.EXPONENTIAL_DECAY \
                 or not (fit.rate > 0.0 and fit.r_squared > 0.98):
             errs.append(f"shifted mu={row.value}: {row.error or (fit and fit.classification.value)}")
-    base_o = replace(base, shifted=False)
-    table_o = analysis.sweep(base_o, REF_GRID, data, REF_DT, REF_T_END,
-                             "mu", (1.0, 2.0, 4.0, 8.0))
+    table_o = analysis.sweep(replace(REF_SHIFTED, shifted=False), REF_GRID, REF_DATA,
+                             REF_DT, REF_T_END, "mu", (1.0, 2.0, 4.0, 8.0))
     growing = [row.value for row in table_o.rows
                if row.trace is not None and (row.trace.diverged or row.fit.classification
                                              is analysis.Classification.GROWTH)]
     if not growing:
         errs.append("no original run classified Growth or diverged")
-    ok = not errs
-    detail = "; ".join(errs) if errs else (
+    return _verdict(
+        "energy-vs-mu classifications", errs,
         f"shifted mu in {{1,2,4}} all ExponentialDecay (r^2 > 0.98); original "
         f"grows/diverges for mu in {growing}")
-    return CheckResult("energy-vs-mu classifications", ok, detail)
 
 
 def check_kelvin_voigt_decay() -> CheckResult:
     """Kelvin-Voigt decays for a = 1, mu in {0.25, 0.5, 0.75}."""
-    data = builtin_data("paper")
-    base = kelvin_voigt(a=1.0, mu=0.5, tau=2.0)
-    table = analysis.sweep(base, REF_GRID, data, REF_DT, REF_T_END,
+    table = analysis.sweep(REF_KV, REF_GRID, REF_DATA, REF_DT, REF_T_END,
                            "mu", (0.25, 0.5, 0.75))
-    errs = []
-    rates = []
+    errs, rates = [], []
     for row in table.rows:
         fit = row.fit
         if fit is None or fit.classification is not analysis.Classification.EXPONENTIAL_DECAY:
             errs.append(f"mu={row.value}: {row.error or (fit and fit.classification.value)}")
         else:
             rates.append(fit.rate)
-    ok = not errs
-    detail = "; ".join(errs) if errs else (
-        f"all rows ExponentialDecay, rates {[f'{r:.3f}' for r in rates]}")
-    return CheckResult("Kelvin-Voigt decay", ok, detail)
+    return _verdict("Kelvin-Voigt decay", errs,
+                    f"all rows ExponentialDecay, rates {[f'{r:.3f}' for r in rates]}")
 
 
 def check_shift_consistency() -> CheckResult:
     """Original vs e^{mu1 t} * shifted residual halves when dt halves."""
-    data = builtin_data("paper")
-    p = internal_friction(a=1.0, mu=1.0, tau=2.0)
-    r_coarse = shift_consistency(p, REF_GRID, data, dt=0.1, t_end=5.0)
-    r_fine = shift_consistency(p, REF_GRID, data, dt=0.05, t_end=5.0)
+    r_coarse = shift_consistency(REF_SHIFTED, REF_GRID, REF_DATA, dt=0.1, t_end=5.0)
+    r_fine = shift_consistency(REF_SHIFTED, REF_GRID, REF_DATA, dt=0.05, t_end=5.0)
     errs = []
     if not (r_coarse.identity_exact and r_fine.identity_exact):
         errs.append("generator identity not exact")
     factor = r_coarse.max_relative_residual / r_fine.max_relative_residual
     if not 1.6 <= factor <= 2.4:
         errs.append(f"residual halving factor {factor:.3f} outside [1.6, 2.4]")
-    ok = not errs
-    detail = "; ".join(errs) if errs else (
+    return _verdict(
+        "shift consistency", errs,
         f"residual {r_coarse.max_relative_residual:.3e} -> "
         f"{r_fine.max_relative_residual:.3e}, factor {factor:.2f} in [1.6, 2.4]")
-    return CheckResult("shift consistency", ok, detail)
 
 
 def check_resolvent_scan() -> CheckResult:
     """Resolvent norms finite, above the spectral-distance bound; slope reported."""
-    p = internal_friction(a=1.0, mu=1.0, tau=2.0)
-    gen = assemble_generator(p, REF_GRID)
-    betas = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
-    scan = spectral.resolvent_scan(gen, betas)
+    scan = spectral.resolvent_scan(assemble_generator(REF_SHIFTED, REF_GRID),
+                                   (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0))
     errs = []
     if not np.all(np.isfinite(scan.norms)) or np.any(scan.norms <= 0.0):
         errs.append("non-finite or nonpositive resolvent norm")
@@ -279,23 +263,19 @@ def check_resolvent_scan() -> CheckResult:
         bound = 1.0 / np.min(np.abs(1j * b - scan.spectrum))
         if nrm < bound - 1e-8:
             errs.append(f"beta={b}: norm {nrm:.6f} below spectral bound {bound:.6f}")
-    ok = not errs
-    detail = "; ".join(errs) if errs else (
+    return _verdict(
+        "resolvent scan", errs,
         f"norms finite and above the 1/dist bound (slack 1e-8); log-log slope "
         f"{scan.fitted_loglog_slope:.3f} over beta <= {scan.presaturation_cutoff:.1f} "
         f"(informational)")
-    return CheckResult("resolvent scan", ok, detail)
 
 
 def check_polynomial_bound() -> CheckResult:
     """Tail power-law exponent of the shifted run is at least 1/2."""
-    data = builtin_data("paper")
-    p = internal_friction(a=1.0, mu=1.0, tau=2.0)
-    trace = simulate(p, REF_GRID, data, dt=REF_DT, t_end=REF_T_END)
+    trace = simulate(REF_SHIFTED, REF_GRID, REF_DATA, dt=REF_DT, t_end=REF_T_END)
     fit = analysis.polynomial_fit_decay(trace)
-    ok = fit.exponent >= 0.5
     return CheckResult(
-        "polynomial-bound consistency", ok,
+        "polynomial-bound consistency", fit.exponent >= 0.5,
         f"tail power-law exponent {fit.exponent:.1f} >= 0.5 "
         f"(exponential decay dominates any fixed power)")
 

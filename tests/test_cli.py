@@ -9,7 +9,8 @@ import pytest
 import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings, strategies as st
 
-from delay_wave_lab import Grid, Params, assemble_generator, cli, spectral
+from delay_wave_lab import (Grid, Params, assemble_generator, cli, spectral,
+                            verification)
 from delay_wave_lab.cli import (ConfigError, RunConfig, main, parse_config,
                                 serialize_config)
 
@@ -330,6 +331,21 @@ def test_missing_config_file_exits_2(capsys):
     assert code == 2
 
 
+def test_config_file_not_in_utf8_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_bytes(b"mu = 1\n# caf\xe9\n")
+    code, out, err = _run(capsys, ["simulate", "--config", str(cfg_path)])
+    assert code == 2 and not out
+    assert err.startswith("config error: ") and "Traceback" not in err
+
+
+def test_unknown_data_set_message_is_unquoted():
+    with pytest.raises(ConfigError) as info:
+        parse_config("data = nope\n")
+    assert str(info.value) == ("unknown data set 'nope'; available: "
+                               "['paper', 'ramp', 'zero']")
+
+
 def test_runtime_failure_exits_1(tmp_path, capsys):
     code, _, err = _run(capsys, ["simulate", "--out",
                                  str(tmp_path / "no_dir" / "x.csv")])
@@ -343,6 +359,25 @@ def test_verify_passes_on_fresh_checkout(capsys):
     lines = [l for l in out.strip().split("\n") if l]
     assert len(lines) == 11
     assert all(l.startswith("PASS") for l in lines)
+
+
+def test_verify_reports_failing_checks_and_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(verification, "symmetrized_max_eigenvalue", lambda gen: 1.0)
+    # a constant curve never changes sign, so find_c_star is patched as well
+    monkeypatch.setattr(spectral, "robin_eigenvalue", lambda c: 5.0)
+    monkeypatch.setattr(spectral, "find_c_star", lambda: 0.0)
+    code, out, _ = _run(capsys, ["verify"])
+    assert code == 1
+    lines = out.strip().split("\n")
+    assert len(lines) == 11
+    assert lines[1] == (
+        "FAIL  discrete dissipativity: max sym eigenvalue: shifted 1.000e+00, "
+        "Kelvin-Voigt (mu<=a) 1.000e+00 (tolerance 1e-10)")
+    assert lines[3] == (
+        "FAIL  Robin eigenvalue oracle: C(0) = 5.0 vs pi^2/4; C(-1) = 5.0 vs 0; "
+        "c_star = 0.0 vs -1; curve not strictly increasing: "
+        "[5.0, 5.0, 5.0, 5.0, 5.0, 5.0]")
+    assert all(l.startswith("PASS  ") for i, l in enumerate(lines) if i not in (1, 3))
 
 
 # Override values for the exit-code property: each key draws from values it

@@ -103,15 +103,17 @@ def _track_factorizations(monkeypatch):
     return factors
 
 
-def test_repeated_steps_factor_once(ref_params, ref_grid, monkeypatch):
+def test_march_factors_once_per_run(ref_params, ref_grid, monkeypatch):
     factors = _track_factorizations(monkeypatch)
     gen = assemble_generator(ref_params, ref_grid)
-    vec = sample_initial_state(builtin_data("paper"), ref_grid)
-    for _ in range(5):
+    v0 = sample_initial_state(builtin_data("paper"), ref_grid)
+    iterates = list(timestepper._march(gen, v0, 0.1, 5))
+    assert len(iterates) == 5 and len(factors) == 1
+    vec = v0
+    for expected in iterates:  # each single-step run factors afresh
         vec = _step(gen, vec, dt=0.1)
-    assert len(factors) == 1
-    _step(gen, vec, dt=0.2)
-    assert len(factors) == 2
+        np.testing.assert_array_equal(vec, expected)
+    assert len(factors) == 6
 
 
 def test_simulate_keeps_no_generator_or_factors_alive(ref_params, ref_grid,
