@@ -310,31 +310,31 @@ def main(argv: list[str] | None = None) -> int:
     args, extras = parser.parse_known_args(argv)
 
     # advisory warnings (e.g. the Kelvin-Voigt stability condition) as plain
-    # one-line notices instead of tracebacks
-    warnings.formatwarning = (
-        lambda message, *rest, **kw: f"advisory: {message}\n")
+    # one-line notices instead of tracebacks, for this call only
+    with warnings.catch_warnings():
+        warnings.showwarning = (lambda message, *rest, **kw:
+                                print(f"advisory: {message}", file=sys.stderr))
+        try:
+            text = ""
+            if args.config:
+                with open(args.config, encoding="utf-8") as fh:
+                    text = fh.read()
+            text = _apply_overrides(text, extras)
+            cfg = parse_config(text)
+            if args.out:
+                cfg = dataclasses.replace(cfg, out=args.out)
+        except (OSError, ValueError) as exc:  # also UnicodeDecodeError, a ValueError
+            print(f"config error: {exc}", file=sys.stderr)
+            return 2
 
-    try:
-        text = ""
-        if args.config:
-            with open(args.config, encoding="utf-8") as fh:
-                text = fh.read()
-        text = _apply_overrides(text, extras)
-        cfg = parse_config(text)
-        if args.out:
-            cfg = dataclasses.replace(cfg, out=args.out)
-    except (OSError, ValueError) as exc:  # also UnicodeDecodeError, a ValueError
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
-        return run(args.command, cfg, c_star=args.c_star)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        try:
+            return run(args.command, cfg, c_star=args.c_star)
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 2
+        except Exception as exc:
+            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

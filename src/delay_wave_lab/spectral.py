@@ -522,32 +522,52 @@ def _robin_determinant(lam: float, c: float) -> float:
     return (1.0 + c) - lam * (0.5 + c / 6.0) + lam * lam * (1.0 / 24.0 + c / 120.0)
 
 
-ROBIN_BISECTION_TOL = 1e-12  # absolute width at which the Robin bisection stops
-C_STAR_TOL = 1e-10  # |eigenvalue| at which the search for c_star stops
+ROBIN_BISECTION_TOL = 1e-12  # absolute width at which the Robin bisections stop
+
+
+def _bisect(f: Callable[[float], float], lo: float, hi: float, tol: float) -> float:
+    """Midpoint of [lo, hi] narrowed around a sign change of f to width tol.
+
+    The end whose value has the sign of f(lo) moves; a zero counts as
+    negative.  The midpoint halves each end first, which is exact and cannot
+    overflow, and the loop also stops when no float midpoint is left.
+    """
+    positive = f(lo) > 0.0
+    while hi - lo > tol:
+        mid = 0.5 * lo + 0.5 * hi
+        if not lo < mid < hi:
+            break
+        if (f(mid) > 0.0) == positive:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * lo + 0.5 * hi
 
 
 def robin_eigenvalue(c: float) -> float:
-    """First eigenvalue of -u'' on (0,1) with u(0) = 0, u'(1) + c*u(1) = 0.
+    """First eigenvalue C(c) of -u'' on (0,1) with u(0) = 0, u'(1) + c*u(1) = 0.
 
-    Bisection on the analytic determinant to within ROBIN_BISECTION_TOL.
+    Bisection on the analytic determinant, accurate to the absolute
+    ROBIN_BISECTION_TOL = 1e-12, not relative to C(c): ``robin --robin_c
+    -0.9999999999999999`` prints 2.81e-13, while C(c) is about
+    3*(1 + c) = 3.3e-16.  The sign of C(c) is that of 1 + c exactly.
     For c > -1 the eigenvalue lies in (0, pi^2]; for c < -1 there is exactly
     one negative eigenvalue, bracketed by geometric expansion; c = -1 gives 0.
     That eigenvalue is about -c^2 for large |c|; where it lies below the most
     negative float, :class:`RobinOverflowError` is raised.
     """
+    if c == math.inf:  # u(1) = 0; the series would give h(0) = inf - 0*inf = nan
+        return math.pi ** 2
     h0 = 1.0 + c
     if h0 == 0.0:
         return 0.0
     if h0 > 0.0:
-        # first sign change of h along lam = s^2 on the steps s = k*pi/n_scan.
-        # It comes by k = n_scan + 1 for every c > -1: there cos and sin are
-        # negative.  h(fl(pi)^2) itself is positive for c above about 2.6e16,
-        # because sin(fl(pi)) = 1.2e-16 > 0.
-        n_scan = 2000
-        k = 1
-        while _robin_determinant((k * math.pi / n_scan) ** 2, c) > 0.0:
-            k += 1
-        lo, hi = ((k - 1) * math.pi / n_scan) ** 2, (k * math.pi / n_scan) ** 2
+        # h(s^2) = cos(s) + c*sin(s)/s changes sign exactly once for s in
+        # (0, 1.0005*pi]: tan(s) = -s/c has one root there, in (pi/2, pi) for
+        # c > 0, in (0, pi/2) for -1 < c < 0, and s = pi/2 for c = 0.  At
+        # s = 1.0005*pi cos and sin are both negative, so h < 0 for every
+        # c > -1, also above c = 2.6e16, where h(fl(pi)^2) > 0.
+        lo, hi = 0.0, (1.0005 * math.pi) ** 2
     else:
         # unique negative eigenvalue: expand left until h turns positive,
         # up to the most negative float
@@ -559,36 +579,16 @@ def robin_eigenvalue(c: float) -> float:
                     f"-{sys.float_info.max:.6g}")
             width = min(2.0 * width, sys.float_info.max)
         lo, hi = -width, 0.0
-    # bisect; sign convention: h(lo) > 0, h(hi) <= 0.  Below -8192 the float
-    # spacing exceeds the tolerance, so stop when no midpoint is left.  Halving
-    # each end first is exact and keeps lo + hi from overflowing
-    while abs(hi - lo) > ROBIN_BISECTION_TOL:
-        mid = 0.5 * lo + 0.5 * hi
-        if not lo < mid < hi:
-            break
-        if _robin_determinant(mid, c) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * lo + 0.5 * hi
+    return _bisect(lambda lam: _robin_determinant(lam, c), lo, hi, ROBIN_BISECTION_TOL)
 
 
 def find_c_star() -> float:
     """The unique negative c with a vanishing first Dirichlet-Robin eigenvalue.
 
     Bisection on c -> robin_eigenvalue(c) over an expanding negative bracket,
-    until |eigenvalue| < C_STAR_TOL.  On the unit interval the answer is -1.
+    to width ROBIN_BISECTION_TOL.  On the unit interval the answer is -1.
     """
     lo = -1.5
     while robin_eigenvalue(lo) >= 0.0:
         lo *= 2.0
-    hi = 0.0
-    while True:
-        mid = 0.5 * (lo + hi)
-        val = robin_eigenvalue(mid)
-        if abs(val) < C_STAR_TOL or (hi - lo) < 1e-15:
-            return mid
-        if val > 0.0:
-            hi = mid
-        else:
-            lo = mid
+    return _bisect(robin_eigenvalue, lo, 0.0, ROBIN_BISECTION_TOL)

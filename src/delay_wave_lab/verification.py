@@ -158,20 +158,10 @@ def check_spectrum_location() -> CheckResult:
         f"{shift_dev:.1e} (tolerance 1e-10)")
 
 
-def _bisect(f, lo, hi):
-    flo = f(lo)
-    while hi - lo > 1e-14:
-        mid = 0.5 * (lo + hi)
-        if f(mid) * flo > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def check_characteristic_oracle() -> CheckResult:
     """Undamped roots agree with cot(theta) = theta; eigenvalue error halves with dx."""
-    theta1 = _bisect(lambda t: 1.0 / math.tan(t) - t, 1e-6, math.pi / 2 - 1e-6)
+    theta1 = spectral._bisect(lambda t: 1.0 / math.tan(t) - t, 1e-6,
+                              math.pi / 2 - 1e-6, 1e-14)
     p0 = Params(a=0.0, mu=0.0, tau=2.0, xi=1.0)
     roots = spectral.characteristic_roots(p0, Rectangle(-0.5, 0.5, 0.05, 2.0))
     errs = []

@@ -189,6 +189,20 @@ def test_resolvent_lanczos_failure_exits_1(capsys, monkeypatch):
     assert stdout == ""
 
 
+def test_main_restores_the_warning_hooks(capsys):
+    before = warnings.formatwarning, warnings.showwarning
+    assert main(["robin"]) == 0
+    assert (warnings.formatwarning, warnings.showwarning) == before
+
+
+def test_kelvin_voigt_violation_prints_one_advisory_line(capsys):
+    code, out, err = _run(capsys, ["simulate", "--law", "kelvin_voigt",
+                                   "--mu", "2", "--t_end", "1"])
+    assert code == 0 and out.startswith("t,")
+    assert err == ("advisory: Kelvin-Voigt stability condition mu < |c*|*a "
+                   "violated (mu=2.0, a=1.0, |c*|=1); decay is not guaranteed\n")
+
+
 def test_robin_below_float_range_exits_1(capsys):
     code, stdout, err = _run(capsys, ["robin", "--robin_c", "-1e300"])
     assert code == 1

@@ -683,6 +683,7 @@ def test_robin_curve_strictly_increasing():
 def test_robin_dirichlet_limit_monotone_toward_pi_squared():
     # c -> +infinity approaches the clamped-clamped eigenvalue pi^2
     assert robin_eigenvalue(1e6) == pytest.approx(math.pi ** 2, rel=1e-4)
+    assert robin_eigenvalue(math.inf) == math.pi ** 2
 
 
 @pytest.mark.parametrize("c", [3e16, 1e300])
@@ -694,5 +695,41 @@ def test_robin_huge_c_brackets_past_rounded_pi(c):
 def test_find_c_star_is_minus_one():
     c_star = find_c_star()
     assert c_star == pytest.approx(-1.0, abs=1e-8)
+    assert abs(c_star + 1.0) <= spectral.ROBIN_BISECTION_TOL
     assert abs(robin_eigenvalue(c_star)) < 1e-10
     assert robin_eigenvalue(-0.5) > 0.0 > robin_eigenvalue(-1.5)
+
+
+@pytest.mark.parametrize("c", [0.0, 5.0, 1e20, 1e300, -0.5])
+def test_robin_eigenvalue_bisects_without_a_scan(monkeypatch, c):
+    calls = []
+    determinant = spectral._robin_determinant
+    monkeypatch.setattr(spectral, "_robin_determinant",
+                        lambda lam, c: calls.append(lam) or determinant(lam, c))
+    robin_eigenvalue(c)
+    assert len(calls) <= 64
+
+
+@settings(max_examples=200, deadline=None)
+@given(c=st.floats(-12.0, 300.0).map(lambda t: -1.0 + 10.0 ** t))
+@example(c=-1.0 + 1e-12)
+@example(c=2.6e16)
+@example(c=3e16)
+def test_robin_eigenvalue_is_the_first_sign_change(c):
+    # (0, (1.0005 pi)^2] holds one sign change of h for every c > -1, so the
+    # bisection needs no scan for the first one: h changes sign within 2e-12
+    # of lam and keeps the sign of h(0) = 1 + c on 4000 points below that
+    lam = robin_eigenvalue(c)
+    h = lambda x: spectral._robin_determinant(x, c)
+    assert h(lam - 2e-12) > 0.0 > h(lam + 2e-12)
+    grid = np.linspace(0.0, math.sqrt(lam - 2e-12), 4001)[1:]
+    assert all(h(s * s) > 0.0 for s in grid)
+
+
+def test_bisect_zero_rule_and_float_stop():
+    # f(mid) = 0 at the first midpoint of [0, 1] counts as negative
+    assert spectral._bisect(lambda x: 0.5 - x, 0.0, 1.0, 0.5) == 0.25
+    assert spectral._bisect(lambda x: x - 0.5, 0.0, 1.0, 0.5) == 0.75
+    # with tol = 0 the loop ends when no float lies between the ends
+    third = spectral._bisect(lambda x: x - 1.0 / 3.0, 0.0, 1.0, 0.0)
+    assert abs(third - 1.0 / 3.0) <= math.ulp(1.0 / 3.0)
