@@ -1,11 +1,11 @@
 """Sparse generator matrices and the energy Gram matrix.
 
 A and G have a handful of nonzeros per row and are stored as ``scipy.sparse``
-CSR arrays; time stepping and the energy apply them directly to the flat
-state arrays of ``core``.  The dense views of ``DiscreteGenerator`` are built
-on first use, only by the spectral diagnostics: ``matrix`` (A) by the full
-spectrum and, with ``gram`` (G), by the dissipativity check;
-``weighted_matrix`` by the resolvent norms below
+CSR arrays; time stepping factors I - dt*A from them, and the energy applies
+G directly to a flat state of ``core`` or to a block of them.  The dense
+views of ``DiscreteGenerator`` are built on first use, only by the spectral
+diagnostics: ``matrix`` (A) by the full spectrum and, with ``gram`` (G), by
+the dissipativity check; ``weighted_matrix`` by the resolvent norms below
 ``spectral.SPARSE_RESOLVENT_MIN_DIM``.  Above it the resolvent norms use the
 banded Cholesky factor ``gram_factor`` of G, which is tridiagonal in the
 state order, and build no dense matrix.  ``shifted_lu`` makes every sparse
@@ -52,9 +52,11 @@ class DiscreteGenerator:
 
     Immutable after construction apart from its caches; safe to share between
     threads.  The dense views are made on first use and time stepping never
-    builds them: ``matrix`` and ``gram`` for ``spectral.eigenvalues`` and
-    ``symmetrized_max_eigenvalue``, ``weighted_matrix`` for
-    ``spectral.resolvent_norm`` below its sparse crossover dimension.
+    builds them (its dense propagator comes from the LU of I - dt*A and
+    lives only as long as its run): ``matrix`` and ``gram`` for
+    ``spectral.eigenvalues`` and ``symmetrized_max_eigenvalue``,
+    ``weighted_matrix`` for ``spectral.resolvent_norm`` below its sparse
+    crossover dimension.
     These caches are freed together with the generator:
     ``gram_factor`` holds the banded Cholesky factor of G and
     ``generator_norm`` an upper bound on the energy norm of A, at most
@@ -102,9 +104,12 @@ class DiscreteGenerator:
         band[1, :-1] = self.sparse_gram.diagonal(-1)
         return sla.cholesky_banded(band, lower=True)
 
-    def energy(self, vec: np.ndarray) -> float:
-        """Energy norm ||V||_G = sqrt(V^T G V) of a flat state."""
-        return float(np.sqrt(vec @ (self.sparse_gram @ vec)))
+    def energy(self, vec: np.ndarray) -> float | np.ndarray:
+        """Energy norm ||V||_G = sqrt(V^T G V) of a flat state, as a float, or
+        of each row of a block of states.  A row's value equals that of the
+        same state on its own bit for bit."""
+        norm = np.sqrt(np.sum(vec * (self.sparse_gram @ vec.T).T, axis=-1))
+        return float(norm) if vec.ndim == 1 else norm
 
 
 def _csr(n: int, entries) -> sparray:

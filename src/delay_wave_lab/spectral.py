@@ -554,8 +554,11 @@ def robin_eigenvalue(c: float) -> float:
     For c > -1 the eigenvalue lies in (0, pi^2]; for c < -1 there is exactly
     one negative eigenvalue, bracketed by geometric expansion; c = -1 gives 0.
     That eigenvalue is about -c^2 for large |c|; where it lies below the most
-    negative float, :class:`RobinOverflowError` is raised.
+    negative float, :class:`RobinOverflowError` is raised; a NaN ``c`` is a
+    ``ValueError``.
     """
+    if math.isnan(c):  # every comparison below would be false
+        raise ValueError("the Robin constant c is NaN")
     if c == math.inf:  # u(1) = 0; the series would give h(0) = inf - 0*inf = nan
         return math.pi ** 2
     h0 = 1.0 + c

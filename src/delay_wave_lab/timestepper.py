@@ -5,6 +5,12 @@ no step-size restriction, which is the point of using it here: energy traces
 of the shifted and Kelvin-Voigt systems are nonincreasing for every dt.
 Divergence of the original system is a result, not an error; traces are
 truncated at the last finite energy and flagged.
+
+Every run factors I - dt*A once with ``splu``.  Up to ``DENSE_STEP_MAX_DIM``
+a step is one dense matvec with the propagator M = (I - dt*A)^{-1}, solved
+from those factors and dropped with the run; above it a step is one sparse
+triangular solve.  ``simulate`` takes the energies of up to
+``ENERGY_BLOCK_ENTRIES`` floats of iterates in one call.
 """
 
 from __future__ import annotations
@@ -20,6 +26,12 @@ from .discretization import (DiscreteGenerator, assemble_generator,
 
 
 MAX_STEPS = 1_000_000  # largest t_end/dt of a run; step_count enforces it
+# largest state dimension stepped by the dense propagator.  Per step the
+# matvec beat the sparse solve up to n = 240 and lost from n = 300 on (one
+# BLAS thread); 180 leaves a margin for the n sparse solves that build it
+DENSE_STEP_MAX_DIM = 180
+# floats of iterates per energy block of ``simulate``: 128 KiB
+ENERGY_BLOCK_ENTRIES = 2 ** 14
 
 
 class SingularStepError(RuntimeError):
@@ -47,11 +59,20 @@ def _factorization(gen: DiscreteGenerator, dt: float):
         f"(I - dt*A) is singular for dt={dt} on the {gen.label.value} system")
 
 
+def _advance(gen: DiscreteGenerator, dt: float):
+    """The map V -> (I - dt*A)^{-1} V: a matvec with the dense propagator
+    up to ``DENSE_STEP_MAX_DIM``, the sparse solve above it."""
+    lu = _factorization(gen, dt)
+    if gen.dim > DENSE_STEP_MAX_DIM:
+        return lu.solve
+    return lu.solve(np.eye(gen.dim)).dot
+
+
 def _march(gen: DiscreteGenerator, vec: np.ndarray, dt: float, n_steps: int):
     """Yield the backward-Euler iterates V^1, ..., V^n_steps of V^0 = vec."""
-    solve = _factorization(gen, dt).solve
+    advance = _advance(gen, dt)
     for _ in range(n_steps):
-        vec = solve(vec)
+        vec = advance(vec)
         yield vec
 
 
@@ -80,6 +101,8 @@ def simulate(p: Params, g: Grid, d: InitialData, dt: float,
 
     Deterministic given its inputs.  If the energy stops being finite the
     trace is truncated at the last finite value and marked as diverged.
+    The iterates are copied into one reused block and their energies taken
+    a block at a time, so a diverged run marches at most one block further.
     """
     n_steps = step_count(dt, t_end)
     gen = assemble_generator(p, g)
@@ -89,13 +112,20 @@ def simulate(p: Params, g: Grid, d: InitialData, dt: float,
     energies[0] = gen.energy(vec)
     last = n_steps
 
+    block = np.empty((min(n_steps, max(1, ENERGY_BLOCK_ENTRIES // gen.dim)), gen.dim))
+    iterates = _march(gen, vec, dt, n_steps)
     with np.errstate(over="ignore", invalid="ignore"):
-        for n, vec in enumerate(_march(gen, vec, dt, n_steps), start=1):
-            e = gen.energy(vec)
-            if not np.isfinite(e):
-                last = n - 1
+        for start in range(1, n_steps + 1, len(block)):
+            rows = block[:n_steps + 1 - start]
+            for row in rows:
+                row[:] = next(iterates)
+            e = gen.energy(rows)
+            finite = np.isfinite(e)
+            if not finite.all():
+                last = start - 1 + int(finite.argmin())
+                energies[start:last + 1] = e[:last + 1 - start]
                 break
-            energies[n] = e
+            energies[start:start + len(rows)] = e
 
     return SimulationTrace(times=np.arange(last + 1) * dt,
                            energies=energies[:last + 1], diverged=last < n_steps)

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings, strategies as st
 
 from delay_wave_lab import (DampingLaw, Grid, Params, SystemLabel,
                             assemble_generator, assemble_gram,
@@ -177,6 +178,23 @@ def test_gram_energy_closed_forms(ref_params, ref_grid):
     const_z = np.zeros(ref_grid.dim)
     _blocks(const_z, ref_grid)[3][:] = 1.0
     assert gen.energy(const_z) ** 2 == pytest.approx(4.0, abs=1e-14)
+
+
+@settings(max_examples=50, deadline=None)
+@given(nx=st.integers(2, 200), nrho=st.integers(1, 200), rows=st.integers(1, 40),
+       seed=st.integers(0, 2**32 - 1))
+def test_block_energy_equals_the_energy_of_each_row_bitwise(nx, nrho, rows, seed):
+    grid = Grid(nx=nx, nrho=nrho)
+    gen = assemble_generator(internal_friction(a=1.0, mu=1.0, tau=2.0), grid)
+    rng = np.random.default_rng(seed)
+    block = rng.standard_normal((rows, grid.dim)) * 10.0 ** rng.uniform(-150, 150, (rows, 1))
+    block[rng.random(rows) < 0.1, rng.integers(grid.dim)] = math.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        energies = gen.energy(block)
+        one_by_one = [gen.energy(row) for row in block]
+    assert energies.shape == (rows,)
+    assert all(type(e) is float for e in one_by_one)
+    np.testing.assert_array_equal(energies, one_by_one)
 
 
 def test_dissipativity_shifted_reference_parameters(ref_params, ref_grid):

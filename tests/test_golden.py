@@ -18,13 +18,13 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 GOLDEN = {
     "simulate":
-        "70559097b75aa215fc53c12372c87d771c00cbf2a012633b471e887c3690672a",
+        "1dbd5d3372f793cab00558c51b51a47d39c99551d68a6f80d8ce182bdde149be",
     "simulate --law kelvin_voigt --mu 0.5":
-        "6ac169c23f8fca9725dd7d2861b8daedb0d2f245850322b2ca227cd325b5e120",
+        "8de784ff32698b7692fe9496e151b6d7e7b64a77eb411ac77e497b619af78c48",
     "sweep":
-        "225e2a380a27dc4ef2e8a3862716ea5cf087ae2b184c8399e52054b1d88281e4",
+        "655b1de2a7e179dd070f3fc22cb3c97911305fd037d7085bcd02032fd612d533",
     "sweep --shifted false --values 1,2,4,8":
-        "f9e30e59962dd4b24722f38f783f59e0d0367fb87e2f503f91dde1dcb5989de7",
+        "15dcd4b283ed1c8323bcb935c9d6241066b9ebc04668e83b57bb58aa4524dc72",
     "spectrum":
         "5d6c912c6bbef134f8beadf875503a17525943d1a46ec46ea0f936fc58d91e08",
     "resolvent":

@@ -675,6 +675,11 @@ def test_robin_eigenvalue_below_float_range_is_an_error(c):
         robin_eigenvalue(c)
 
 
+def test_robin_eigenvalue_rejects_nan():
+    with pytest.raises(ValueError, match="NaN"):
+        robin_eigenvalue(math.nan)
+
+
 def test_robin_curve_strictly_increasing():
     values = [robin_eigenvalue(c) for c in (-3.0, -2.0, -1.0, 0.0, 1.0, 2.0)]
     assert all(x < y for x, y in zip(values, values[1:]))

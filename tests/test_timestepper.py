@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 import warnings
 import weakref
 from dataclasses import replace
@@ -76,13 +77,18 @@ def test_step_contracts_dissipative_states(ref_params, kv_params, ref_grid,
 class _FactorProxy:
     """The parts of a SuperLU object the time stepper uses; unlike SuperLU
     itself it can be weakly referenced.  Its methods are its own, so whatever
-    holds ``solve`` keeps the proxy, and its weak reference, alive."""
+    holds ``solve`` keeps the proxy, and its weak reference, alive.  A solve
+    of a matrix, the dense propagator, is recorded in ``propagators``."""
 
-    def __init__(self, lu):
+    def __init__(self, lu, propagators):
         self._lu = lu
+        self._propagators = propagators
 
     def solve(self, b):
-        return self._lu.solve(b)
+        x = self._lu.solve(b)
+        if x.ndim == 2:
+            self._propagators.append(weakref.ref(x))
+        return x
 
     @property
     def U(self):
@@ -90,35 +96,39 @@ class _FactorProxy:
 
 
 def _track_factorizations(monkeypatch):
-    """Route scipy.sparse.linalg.splu through a recorder of weak references."""
-    factors = []
+    """Route scipy.sparse.linalg.splu through a recorder of weak references
+    to the factors and to the dense propagators solved from them."""
+    factors, propagators = [], []
     real = spla.splu
 
     def splu(m, *args, **kwargs):
-        lu = _FactorProxy(real(m, *args, **kwargs))
+        lu = _FactorProxy(real(m, *args, **kwargs), propagators)
         factors.append(weakref.ref(lu))
         return lu
 
     monkeypatch.setattr(spla, "splu", splu)
-    return factors
+    return factors, propagators
 
 
 def test_march_factors_once_per_run(ref_params, ref_grid, monkeypatch):
-    factors = _track_factorizations(monkeypatch)
+    factors, propagators = _track_factorizations(monkeypatch)
     gen = assemble_generator(ref_params, ref_grid)
     v0 = sample_initial_state(builtin_data("paper"), ref_grid)
     iterates = list(timestepper._march(gen, v0, 0.1, 5))
-    assert len(iterates) == 5 and len(factors) == 1
+    assert len(iterates) == 5 and len(factors) == len(propagators) == 1
     vec = v0
     for expected in iterates:  # each single-step run factors afresh
         vec = _step(gen, vec, dt=0.1)
         np.testing.assert_array_equal(vec, expected)
-    assert len(factors) == 6
+    assert len(factors) == len(propagators) == 6
+    # the propagator belongs to its run, not to the generator that outlives it
+    gc.collect()
+    assert all(ref() is None for ref in propagators)
 
 
 def test_simulate_keeps_no_generator_or_factors_alive(ref_params, ref_grid,
                                                       ref_data, monkeypatch):
-    factors = _track_factorizations(monkeypatch)
+    factors, propagators = _track_factorizations(monkeypatch)
     generators = []
     real_assemble = timestepper.assemble_generator
 
@@ -131,8 +141,9 @@ def test_simulate_keeps_no_generator_or_factors_alive(ref_params, ref_grid,
     simulate(ref_params, ref_grid, ref_data, dt=0.1, t_end=1.0)
     simulate(ref_params, ref_grid, ref_data, dt=0.1, t_end=1.0)
     gc.collect()
-    assert len(generators) == len(factors) == 2
-    assert all(ref() is None for ref in generators + factors)
+    assert ref_grid.dim <= timestepper.DENSE_STEP_MAX_DIM
+    assert len(generators) == len(factors) == len(propagators) == 2
+    assert all(ref() is None for ref in generators + factors + propagators)
 
 
 def test_zero_data_trace_is_zero(ref_params, ref_grid):
@@ -173,6 +184,58 @@ def test_divergent_trace_truncated_and_flagged(ref_grid, ref_data):
     assert len(trace.times) < 20001
     assert np.all(np.isfinite(trace.energies))
     assert trace.times[-1] == pytest.approx((len(trace.times) - 1) * 0.1)
+
+
+def _energies_one_state_at_a_time(gen, v0, dt, n_steps):
+    """The energies of the V^n up to the last finite one, each taken alone."""
+    energies = [gen.energy(v0)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for vec in timestepper._march(gen, v0, dt, n_steps):
+            e = gen.energy(vec)
+            if not np.isfinite(e):
+                break
+            energies.append(e)
+    return energies
+
+
+@pytest.mark.parametrize("rows", [
+    lambda s: s + 7,   # the first non-finite energy lies inside the first block
+    lambda s: s,       # it is the last row of the first block
+    lambda s: s - 1,   # it is the first row of the second block
+    lambda s: 97,      # it lies inside a later block
+], ids=["first-block", "closes-a-block", "opens-a-block", "later-block"])
+def test_divergent_trace_truncates_where_single_energies_do(ref_grid, ref_data,
+                                                            monkeypatch, rows):
+    p = internal_friction(a=0.0, mu=8.0, tau=2.0, shifted=False)
+    gen = assemble_generator(p, ref_grid)
+    v0 = sample_initial_state(ref_data, ref_grid)
+    n_steps = 20_000
+    expected = _energies_one_state_at_a_time(gen, v0, 0.1, n_steps)
+    first_nonfinite = len(expected)  # step index of the first non-finite energy
+    assert 1000 < first_nonfinite < n_steps
+
+    block_rows = rows(first_nonfinite)
+    monkeypatch.setattr(timestepper, "ENERGY_BLOCK_ENTRIES", block_rows * ref_grid.dim)
+    trace = simulate(p, ref_grid, ref_data, dt=0.1, t_end=n_steps * 0.1)
+    assert trace.diverged
+    np.testing.assert_array_equal(trace.energies, expected)
+    assert len(trace.times) == first_nonfinite
+
+
+@pytest.mark.parametrize("n_steps", [2_000, 20_000])
+def test_simulate_memory_does_not_grow_with_the_step_count(ref_params, ref_grid,
+                                                           ref_data, n_steps):
+    # beyond the trace's own arrays (energies, times and the step range the
+    # times are made from), a run allocates a fixed amount: one block of
+    # iterates, its energy temporaries and the dense propagator
+    simulate(ref_params, ref_grid, ref_data, dt=0.01, t_end=0.1)  # warm caches
+    tracemalloc.start()
+    try:
+        simulate(ref_params, ref_grid, ref_data, dt=0.01, t_end=n_steps * 0.01)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - 3 * 8 * (n_steps + 1) <= 2 ** 20
 
 
 def test_simulation_is_deterministic(ref_params, ref_grid, ref_data):
@@ -287,6 +350,43 @@ def test_sparse_path_matches_the_dense_reference(nx, nrho, label, a, mu, tau,
     second = simulate(p, grid, data, dt=dt, t_end=5 * dt)
     assert len(first.energies) == 6
     assert np.array_equal(first.energies, second.energies)
+
+
+def _advance_by(gen, dt, dense):
+    """The time stepper's dense or sparse advance, whatever the dimension."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(timestepper, "DENSE_STEP_MAX_DIM", gen.dim - (not dense))
+        return timestepper._advance(gen, dt)
+
+
+@pytest.mark.filterwarnings("ignore:Kelvin-Voigt stability condition")
+@settings(max_examples=30, deadline=None)
+@given(offset=st.integers(-6, 6),
+       nx=st.integers(2, (timestepper.DENSE_STEP_MAX_DIM - 8) // 2),
+       label=st.sampled_from(SystemLabel), a=st.floats(0.1, 2.0),
+       mu=st.floats(0.1, 4.0), tau=st.floats(0.25, 4.0),
+       xi_factor=st.floats(1.1, 4.0), dt=st.floats(1e-3, 10.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_dense_and_sparse_advance_agree_across_the_crossover(
+        offset, nx, label, a, mu, tau, xi_factor, dt, seed):
+    # state dimensions within 6 of the crossover, on both sides of it
+    grid = Grid(nx=nx, nrho=timestepper.DENSE_STEP_MAX_DIM + offset - 2 * nx)
+    gen = assemble_generator(_params_for(label, a, mu, tau, xi_factor), grid)
+    dense, sparse = (_advance_by(gen, dt, flag) for flag in (True, False))
+    chosen = dense if grid.dim <= timestepper.DENSE_STEP_MAX_DIM else sparse
+    # the sparse solve, and the propagator solved from the same factors,
+    # are each accurate to about eps * cond(I - dt*A) relative, so from the
+    # same input the two paths agree to that
+    cond = np.linalg.cond(np.eye(grid.dim) - dt * gen.matrix, 1)
+    bound = np.finfo(float).eps * cond
+
+    v0 = np.random.default_rng(seed).standard_normal(grid.dim)
+    prev = v0
+    for vec in timestepper._march(gen, v0, dt, 20):
+        np.testing.assert_array_equal(vec, chosen(prev))
+        by_matvec, by_solve = dense(prev), sparse(prev)
+        assert np.linalg.norm(by_matvec - by_solve) <= bound * np.linalg.norm(by_solve)
+        prev = vec
 
 
 def test_time_stepping_never_builds_a_dense_matrix(ref_params, ref_data,
