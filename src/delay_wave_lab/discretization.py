@@ -1,8 +1,11 @@
 """Sparse generator matrices and the energy Gram matrix.
 
 A and G have a handful of nonzeros per row and are stored as ``scipy.sparse``
-CSR arrays; time stepping factors I - dt*A from them, and the energy applies
-G directly to a flat state of ``core`` or to a block of them.  The dense
+CSR arrays, built straight from their stencil entries: one stable sort of
+the keys row*n + col and one ``reduceat`` over each run of equal keys give
+the CSR arrays, with no COO array in between.  Time stepping factors
+I - dt*A from them, and the energy applies G directly to a flat state of
+``core`` or to a block of them.  The dense
 views of ``DiscreteGenerator`` are built on first use, only by the spectral
 diagnostics: ``matrix`` (A) by the full spectrum and, with ``gram`` (G), by
 the dissipativity check; ``weighted_matrix`` by the resolvent norms below
@@ -10,7 +13,9 @@ the dissipativity check; ``weighted_matrix`` by the resolvent norms below
 banded Cholesky factor ``gram_factor`` of G, which is tridiagonal in the
 state order, and build no dense matrix.  ``shifted_lu`` makes every sparse
 LU of the package: the time stepper's I - dt*A and the resolvent's
-i*beta*I - A.
+i*beta*I - A.  It forms z*I - c*A in CSC directly from A's CSR arrays, with
+no identity matrix and no scipy sparse arithmetic, entry for entry what
+scipy's sparse ``(z*I - c*A).tocsc()`` gives.
 
 ``assemble_generator(p, g)`` builds the ``system_label(p)`` system; it
 subtracts ``p.shift`` on the diagonal exactly when that shift is nonzero.
@@ -112,26 +117,59 @@ class DiscreteGenerator:
         return float(norm) if vec.ndim == 1 else norm
 
 
+def _compressed(cls, n: int, major: np.ndarray, minor: np.ndarray,
+                data: np.ndarray) -> sparray:
+    """The n x n ``cls`` array (CSR or CSC) with ``data`` at the distinct
+    (major, minor) index pairs, given in sorted order."""
+    indptr = np.zeros(n + 1, dtype=minor.dtype)
+    np.cumsum(np.bincount(major, minlength=n), out=indptr[1:])
+    return cls((data, minor, indptr), shape=(n, n))
+
+
 def _csr(n: int, entries) -> sparray:
-    """The n x n CSR array summing (rows, cols, value) entries, where a scalar
-    value applies to every position of its block.
+    """The n x n CSR array summing (rows, cols, value) entries, where rows and
+    cols are index arrays of one length, or two indices, and value is a scalar.
 
     Each position receives at most two values, whose sum is exact in either
     order, so the result equals the dense entrywise accumulation bit for bit.
+    The keys row*n + col are sorted stably and each run of equal keys summed
+    by one ``reduceat``; a sum that is zero stays as an explicit entry.
     """
     import scipy.sparse as sp
 
-    rows, cols, vals = zip(*(np.broadcast_arrays(np.atleast_1d(r), c, float(v))
-                             for r, c, v in entries))
-    return sp.coo_array((np.concatenate(vals),
-                         (np.concatenate(rows), np.concatenate(cols))),
-                        shape=(n, n)).tocsr()
+    rows, cols, vals = zip(*entries)
+    rows = list(map(np.atleast_1d, rows))
+    data = np.repeat(np.array(vals, dtype=float), list(map(len, rows)))
+    rows, cols = np.concatenate(rows), np.hstack(cols)
+    order = np.argsort(rows * n + cols, kind="stable")
+    rows, cols = rows[order], cols[order]
+    starts = np.flatnonzero(np.concatenate(
+        ([True], (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1]))))
+    return _compressed(sp.csr_array, n, rows[starts], cols[starts],
+                       np.add.reduceat(data[order], starts))
 
 
-def identity(n: int) -> sparray:
-    """The n x n identity as a CSR array."""
-    k = np.arange(n)
-    return _csr(n, [(k, k, 1.0)])
+def _shifted_csc(a: sparray, z: complex, c: float) -> sparray:
+    """z*I - c*a in CSC, from the canonical CSR array a, equal bit for bit to
+    scipy's sparse ``(z*I - c*a).tocsc()``: the pattern of a plus the
+    diagonal, less every entry that comes out exactly zero."""
+    import scipy.sparse as sp
+
+    n = a.shape[0]
+    rows = np.repeat(np.arange(n, dtype=a.indices.dtype), np.diff(a.indptr))
+    on_diag = rows == a.indices
+    zd = 1.0 * z  # z*I's diagonal; times 1.0 can flip the sign of a zero part
+    vals = np.where(on_diag, zd, 0.0) - c * a.data
+    bare = np.ones(n, dtype=bool)
+    bare[rows[on_diag]] = False
+    extra = np.flatnonzero(bare).astype(rows.dtype)
+    rows = np.concatenate((rows, extra))
+    cols = np.concatenate((a.indices, extra))
+    vals = np.concatenate((vals, np.full(len(extra), zd)))
+    kept = np.flatnonzero(vals)
+    keys = cols[kept].astype(np.intp) * n + rows[kept]
+    order = kept[np.argsort(keys, kind="stable")]
+    return _compressed(sp.csc_array, n, cols[order], rows[order], vals[order])
 
 
 def shifted_lu(gen: DiscreteGenerator, z: complex, c: float):
@@ -142,7 +180,7 @@ def shifted_lu(gen: DiscreteGenerator, z: complex, c: float):
     from scipy.sparse.linalg import splu
 
     with np.errstate(over="ignore", invalid="ignore"):  # caught just below
-        m = (z * identity(gen.dim) - c * gen.sparse_matrix).tocsc()
+        m = _shifted_csc(gen.sparse_matrix, z, c)
     if not np.all(np.isfinite(m.data)):
         return None
     try:
@@ -158,8 +196,10 @@ def shift_deviation(shifted: DiscreteGenerator, original: DiscreteGenerator,
     Zero exactly when the shift identity holds entrywise, since x - y == 0
     only for x == y in floating point.
     """
-    diff = shifted.sparse_matrix - (original.sparse_matrix
-                                    - shift * identity(original.dim))
+    # A_original - shift*I as (-shift)*I - (-1)*A_original: -shift + x and
+    # x - shift are the same float
+    diff = shifted.sparse_matrix - _shifted_csc(original.sparse_matrix,
+                                                -shift, -1.0)
     return float(abs(diff).max()) if diff.nnz else 0.0
 
 

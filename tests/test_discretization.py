@@ -1,17 +1,20 @@
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from hypothesis import given, settings, strategies as st
+import scipy.sparse as sp
+from hypothesis import example, given, settings, strategies as st
 
 from delay_wave_lab import (DampingLaw, Grid, Params, SystemLabel,
                             assemble_generator, assemble_gram,
                             internal_friction, kelvin_voigt, robin_eigenvalue,
                             sample_initial_state, symmetrized_max_eigenvalue,
                             builtin_data, system_label)
-from delay_wave_lab.discretization import shift_deviation
+from delay_wave_lab import discretization
+from delay_wave_lab.discretization import shift_deviation, shifted_lu
 
 
 def _blocks(vec, g):
@@ -140,6 +143,81 @@ def test_sparse_assembly_equals_the_loop_assembly_bitwise(nx, nrho, label):
     assert np.array_equal(gen.matrix, A)
     assert np.array_equal(gen.gram, G)
     assert np.array_equal(assemble_gram(p, g).toarray(), G)
+
+
+def _coo_csr(n, entries):
+    """The COO sum the direct CSR assembly replaced, kept as its oracle."""
+    rows, cols, vals = zip(*(np.broadcast_arrays(np.atleast_1d(r), c, float(v))
+                             for r, c, v in entries))
+    return sp.coo_array((np.concatenate(vals),
+                         (np.concatenate(rows), np.concatenate(cols))),
+                        shape=(n, n)).tocsr()
+
+
+def _assert_same_arrays(fast, slow):
+    """Same format, pattern, index arrays and data bits, signed zeros included."""
+    assert fast.format == slow.format and fast.shape == slow.shape
+    for name in ("indptr", "indices"):
+        got, want = getattr(fast, name), getattr(slow, name)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+    assert fast.data.dtype == slow.data.dtype
+    np.testing.assert_array_equal(fast.data.view(np.int64), slow.data.view(np.int64))
+
+
+@pytest.mark.filterwarnings("ignore:Kelvin-Voigt stability condition")
+@settings(max_examples=60, deadline=None)
+@given(nx=st.integers(2, 320), nrho=st.integers(1, 320),
+       label=st.sampled_from(SystemLabel),
+       a=st.one_of(st.just(0.0), st.floats(0.01, 2.0)),
+       mu=st.one_of(st.just(0.0), st.floats(0.01, 4.0)),
+       tau=st.floats(0.25, 4.0), xi_factor=st.floats(0.5, 4.0),
+       dt=st.floats(1e-3, 10.0),
+       beta=st.one_of(st.just(0.0), st.floats(-1e3, 1e3)))
+@example(nx=2, nrho=1, label=SystemLabel.ORIGINAL, a=0.0, mu=0.0, tau=1.0,
+         xi_factor=1.0, dt=0.1, beta=0.0)
+@example(nx=2, nrho=1, label=SystemLabel.KELVIN_VOIGT, a=0.0, mu=0.0, tau=1.0,
+         xi_factor=1.0, dt=0.1, beta=-0.0)
+def test_direct_sparse_builds_equal_the_scipy_reference_bitwise(
+        nx, nrho, label, a, mu, tau, xi_factor, dt, beta):
+    # a = 0 and mu = 0 give explicit zeros in A, which the shifted matrix drops
+    law = (DampingLaw.KELVIN_VOIGT if label is SystemLabel.KELVIN_VOIGT
+           else DampingLaw.INTERNAL_FRICTION)
+    p = Params(a=a, mu=mu, tau=tau, xi=tau * xi_factor, law=law,
+               shifted=label is SystemLabel.SHIFTED)
+    g = Grid(nx=nx, nrho=nrho)
+    gen = assemble_generator(p, g)
+    with mock.patch.object(discretization, "_csr", _coo_csr):
+        slow = assemble_generator(p, g)
+    _assert_same_arrays(gen.sparse_matrix, slow.sparse_matrix)
+    _assert_same_arrays(gen.sparse_gram, slow.sparse_gram)
+
+    A = gen.sparse_matrix
+    k = np.arange(g.dim)
+    identity = _coo_csr(g.dim, [(k, k, 1.0)])
+    for z, c in ((1.0, dt), (1j * beta, 1.0)):
+        _assert_same_arrays(discretization._shifted_csc(A, z, c),
+                            (z * identity - c * A).tocsc())
+    if p.shifted:
+        original = assemble_generator(replace(p, shifted=False), g)
+        for shift in (p.shift, p.shift * (1.0 + 2.0**-30)):
+            diff = A - (original.sparse_matrix - shift * identity)
+            expected = float(abs(diff).max()) if diff.nnz else 0.0
+            assert shift_deviation(gen, original, shift) == expected
+
+
+def test_sparse_builds_make_no_coo_array(ref_params, ref_grid, monkeypatch):
+    def coo_array(*args, **kwargs):
+        raise AssertionError("a COO array was built")
+
+    # the package's own name and the one scipy's constructors import
+    monkeypatch.setattr(sp, "coo_array", coo_array)
+    monkeypatch.setattr(sp._coo, "coo_array", coo_array)
+    gen = assemble_generator(ref_params, ref_grid)
+    original = assemble_generator(replace(ref_params, shifted=False), ref_grid)
+    assert shifted_lu(gen, 1.0, 0.1) is not None
+    assert shifted_lu(gen, 2.0j, 1.0) is not None
+    assert shift_deviation(gen, original, ref_params.shift) == 0.0
 
 
 def test_label_law_mismatch_rejected(ref_params, kv_params, ref_grid):

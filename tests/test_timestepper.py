@@ -184,6 +184,7 @@ def test_divergent_trace_truncated_and_flagged(ref_grid, ref_data):
     assert len(trace.times) < 20001
     assert np.all(np.isfinite(trace.energies))
     assert trace.times[-1] == pytest.approx((len(trace.times) - 1) * 0.1)
+    np.testing.assert_array_equal(trace.times, np.arange(len(trace.times)) * 0.1)
 
 
 def _energies_one_state_at_a_time(gen, v0, dt, n_steps):
@@ -225,9 +226,9 @@ def test_divergent_trace_truncates_where_single_energies_do(ref_grid, ref_data,
 @pytest.mark.parametrize("n_steps", [2_000, 20_000])
 def test_simulate_memory_does_not_grow_with_the_step_count(ref_params, ref_grid,
                                                            ref_data, n_steps):
-    # beyond the trace's own arrays (energies, times and the step range the
-    # times are made from), a run allocates a fixed amount: one block of
-    # iterates, its energy temporaries and the dense propagator
+    # beyond the trace's own two arrays (energies and times), a run
+    # allocates a fixed amount: one block of iterates, its energy
+    # temporaries and the dense propagator
     simulate(ref_params, ref_grid, ref_data, dt=0.01, t_end=0.1)  # warm caches
     tracemalloc.start()
     try:
@@ -235,7 +236,7 @@ def test_simulate_memory_does_not_grow_with_the_step_count(ref_params, ref_grid,
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak - 3 * 8 * (n_steps + 1) <= 2 ** 20
+    assert peak - 2 * 8 * (n_steps + 1) <= 2 ** 20
 
 
 def test_simulation_is_deterministic(ref_params, ref_grid, ref_data):
@@ -310,6 +311,51 @@ def test_shift_consistency_reports_overflow_as_divergence(ref_grid, ref_data):
     assert 600 < rep.n_compared < 2000
     assert 1e100 < rep.max_relative_residual < math.inf
     assert rep.max_relative_residual == pytest.approx(8.8515e104, rel=1e-4)
+
+
+def _shift_consistency_one_step_at_a_time(p, g, d, dt, t_end):
+    """(max residual, steps compared, diverged) of ``shift_consistency``
+    taken one step and two single-state energies at a time."""
+    gen_o = assemble_generator(replace(p, shifted=False), g)
+    gen_s = assemble_generator(p, g)
+    n_steps = timestepper.step_count(dt, t_end)
+    v0 = sample_initial_state(d, g)
+    worst, compared = 0.0, 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        pairs = zip(timestepper._march(gen_o, v0, dt, n_steps),
+                    timestepper._march(gen_s, v0, dt, n_steps))
+        for n, (vo, vs) in enumerate(pairs, start=1):
+            norm_o = gen_o.energy(vo)
+            if norm_o == 0.0:
+                continue
+            log_norm = np.log(norm_o)
+            residual = gen_o.energy(np.exp(-log_norm) * vo
+                                    - np.exp(p.shift * n * dt - log_norm) * vs)
+            if not (np.isfinite(norm_o) and np.isfinite(residual)):
+                return worst, compared, True
+            worst = max(worst, residual)
+            compared += 1
+    return worst, compared, False
+
+
+@pytest.mark.parametrize("a, mu, data, t_end", [
+    (1.0, 8.0, "paper", 200.0),   # diverges after about 1,000 steps
+    (0.0, 0.7, "ramp", 30.0),     # mu1*n*dt is not mu1*(n*dt) at the maximum
+    (1.0, 1.0, "zero", 2.0),      # every norm is zero, nothing is compared
+])
+@pytest.mark.parametrize("block_rows", [1, 7, 136])
+def test_shift_consistency_blocks_match_one_step_at_a_time(ref_grid, monkeypatch,
+                                                           a, mu, data, t_end,
+                                                           block_rows):
+    p = internal_friction(a=a, mu=mu, tau=2.0)
+    d = builtin_data(data)
+    expected = _shift_consistency_one_step_at_a_time(p, ref_grid, d, 0.1, t_end)
+    monkeypatch.setattr(timestepper, "ENERGY_BLOCK_ENTRIES",
+                        2 * block_rows * ref_grid.dim)
+    rep = shift_consistency(p, ref_grid, d, dt=0.1, t_end=t_end)
+    assert rep.identity_exact
+    assert (rep.max_relative_residual, rep.n_compared, rep.diverged) == expected
+    assert type(rep.max_relative_residual) is float
 
 
 def _params_for(label, a, mu, tau, xi_factor):
