@@ -15,7 +15,8 @@ state order, and build no dense matrix.  ``shifted_lu`` makes every sparse
 LU of the package: the time stepper's I - dt*A and the resolvent's
 i*beta*I - A.  It forms z*I - c*A in CSC directly from A's CSR arrays, with
 no identity matrix and no scipy sparse arithmetic, entry for entry what
-scipy's sparse ``(z*I - c*A).tocsc()`` gives.
+scipy's sparse ``(z*I - c*A).tocsc()`` gives; ``shift_deviation`` builds
+A_original - shift*I the same way in CSR.
 
 ``assemble_generator(p, g)`` builds the ``system_label(p)`` system; it
 subtracts ``p.shift`` on the diagonal exactly when that shift is nonzero.
@@ -149,10 +150,11 @@ def _csr(n: int, entries) -> sparray:
                        np.add.reduceat(data[order], starts))
 
 
-def _shifted_csc(a: sparray, z: complex, c: float) -> sparray:
-    """z*I - c*a in CSC, from the canonical CSR array a, equal bit for bit to
-    scipy's sparse ``(z*I - c*a).tocsc()``: the pattern of a plus the
-    diagonal, less every entry that comes out exactly zero."""
+def _shifted(a: sparray, z: complex, c: float, fmt: str) -> sparray:
+    """z*I - c*a in ``fmt``, "csr" or "csc", from the canonical CSR array a,
+    equal bit for bit to scipy's sparse ``(z*I - c*a).asformat(fmt)``: the
+    pattern of a plus the diagonal, less every entry that comes out exactly
+    zero."""
     import scipy.sparse as sp
 
     n = a.shape[0]
@@ -166,10 +168,12 @@ def _shifted_csc(a: sparray, z: complex, c: float) -> sparray:
     rows = np.concatenate((rows, extra))
     cols = np.concatenate((a.indices, extra))
     vals = np.concatenate((vals, np.full(len(extra), zd)))
+    major, minor = (rows, cols) if fmt == "csr" else (cols, rows)
     kept = np.flatnonzero(vals)
-    keys = cols[kept].astype(np.intp) * n + rows[kept]
+    keys = major[kept].astype(np.intp) * n + minor[kept]
     order = kept[np.argsort(keys, kind="stable")]
-    return _compressed(sp.csc_array, n, cols[order], rows[order], vals[order])
+    return _compressed(sp.csr_array if fmt == "csr" else sp.csc_array, n,
+                       major[order], minor[order], vals[order])
 
 
 def shifted_lu(gen: DiscreteGenerator, z: complex, c: float):
@@ -180,7 +184,7 @@ def shifted_lu(gen: DiscreteGenerator, z: complex, c: float):
     from scipy.sparse.linalg import splu
 
     with np.errstate(over="ignore", invalid="ignore"):  # caught just below
-        m = _shifted_csc(gen.sparse_matrix, z, c)
+        m = _shifted(gen.sparse_matrix, z, c, "csc")
     if not np.all(np.isfinite(m.data)):
         return None
     try:
@@ -197,9 +201,9 @@ def shift_deviation(shifted: DiscreteGenerator, original: DiscreteGenerator,
     only for x == y in floating point.
     """
     # A_original - shift*I as (-shift)*I - (-1)*A_original: -shift + x and
-    # x - shift are the same float
-    diff = shifted.sparse_matrix - _shifted_csc(original.sparse_matrix,
-                                                -shift, -1.0)
+    # x - shift are the same float; both operands CSR, so scipy converts none
+    diff = shifted.sparse_matrix - _shifted(original.sparse_matrix,
+                                            -shift, -1.0, "csr")
     return float(abs(diff).max()) if diff.nnz else 0.0
 
 

@@ -8,6 +8,14 @@ square-root branch ambiguity, and in a scaled form with exp(-|Re kappa|)
 factored out so that large |kappa| cannot overflow.  The scale factor is
 positive, so zeros, residual thresholds and winding numbers are unaffected.
 
+The characteristic roots are enumerated by the argument principle, one
+subdivision level at a time: the winding walks, split lines and Newton
+iterations of all rectangles of a level share each call of the
+characteristic function, whose fixed cost per call is that of about a
+hundred points.  Every rectangle keeps its own stop rules and errors, so the
+roots equal, bit for bit, those of a search that takes the rectangles one at
+a time.
+
 The Robin solver works on the analytic transcendental equation directly; it
 is deliberately independent of the matrix discretization so it can act as an
 oracle for it.
@@ -319,146 +327,214 @@ def characteristic_function(p: Params) -> Callable:
     return f
 
 
-def _winding_number(f, rect: Rectangle) -> int:
-    """Winding number of f along the rectangle boundary.
+def _winding_number(f, rects: list[Rectangle]) -> list[int]:
+    """Winding numbers of f along the boundaries of ``rects``.
 
-    Trapezoid walk of the boundary, refined until every phase increment is
-    below pi/2 and the total stabilizes at an integer within 1e-3.  A root on
-    (or next to) the boundary never satisfies the phase criterion, so the
+    Each boundary gets a trapezoid walk, refined until every phase increment
+    is below pi/2 and the total stabilizes at an integer within 1e-3.  A root
+    on (or next to) a boundary never satisfies the phase criterion, so the
     per-side sample count is capped at WINDING_MAX_SAMPLES rather than
     refined indefinitely.  Each refinement halves the step, a power of two,
     so the previous samples are reused exactly and only the midpoints are
-    evaluated, in one array call per level.
+    evaluated.  The walks advance together: their first samples are one call
+    of f, and each refinement round is one call for the midpoints of every
+    walk still open.  Every walk keeps its own stop rule, cap and errors; the
+    first round in which a walk fails raises, for the first such rectangle
+    in list order.
     """
-    corners = np.array([complex(rect.re_min, rect.im_min), complex(rect.re_max, rect.im_min),
-                        complex(rect.re_max, rect.im_max), complex(rect.re_min, rect.im_max)])
-    start, side = corners[:, None], (corners[[1, 2, 3, 0]] - corners)[:, None]
+    corners = np.array([[complex(r.re_min, r.im_min), complex(r.re_max, r.im_min),
+                         complex(r.re_max, r.im_max), complex(r.re_min, r.im_max)]
+                        for r in rects])
+    start, side = corners[..., None], (corners[:, [1, 2, 3, 0]] - corners)[..., None]
     n = WINDING_MIN_SAMPLES
-    vals = f(start + np.arange(n) * (side / n))  # (side, sample)
-    prev = None
+    vals = f(start + np.arange(n) * (side / n))  # (walk, side, sample)
+    counts: list[int] = [0] * len(rects)
+    prev: list[float | None] = [None] * len(rects)
+    walks = list(range(len(rects)))  # rectangle of each row of vals
     while True:
-        if not (vals.all() and np.isfinite(vals).all()):
-            raise RootEnumerationError(
-                "characteristic function vanishes or overflows on the region "
-                "boundary; shrink or move the region")
-        ring = vals.ravel()
-        dargs = np.angle(np.concatenate((ring[1:], ring[:1])) / ring)
-        if np.max(np.abs(dargs)) > 0.5 * math.pi:
-            prev = None
-        else:
-            total = dargs.sum() / (2.0 * math.pi)
-            if prev is not None and abs(total - prev) < 1e-3:
-                if abs(total - round(total)) > 1e-3:
-                    raise RootEnumerationError(
-                        f"winding number {total:.6f} along the region boundary is "
-                        f"not integral; the boundary is too close to a root")
-                return int(round(total))
-            prev = total
+        going = []  # rows of vals whose walk refines again
+        for row, i in enumerate(walks):
+            if not (vals[row].all() and np.isfinite(vals[row]).all()):
+                raise RootEnumerationError(
+                    "characteristic function vanishes or overflows on the region "
+                    "boundary; shrink or move the region")
+            ring = vals[row].ravel()
+            dargs = np.angle(np.concatenate((ring[1:], ring[:1])) / ring)
+            if np.max(np.abs(dargs)) > 0.5 * math.pi:
+                prev[i] = None
+            else:
+                total = dargs.sum() / (2.0 * math.pi)
+                if prev[i] is not None and abs(total - prev[i]) < 1e-3:
+                    if abs(total - round(total)) > 1e-3:
+                        raise RootEnumerationError(
+                            f"winding number {total:.6f} along the region boundary is "
+                            f"not integral; the boundary is too close to a root")
+                    counts[i] = int(round(total))
+                    continue
+                prev[i] = total
+            going.append(row)
+        if not going:
+            return counts
         n *= 2
         if n > WINDING_MAX_SAMPLES:
             raise RootEnumerationError(
                 "winding number did not stabilize; the region boundary is too "
                 "close to a root")
-        refined = np.empty((4, n), dtype=complex)
-        refined[:, 0::2] = vals
-        refined[:, 1::2] = f(start + np.arange(1, n, 2) * (side / n))
+        walks = [walks[row] for row in going]
+        refined = np.empty((len(walks), 4, n), dtype=complex)
+        refined[..., 0::2] = vals[going]
+        refined[..., 1::2] = f(start[walks] + np.arange(1, n, 2) * (side[walks] / n))
         vals = refined
 
 
-def _newton(f, z0: complex, rect: Rectangle) -> tuple[complex, float] | None:
-    """Newton refinement with a central-difference derivative, confined near rect.
+def _newton(f, seeds: list[complex],
+            rects: list[Rectangle]) -> list[tuple[complex, float] | None]:
+    """Newton refinement from each seed, with a central-difference derivative,
+    confined near its rectangle.
 
-    Each step evaluates f at z and z +- h in one call.  Stops at |f| below
-    ROOT_RESIDUAL_TOL, at a negligible step or after NEWTON_MAX_ITER steps;
-    the last two accept the final point only if |f| is that small there.
+    A run stops at |f| below ROOT_RESIDUAL_TOL, at a negligible step or after
+    NEWTON_MAX_ITER steps; the last two accept the final point only if |f| is
+    that small there.  The runs step in lockstep: each iteration is one call
+    of f at z and z +- h of every open run and at the final point of every
+    run that stopped in the iteration before.
     """
-    bound = 4.0 * max(rect.re_max - rect.re_min, rect.im_max - rect.im_min)
-    center = complex((rect.re_min + rect.re_max) / 2, (rect.im_min + rect.im_max) / 2)
-    z = z0
-    for _ in range(NEWTON_MAX_ITER):
-        h = 1e-7 * (1.0 + abs(z))
-        fz, fp, fm = f(np.array([z, z + h, z - h])).tolist()
-        if not (cmath.isfinite(fz)):
-            return None
-        if abs(fz) < ROOT_RESIDUAL_TOL:
-            return z, abs(fz)
-        df = (fp - fm) / (2.0 * h)
-        if df == 0.0 or not cmath.isfinite(df):
-            return None
-        dz = fz / df
-        z = z - dz
-        if abs(z - center) > bound:
-            return None
-        if abs(dz) < 5e-16 * (1.0 + abs(z)):
-            break
-    fz = complex(f(z))
-    return (z, abs(fz)) if abs(fz) < ROOT_RESIDUAL_TOL else None
+    z = list(seeds)
+    bound = [4.0 * max(r.re_max - r.re_min, r.im_max - r.im_min) for r in rects]
+    center = [complex((r.re_min + r.re_max) / 2, (r.im_min + r.im_max) / 2)
+              for r in rects]
+    steps = [0] * len(z)
+    out: list[tuple[complex, float] | None] = [None] * len(z)
+    runs, last = list(range(len(z))), []  # open runs; runs owing a final value
+    while runs or last:
+        hs = [1e-7 * (1.0 + abs(z[i])) for i in runs]
+        pts = [w for i, h in zip(runs, hs) for w in (z[i], z[i] + h, z[i] - h)]
+        vals = f(np.array(pts + [z[i] for i in last])).tolist()
+        for i, fz in zip(last, vals[len(pts):]):
+            out[i] = (z[i], abs(fz)) if abs(fz) < ROOT_RESIDUAL_TOL else None
+        going, last = [], []
+        for j, (i, h) in enumerate(zip(runs, hs)):
+            fz, fp, fm = vals[3 * j:3 * j + 3]
+            if not cmath.isfinite(fz):
+                continue
+            if abs(fz) < ROOT_RESIDUAL_TOL:
+                out[i] = (z[i], abs(fz))
+                continue
+            df = (fp - fm) / (2.0 * h)
+            if df == 0.0 or not cmath.isfinite(df):
+                continue
+            dz = fz / df
+            z[i] = z[i] - dz
+            if abs(z[i] - center[i]) > bound[i]:
+                continue
+            steps[i] += 1
+            if abs(dz) < 5e-16 * (1.0 + abs(z[i])) or steps[i] == NEWTON_MAX_ITER:
+                last.append(i)
+            else:
+                going.append(i)
+        runs = going
+    return out
 
 
-def _clearest_split(f, lo: float, hi: float, span: tuple[float, float],
-                    vertical: bool) -> float:
-    """Split coordinate in (lo, hi) whose line keeps |f| largest.
+def _seeds(rect: Rectangle) -> list[complex]:
+    """Newton seeds of a rectangle, in the order they are tried: the centre,
+    then the four quarter points."""
+    seeds = [complex((rect.re_min + rect.re_max) / 2,
+                     (rect.im_min + rect.im_max) / 2)]
+    seeds += [complex(rect.re_min + sr * (rect.re_max - rect.re_min),
+                      rect.im_min + si * (rect.im_max - rect.im_min))
+              for sr in (0.25, 0.75) for si in (0.25, 0.75)]
+    return seeds
 
-    Avoids cutting through a root, which would make the sub-contours unusable.
-    All candidate lines are evaluated in one call; ties go to the earlier
-    candidate, the centre first.
+
+def _split(f, rects: list[Rectangle]) -> list[tuple[Rectangle, Rectangle]]:
+    """Each rectangle cut in two across its longer side (the real one on a
+    tie), along the candidate line that keeps |f| largest.
+
+    Avoids cutting through a root, which would make the sub-contours
+    unusable.  The candidate lines of all rectangles are evaluated in one
+    call; ties go to the earlier candidate, the centre first.
     """
-    ts = np.linspace(span[0], span[1], 33)
-    ms = lo + np.array([0.5, 0.46, 0.54, 0.42, 0.58, 0.38, 0.62]) * (hi - lo)
-    pts = ms[:, None] + 1j * ts if vertical else ts + 1j * ms[:, None]
-    clear = np.abs(f(pts)).min(axis=1)
-    return float(ms[np.argmax(clear)])
+    cuts, grids = [], []
+    for r in rects:
+        vertical = (r.re_max - r.re_min) >= (r.im_max - r.im_min)
+        lo, hi, span = ((r.re_min, r.re_max, (r.im_min, r.im_max)) if vertical
+                        else (r.im_min, r.im_max, (r.re_min, r.re_max)))
+        ts = np.linspace(span[0], span[1], 33)
+        ms = lo + np.array([0.5, 0.46, 0.54, 0.42, 0.58, 0.38, 0.62]) * (hi - lo)
+        grids.append(ms[:, None] + 1j * ts if vertical else ts + 1j * ms[:, None])
+        cuts.append((ms, vertical))
+    clear = np.abs(f(np.array(grids))).min(axis=2)
+    parts = []
+    for r, (ms, vertical), c in zip(rects, cuts, clear):
+        m = float(ms[np.argmax(c)])
+        parts.append((Rectangle(r.re_min, m, r.im_min, r.im_max),
+                      Rectangle(m, r.re_max, r.im_min, r.im_max)) if vertical else
+                     (Rectangle(r.re_min, r.re_max, r.im_min, m),
+                      Rectangle(r.re_min, r.re_max, m, r.im_max)))
+    return parts
 
 
-def _enumerate(f, rect: Rectangle, count: int,
-               depth: int = 0) -> list[tuple[complex, float]]:
-    """Roots in ``rect``, whose winding number ``count`` the caller computed."""
-    if depth > 80:
-        raise RootEnumerationError("subdivision depth exhausted during root search")
-    if count == 0:
-        return []
-    tiny = (rect.re_max - rect.re_min) < 1e-6 and (rect.im_max - rect.im_min) < 1e-6
-    if count == 1 or tiny:
-        seeds = [complex((rect.re_min + rect.re_max) / 2,
-                         (rect.im_min + rect.im_max) / 2)]
-        seeds += [complex(rect.re_min + sr * (rect.re_max - rect.re_min),
-                          rect.im_min + si * (rect.im_max - rect.im_min))
-                  for sr in (0.25, 0.75) for si in (0.25, 0.75)]
-        for z0 in seeds:
-            got = _newton(f, z0, rect)
-            if got is not None and rect.contains(got[0]):
-                if count == 1:
-                    return [got]
-                # tiny cluster: report the refined point `count` times
-                return [got] * count
-        if tiny:
-            raise RootEnumerationError(
-                f"could not refine a root cluster of winding count {count} "
-                f"near {seeds[0]}")
-    if (rect.re_max - rect.re_min) >= (rect.im_max - rect.im_min):
-        m = _clearest_split(f, rect.re_min, rect.re_max,
-                            (rect.im_min, rect.im_max), vertical=True)
-        parts = [Rectangle(rect.re_min, m, rect.im_min, rect.im_max),
-                 Rectangle(m, rect.re_max, rect.im_min, rect.im_max)]
-    else:
-        m = _clearest_split(f, rect.im_min, rect.im_max,
-                            (rect.re_min, rect.re_max), vertical=False)
-        parts = [Rectangle(rect.re_min, rect.re_max, rect.im_min, m),
-                 Rectangle(rect.re_min, rect.re_max, m, rect.im_max)]
+def _enumerate(f, region: Rectangle, total: int) -> list[tuple[complex, float]]:
+    """Roots in ``region``, whose winding number ``total`` the caller computed,
+    found one subdivision level at a time.
+
+    A rectangle of count 0 is dropped.  One of count 1, or one below 1e-6 on
+    both sides, is refined by Newton from its seeds in turn, all runs of the
+    level in lockstep, a further seed only where the one before failed or
+    left the rectangle; a tiny rectangle reports its refined point ``count``
+    times, and raises if no seed converges.  Every other rectangle is split,
+    all of the level together, and the walks of all children give the next
+    level.  Reaching level 81 raises.
+    """
     found: list[tuple[complex, float]] = []
-    for part in parts:
-        found += _enumerate(f, part, _winding_number(f, part), depth + 1)
-    return found
+    level, depth = [(region, total)], 0
+    while True:
+        if depth > 80:
+            raise RootEnumerationError("subdivision depth exhausted during root search")
+        split, refine = [], []
+        for rect, count in level:
+            tiny = (rect.re_max - rect.re_min) < 1e-6 and (rect.im_max - rect.im_min) < 1e-6
+            if count == 1 or (tiny and count != 0):
+                refine.append((rect, count, tiny, _seeds(rect)))
+            elif count != 0:
+                split.append(rect)
+        for k in range(5):  # the seeds in turn
+            if not refine:
+                break
+            got = _newton(f, [seeds[k] for *_, seeds in refine], [rect for rect, *_ in refine])
+            failed = []
+            for item, g in zip(refine, got):
+                if g is not None and item[0].contains(g[0]):
+                    found += [g] * item[1]
+                else:
+                    failed.append(item)
+            refine = failed
+        for rect, count, tiny, seeds in refine:
+            if tiny:
+                raise RootEnumerationError(
+                    f"could not refine a root cluster of winding count {count} "
+                    f"near {seeds[0]}")
+            split.append(rect)
+        if not split:
+            return found
+        children = [part for pair in _split(f, split) for part in pair]
+        level = list(zip(children, _winding_number(f, children)))
+        depth += 1
 
 
 def characteristic_roots(p: Params, region: Rectangle) -> list[CharacteristicRoot]:
     """All characteristic roots inside ``region``.
 
-    Argument-principle winding counts enumerate the roots, Newton refines
-    them, and the total multiplicity is reconciled against the winding count
-    of the full region; disagreement raises :class:`RootEnumerationError`.
-    Roots are listed by ascending real part; roots whose real parts agree to
-    1e-7*(1 + |lam|), such as a conjugate pair, by ascending imaginary part.
+    Argument-principle winding counts enumerate the roots, one subdivision
+    level at a time, Newton refines them, and the total multiplicity is
+    reconciled against the winding count of the full region; disagreement
+    raises :class:`RootEnumerationError`.  So does an unusable contour or
+    cluster: the full region's walk is checked first, then each level in
+    turn, where a tiny cluster that no seed refines raises before the walks
+    of the level's children, and a walk failure raises in the first
+    refinement round in which any child's walk fails.  Roots are listed by
+    ascending real part; roots whose real parts agree to 1e-7*(1 + |lam|),
+    such as a conjugate pair, by ascending imaginary part.
     """
     if p.law is DampingLaw.KELVIN_VOIGT and p.a > 0.0:
         pole = -1.0 / p.a
@@ -467,7 +543,7 @@ def characteristic_roots(p: Params, region: Rectangle) -> list[CharacteristicRoo
                 f"Kelvin-Voigt characteristic function is singular at "
                 f"lam = -1/a = {pole}; choose a region excluding that point")
     f = characteristic_function(p)
-    total = _winding_number(f, region)
+    (total,) = _winding_number(f, [region])
     raw = _enumerate(f, region, total)
 
     merged: list[list] = []  # [lam, residual, multiplicity]

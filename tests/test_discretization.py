@@ -195,9 +195,10 @@ def test_direct_sparse_builds_equal_the_scipy_reference_bitwise(
     A = gen.sparse_matrix
     k = np.arange(g.dim)
     identity = _coo_csr(g.dim, [(k, k, 1.0)])
-    for z, c in ((1.0, dt), (1j * beta, 1.0)):
-        _assert_same_arrays(discretization._shifted_csc(A, z, c),
-                            (z * identity - c * A).tocsc())
+    for z, c in ((1.0, dt), (1j * beta, 1.0), (-p.shift, -1.0)):
+        for fmt in ("csr", "csc"):
+            _assert_same_arrays(discretization._shifted(A, z, c, fmt),
+                                (z * identity - c * A).asformat(fmt))
     if p.shifted:
         original = assemble_generator(replace(p, shifted=False), g)
         for shift in (p.shift, p.shift * (1.0 + 2.0**-30)):
@@ -218,6 +219,20 @@ def test_sparse_builds_make_no_coo_array(ref_params, ref_grid, monkeypatch):
     assert shifted_lu(gen, 1.0, 0.1) is not None
     assert shifted_lu(gen, 2.0j, 1.0) is not None
     assert shift_deviation(gen, original, ref_params.shift) == 0.0
+
+
+def test_shift_deviation_subtracts_without_a_format_conversion(ref_params, ref_grid,
+                                                              monkeypatch):
+    def tocsr(self, *args, **kwargs):
+        raise AssertionError("a CSC operand was converted to CSR")
+
+    gen = assemble_generator(ref_params, ref_grid)
+    original = assemble_generator(replace(ref_params, shifted=False), ref_grid)
+    monkeypatch.setattr(sp.csc_array, "tocsr", tocsr)
+    assert shift_deviation(gen, original, ref_params.shift) == 0.0
+    assert shift_deviation(gen, original, 2.0 * ref_params.shift) == ref_params.shift
+    with pytest.raises(AssertionError, match="converted"):
+        gen.sparse_matrix - original.sparse_matrix.tocsc()
 
 
 def test_label_law_mismatch_rejected(ref_params, kv_params, ref_grid):

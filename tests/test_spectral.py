@@ -1,6 +1,8 @@
 import cmath
 import math
 import os
+import random
+import runpy
 import subprocess
 import sys
 from collections import Counter
@@ -261,6 +263,7 @@ REFERENCE_CASE = (internal_friction(a=1.0, mu=1.0, tau=2.0),
 SPECTRAL_CASE = (internal_friction(a=1.0, mu=1.0, tau=2.0),
                  Rectangle(-5.0, 0.5, -60.0, 60.0))
 KV_CASE = (kelvin_voigt(a=1.0, mu=0.5, tau=2.0), Rectangle(-0.9, 0.3, 0.05, 8.0))
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
 def test_undamped_characteristic_roots_are_imaginary_cot_roots():
@@ -345,9 +348,9 @@ def test_full_region_winding_number_is_walked_once(ref_params, monkeypatch):
     walked = []
     real = spectral._winding_number
 
-    def counting(f, rect, *args, **kwargs):
-        walked.append(rect)
-        return real(f, rect, *args, **kwargs)
+    def counting(f, rects, *args, **kwargs):
+        walked.extend(rects)
+        return real(f, rects, *args, **kwargs)
 
     monkeypatch.setattr(spectral, "_winding_number", counting)
     assert characteristic_roots(ref_params, region) == expected
@@ -596,38 +599,221 @@ class _SizeCounter:
 
 
 def test_winding_walk_evaluates_each_boundary_point_once(ref_params):
+    # two walks together: one call per refinement round, of the midpoints of
+    # the walks still open, and the counts of the walks taken alone
+    regions = [Rectangle(-5.0, 0.5, -20.0, 20.0), Rectangle(-5.0, 0.5, 0.05, 4.0)]
+    alone = []
+    for region in regions:
+        f = _SizeCounter(characteristic_function(ref_params))
+        alone.append((spectral._winding_number(f, [region]), len(f.sizes)))
+    assert [count for count, _ in alone] == [[27], [3]]
+    rounds = [calls for _, calls in alone]
     f = _SizeCounter(characteristic_function(ref_params))
-    region = Rectangle(-5.0, 0.5, -20.0, 20.0)
-    assert spectral._winding_number(f, region) == 27
+    assert spectral._winding_number(f, regions) == [27, 3]
     n = spectral.WINDING_MIN_SAMPLES
-    assert f.sizes[0] == 4 * n and len(f.sizes) >= 2
-    for size in f.sizes[1:]:
+    assert len(f.sizes) == max(rounds) >= 2
+    assert f.sizes[0] == 2 * 4 * n
+    for k, size in enumerate(f.sizes[1:], start=1):
         n *= 2
-        assert size == 4 * n // 2
+        assert size == sum(r > k for r in rounds) * 4 * n // 2
     points = np.concatenate(f.points)
-    assert np.unique(points).size == points.size == 4 * n
-    # the reused samples are those of a fresh walk at the final density
-    for k, (z0, z1) in enumerate([(-5.0 - 20.0j, 0.5 - 20.0j), (0.5 - 20.0j, 0.5 + 20.0j),
-                                  (0.5 + 20.0j, -5.0 + 20.0j), (-5.0 + 20.0j, -5.0 - 20.0j)]):
-        seg = (z1 - z0) / n
-        fresh = np.array([z0 + j * seg for j in range(n)])
-        assert np.all(np.isin(fresh, points)), k
+    finals = [spectral.WINDING_MIN_SAMPLES * 2 ** (r - 1) for r in rounds]
+    assert np.unique(points).size == points.size == 4 * sum(finals)
+    # the reused samples are those of a fresh walk at each final density
+    for region, n in zip(regions, finals):
+        corners = [complex(region.re_min, region.im_min), complex(region.re_max, region.im_min),
+                   complex(region.re_max, region.im_max), complex(region.re_min, region.im_max)]
+        for k, (z0, z1) in enumerate(zip(corners, corners[1:] + corners[:1])):
+            seg = (z1 - z0) / n
+            fresh = np.array([z0 + j * seg for j in range(n)])
+            assert np.all(np.isin(fresh, points)), (region, k)
 
 
 def test_clearest_split_makes_one_call(ref_params):
+    rects = [Rectangle(-5.0, 0.5, -20.0, 20.0), Rectangle(-20.0, 20.0, -5.0, 0.5),
+             Rectangle(-5.0, 0.5, 0.05, 4.0)]
     f = _SizeCounter(characteristic_function(ref_params))
-    spectral._clearest_split(f, -5.0, 0.5, (-20.0, 20.0), vertical=True)
-    spectral._clearest_split(f, -20.0, 20.0, (-5.0, 0.5), vertical=False)
-    assert f.sizes == [7 * 33, 7 * 33]
+    parts = spectral._split(f, rects)
+    assert f.sizes == [len(rects) * 7 * 33]
+    assert parts == [spectral._split(f, [r])[0] for r in rects]
+    for rect, (lo, hi) in zip(rects, parts):
+        vertical = rect.re_max - rect.re_min >= rect.im_max - rect.im_min
+        assert (lo.re_max == hi.re_min) if vertical else (lo.im_max == hi.im_min)
+
+
+def _newton_alone_and_together(f, seeds, rects):
+    """Each run alone and all runs together: the results agree and the runs
+    share each iteration's call.  Returns the results and the sizes of the
+    calls of each run alone."""
+    alone = []
+    for z0, rect in zip(seeds, rects):
+        counter = _SizeCounter(f)
+        alone.append((spectral._newton(counter, [z0], [rect])[0], counter.sizes))
+    counter = _SizeCounter(f)
+    assert spectral._newton(counter, seeds, rects) == [got for got, _ in alone]
+    # a run alone makes 3-point calls, the last one 1 point where it stopped
+    # on a small step or at the iteration cap
+    for _, sizes in alone:
+        assert all(size == 3 for size in sizes[:-1]) and sizes[-1] in (1, 3)
+    assert counter.sizes[0] == 3 * len(seeds)
+    assert counter.sizes == [sum(sizes[k] for _, sizes in alone if k < len(sizes))
+                             for k in range(max(len(sizes) for _, sizes in alone))]
+    return [got for got, _ in alone], [sizes for _, sizes in alone]
 
 
 def test_newton_step_makes_one_three_point_call(ref_params):
-    f = _SizeCounter(characteristic_function(ref_params))
-    root = characteristic_roots(ref_params, Rectangle(-5.0, 0.5, 0.05, 4.0))[0].lam
-    got = spectral._newton(f, root + 0.01 + 0.01j, Rectangle(-5.0, 0.5, 0.05, 4.0))
-    assert got is not None and abs(got[0] - root) < 1e-9
-    assert len(f.sizes) >= 3
-    assert all(size == 3 for size in f.sizes[:-1]) and f.sizes[-1] in (1, 3)
+    rect = Rectangle(-5.0, 0.5, 0.05, 4.0)
+    roots = [r.lam for r in characteristic_roots(ref_params, rect)]
+    seeds = [roots[0] + 0.01 + 0.01j, roots[1] - 0.02j, roots[0] - 0.3, 1.0 + 1.0j]
+    got, sizes = _newton_alone_and_together(characteristic_function(ref_params),
+                                            seeds, [rect] * len(seeds))
+    assert abs(got[0][0] - roots[0]) < 1e-9 and abs(got[1][0] - roots[1]) < 1e-9
+    assert min(map(len, sizes)) >= 3
+
+
+def test_newton_runs_stop_together_on_small_steps_and_the_cap(monkeypatch):
+    # steep roots at 1/3 and 2: some runs stop on a negligible step and owe a
+    # final value, which shares the next iteration's call; the seed at 100
+    # leaves the rectangle's bound after one step
+    toy = lambda z: 1e9 * (np.asarray(z) - 1.0 / 3.0) * (np.asarray(z) - 2.0)
+    seeds = [0.3 + 0.01j, 1.9 + 0.1j, 2.5 - 0.2j, 0.5j, 10.0 + 0.0j, 100.0 + 0.0j]
+    rects = [Rectangle(0.0, 3.0, -1.0, 1.0)] * len(seeds)
+    got, sizes = _newton_alone_and_together(toy, seeds, rects)
+    assert [size[-1] for size in sizes] == [3, 1, 1, 1, 3, 3]
+    assert got[-1] is None and all(g is not None for g in got[:-1])
+    assert {round(g[0].real, 12) for g in got[:-1]} == {round(1.0 / 3.0, 12), 2.0}
+    monkeypatch.setattr(spectral, "NEWTON_MAX_ITER", 3)
+    got, sizes = _newton_alone_and_together(toy, seeds, rects)
+    assert got == [None] * len(seeds)
+    assert [len(size) for size in sizes] == [4, 4, 4, 4, 4, 1]
+
+
+def _search_calls(p, region, monkeypatch):
+    counters = []
+
+    def counting(q):
+        counters.append(_SizeCounter(characteristic_function(q)))
+        return counters[-1]
+
+    monkeypatch.setattr(spectral, "characteristic_function", counting)
+    characteristic_roots(p, region)
+    (f,) = counters
+    return len(f.sizes), sum(f.sizes)
+
+
+def test_search_batches_the_calls_of_each_level(monkeypatch):
+    # the depth-first search made 536 calls on the reference region and
+    # 1,432 on the spectral one, for the same points
+    calls, points = _search_calls(*REFERENCE_CASE, monkeypatch)
+    assert points == 55289 and calls <= 89
+    calls, points = _search_calls(*SPECTRAL_CASE, monkeypatch)
+    assert points == 97786 and calls <= 218
+
+
+def _depth_first(f, rect, count, depth=0):
+    """The search one rectangle at a time, in the depth-first order of the
+    recursion the level-by-level search replaced."""
+    if depth > 80:
+        raise RootEnumerationError("subdivision depth exhausted during root search")
+    if count == 0:
+        return []
+    tiny = (rect.re_max - rect.re_min) < 1e-6 and (rect.im_max - rect.im_min) < 1e-6
+    if count == 1 or tiny:
+        seeds = spectral._seeds(rect)
+        for z0 in seeds:
+            (got,) = spectral._newton(f, [z0], [rect])
+            if got is not None and rect.contains(got[0]):
+                return [got] * count
+        if tiny:
+            raise RootEnumerationError(f"could not refine a root cluster of "
+                                       f"winding count {count} near {seeds[0]}")
+    found = []
+    for part in spectral._split(f, [rect])[0]:
+        (part_count,) = spectral._winding_number(f, [part])
+        found += _depth_first(f, part, part_count, depth + 1)
+    return found
+
+
+def _raw_roots(search, p, region):
+    """Counter of the raw (lam, residual) pairs as exact float bits, or the
+    type of the error the search raised."""
+    f = characteristic_function(p)
+    try:
+        (total,) = spectral._winding_number(f, [region])
+        raw = search(f, region, total)
+    except RootEnumerationError as exc:
+        return type(exc)
+    return Counter((z.real.hex(), z.imag.hex(), r.hex()) for z, r in raw)
+
+
+def _workload_case(seed):
+    """A parameter set drawn from the benchmark's menus: shifted internal
+    friction on the reference region for even seeds, Kelvin-Voigt on the
+    spectral workload's region for odd ones."""
+    menus = runpy.run_path(str(WORKLOADS))
+    rng = random.Random(seed)
+    if seed % 2 == 0:
+        return (internal_friction(a=rng.choice(menus["SPECTRUM_A"]),
+                                  mu=rng.choice(menus["IF_MU"]), tau=2.0), REFERENCE_CASE[1])
+    return (kelvin_voigt(a=1.0, mu=rng.choice(menus["KV_MU"]), tau=2.0),
+            Rectangle(-0.9, 0.5, -60.0, 60.0))
+
+
+@pytest.mark.parametrize("case", [REFERENCE_CASE, SPECTRAL_CASE, KV_CASE]
+                         + [_workload_case(seed) for seed in range(1, 9)],
+                         ids=["reference", "spectral", "kelvin_voigt"]
+                         + [f"workload_seed_{seed}" for seed in range(1, 9)])
+def test_level_search_finds_the_depth_first_roots_bitwise(case):
+    level = _raw_roots(spectral._enumerate, *case)
+    assert isinstance(level, Counter) and level
+    assert level == _raw_roots(_depth_first, *case)
+
+
+def test_child_boundary_failure_inside_a_batch_is_reported(ref_params):
+    # F is NaN on the interior of the region's first split line, in winding
+    # walks only: the region's own walk succeeds and a child's walk fails
+    region = REFERENCE_CASE[1]
+    f = characteristic_function(ref_params)
+    (low, high), = spectral._split(f, [region])
+    assert low.im_max == high.im_min
+    line = low.im_max
+
+    def broken(z):
+        out = f(z)
+        if np.ndim(z) == 3 and np.shape(z)[1] == 4:
+            on_line = (z.imag == line) & (region.re_min < z.real) & (z.real < region.re_max)
+            out = np.where(on_line, np.nan, out)
+        return out
+
+    assert spectral._winding_number(broken, [region]) == [27]
+    with pytest.raises(RootEnumerationError, match="vanishes or overflows"):
+        spectral._enumerate(broken, region, 27)
+
+
+def test_unrefinable_tiny_cluster_is_reported(ref_params, monkeypatch):
+    # with every Newton run failing, each root is split down to a tiny
+    # rectangle, whose failed refinement raises
+    monkeypatch.setattr(spectral, "_newton", lambda f, seeds, rects: [None] * len(seeds))
+    with pytest.raises(RootEnumerationError, match="could not refine a root cluster "
+                                                   "of winding count 1"):
+        characteristic_roots(ref_params, Rectangle(-5.0, 0.5, 0.05, 4.0))
+
+
+def test_subdivision_stops_at_level_81(monkeypatch):
+    # each level keeps one rectangle of count 2 and one of count 0, so no
+    # Newton run starts; level 81 holds two rectangles of count 0 and raises
+    splits = []
+
+    def split(f, rects):
+        splits.append(len(rects))
+        return [(r, r) for r in rects]
+
+    monkeypatch.setattr(spectral, "_split", split)
+    monkeypatch.setattr(spectral, "_winding_number",
+                        lambda f, rects: [0, 0] if len(splits) == 81 else [2, 0])
+    with pytest.raises(RootEnumerationError, match="depth exhausted"):
+        spectral._enumerate(None, REFERENCE_CASE[1], 2)
+    assert splits == [1] * 81
 
 
 def test_kelvin_voigt_region_must_avoid_the_pole():
@@ -642,6 +828,19 @@ def test_region_boundary_through_root_is_reported():
     p = Params(a=0.0, mu=0.0, tau=2.0, xi=1.0)
     with pytest.raises(RootEnumerationError):
         characteristic_roots(p, Rectangle(0.0, 1.0, 0.05, 4.0))
+
+
+def test_walk_through_a_root_stops_at_the_sample_cap():
+    # walked together with a clean boundary, the walk along Re = 0, through
+    # the undamped roots, refines alone up to WINDING_MAX_SAMPLES per side
+    f = _SizeCounter(characteristic_function(Params(a=0.0, mu=0.0, tau=2.0, xi=1.0)))
+    with pytest.raises(RootEnumerationError, match="did not stabilize"):
+        spectral._winding_number(f, [Rectangle(-1.0, 0.5, 0.05, 4.0),
+                                     Rectangle(0.0, 1.0, 0.05, 4.0)])
+    n = spectral.WINDING_MIN_SAMPLES
+    assert f.sizes[:2] == [2 * 4 * n, 2 * 4 * n]
+    assert f.sizes[-1] == 4 * spectral.WINDING_MAX_SAMPLES // 2
+    assert sum(f.sizes) == 4 * 2 * n + 4 * spectral.WINDING_MAX_SAMPLES
 
 
 # ---------------------------------------------------------------------------
