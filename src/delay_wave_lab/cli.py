@@ -154,24 +154,6 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def serialize_config(cfg: RunConfig) -> str:
-    """Inverse of parse_config: parse(serialize(cfg)) == cfg."""
-    lines = []
-    for name, kind in _TYPES.items():
-        value = getattr(cfg, name)
-        if name == "xi" and value is None:
-            continue
-        if kind is tuple:
-            lines.append(f"{name} = {', '.join(_fmt(v) for v in value)}")
-        elif kind is str or kind is int:
-            lines.append(f"{name} = {value}")
-        elif kind is bool:
-            lines.append(f"{name} = {'true' if value else 'false'}")
-        else:
-            lines.append(f"{name} = {_fmt(value)}")
-    return "\n".join(lines) + "\n"
-
-
 def _write_csv(path: str, header: list[str], rows) -> None:
     text = "\n".join([",".join(header)] + [",".join(row) for row in rows]) + "\n"
     if path:

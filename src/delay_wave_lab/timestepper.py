@@ -6,12 +6,15 @@ of the shifted and Kelvin-Voigt systems are nonincreasing for every dt.
 Divergence of the original system is a result, not an error; traces are
 truncated at the last finite energy and flagged.
 
-Every run factors I - dt*A once with ``splu``.  Up to ``DENSE_STEP_MAX_DIM``
-a step is one dense matvec with the propagator M = (I - dt*A)^{-1}, solved
-from those factors and dropped with the run; above it a step is one sparse
-triangular solve.  ``simulate`` and ``shift_consistency`` copy their
-iterates into one reused block of up to ``ENERGY_BLOCK_ENTRIES`` floats and
-take the block's energies in one call.
+Every run factors I - dt*A once with ``splu``.  Above ``DENSE_STEP_MAX_DIM``
+a step is one sparse triangular solve.  Up to it a step is one dense matvec
+with the propagator M = (I - dt*A)^{-1}, solved from those factors; a run
+of at least ``POWER_STEPS_PER_DIM`` steps per state dimension makes only its
+first ``POWER_BLOCK`` iterates so and every later chunk of that many as one
+matrix product with P = M^POWER_BLOCK.  M, P and the chunk are dropped with
+the run.  ``simulate`` and ``shift_consistency`` write their iterates into
+one reused block of up to ``ENERGY_BLOCK_ENTRIES`` floats and take the
+block's energies in one call.
 """
 
 from __future__ import annotations
@@ -33,6 +36,14 @@ MAX_STEPS = 1_000_000  # largest t_end/dt of a run; step_count enforces it
 DENSE_STEP_MAX_DIM = 180
 # floats of iterates per energy block of ``simulate``: 128 KiB
 ENERGY_BLOCK_ENTRIES = 2 ** 14
+# iterates per power block of a long dense run, a power of two: P = M^32
+# takes five squarings
+POWER_BLOCK = 32
+# a dense run of n_steps >= 4*n, and at least two blocks, takes power
+# blocks.  Against one matvec per step, whole runs broke even at 1.7-2.6*n
+# steps for n = 60, 120 and 180, and near 64 steps for n <= 30, where call
+# overhead outweighs the n^3 squarings (one BLAS thread)
+POWER_STEPS_PER_DIM = 4
 
 
 class SingularStepError(RuntimeError):
@@ -60,34 +71,67 @@ def _factorization(gen: DiscreteGenerator, dt: float):
         f"(I - dt*A) is singular for dt={dt} on the {gen.label.value} system")
 
 
-def _advance(gen: DiscreteGenerator, dt: float):
-    """The map V -> (I - dt*A)^{-1} V: a matvec with the dense propagator
-    up to ``DENSE_STEP_MAX_DIM``, the sparse solve above it."""
+def _march(gen: DiscreteGenerator, vec: np.ndarray, dt: float, n_steps: int):
+    """The backward-Euler march V^1, ..., V^n_steps of V^0 = vec, as a
+    function ``fill(rows)`` that writes the next len(rows) iterates into the
+    rows of a (k, n) array, successive calls continuing where the last one
+    stopped.
+
+    Each iterate is one sparse solve above ``DENSE_STEP_MAX_DIM``, one matvec
+    with the dense propagator M up to it.  A dense run of at least
+    ``POWER_STEPS_PER_DIM`` * n steps, and two blocks, makes only its first
+    b = ``POWER_BLOCK`` iterates so; each later chunk of b is one product of
+    the chunk before it with P = M^b, squared up from M, since
+    V^(k+b) = P V^k.  The last chunk may run up to b - 1 steps past the end.
+    """
     lu = _factorization(gen, dt)
     if gen.dim > DENSE_STEP_MAX_DIM:
-        return lu.solve
-    return lu.solve(np.eye(gen.dim)).dot
+        step = lu.solve
+    else:
+        propagator = lu.solve(np.eye(gen.dim))
+        step = propagator.dot
 
+    def one_at_a_time(rows):
+        nonlocal vec
+        for row in rows:
+            row[:] = vec = step(vec)
 
-def _march(gen: DiscreteGenerator, vec: np.ndarray, dt: float, n_steps: int):
-    """Yield the backward-Euler iterates V^1, ..., V^n_steps of V^0 = vec."""
-    advance = _advance(gen, dt)
-    for _ in range(n_steps):
-        vec = advance(vec)
-        yield vec
+    if (gen.dim > DENSE_STEP_MAX_DIM
+            or n_steps < max(POWER_STEPS_PER_DIM * gen.dim, 2 * POWER_BLOCK)):
+        return one_at_a_time
+
+    chunk = np.empty((POWER_BLOCK, gen.dim))
+    one_at_a_time(chunk)
+    power = propagator
+    for _ in range(POWER_BLOCK.bit_length() - 1):
+        power = power @ power
+    used = 0
+
+    def by_power_blocks(rows):
+        nonlocal chunk, used
+        done = 0
+        while done < len(rows):
+            if used == POWER_BLOCK:
+                chunk = chunk @ power.T
+                used = 0
+            take = min(POWER_BLOCK - used, len(rows) - done)
+            rows[done:done + take] = chunk[used:used + take]
+            done += take
+            used += take
+
+    return by_power_blocks
 
 
 def _blocks(marches, n_steps: int, dim: int):
-    """Copy the iterates V^1, ..., V^n_steps of each march into one reused
+    """Write the iterates V^1, ..., V^n_steps of each march into one reused
     array of at most ``ENERGY_BLOCK_ENTRIES`` floats and yield (n, block)
     after each fill, where block[k][j] is V^(n+j) of the k-th march."""
     rows = min(n_steps, max(1, ENERGY_BLOCK_ENTRIES // (len(marches) * dim)))
     block = np.empty((len(marches), rows, dim))
     for start in range(1, n_steps + 1, rows):
         part = block[:, :n_steps + 1 - start]
-        for march, iterates in zip(marches, part):
-            for row in iterates:
-                row[:] = next(march)
+        for fill, iterates in zip(marches, part):
+            fill(iterates)
         yield start, part
 
 

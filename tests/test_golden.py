@@ -18,13 +18,13 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 GOLDEN = {
     "simulate":
-        "1dbd5d3372f793cab00558c51b51a47d39c99551d68a6f80d8ce182bdde149be",
+        "33d3f06eae37fae52d23ba7a78cf1bfc93bd764b593598d02d463b82cc662802",
     "simulate --law kelvin_voigt --mu 0.5":
-        "8de784ff32698b7692fe9496e151b6d7e7b64a77eb411ac77e497b619af78c48",
+        "19c830d7ce451e916561ffd3704954affcd2e03a153d408069e8a641fb66574a",
     "sweep":
-        "655b1de2a7e179dd070f3fc22cb3c97911305fd037d7085bcd02032fd612d533",
+        "949c474f9d8a00de013cfd5b72d9351ddddcbe11ef4b5a3e771e405d6029491d",
     "sweep --shifted false --values 1,2,4,8":
-        "15dcd4b283ed1c8323bcb935c9d6241066b9ebc04668e83b57bb58aa4524dc72",
+        "a234d00cda760269906cc9dec4b12f006fdf5a36ca5e24e82a4c9df995e58224",
     "spectrum":
         "5d6c912c6bbef134f8beadf875503a17525943d1a46ec46ea0f936fc58d91e08",
     "resolvent":

@@ -14,8 +14,8 @@ from hypothesis import given, settings, strategies as st
 from delay_wave_lab import (DiscreteGenerator, Grid, Params, SingularStepError,
                             SystemLabel, assemble_generator, builtin_data,
                             internal_friction, kelvin_voigt,
-                            sample_initial_state, shift_consistency, simulate,
-                            timestepper)
+                            kv_condition_satisfied, sample_initial_state,
+                            shift_consistency, simulate, timestepper)
 
 
 def _toy_generator(matrix):
@@ -25,10 +25,26 @@ def _toy_generator(matrix):
                              params=Params(a=0.0, mu=1.0, tau=1.0, xi=1.0))
 
 
+def _iterates(gen, vec, dt, n_steps):
+    """The backward-Euler iterates V^1, ..., V^n_steps of V^0 = vec as the
+    rows of one array, from the time stepper's only loop."""
+    rows = np.empty((n_steps, len(vec)))
+    timestepper._march(gen, vec, dt, n_steps)(rows)
+    return rows
+
+
+def _one_at_a_time(gen, vec, dt, n_steps):
+    """Yield the iterates of the same march, read one row at a time."""
+    fill = timestepper._march(gen, vec, dt, n_steps)
+    for _ in range(n_steps):
+        row = np.empty((1, len(vec)))
+        fill(row)
+        yield row[0]
+
+
 def _step(gen, vec, dt):
     """One backward-Euler step through the time stepper's only loop."""
-    (out,) = timestepper._march(gen, vec, dt, 1)
-    return out
+    return _iterates(gen, vec, dt, 1)[0]
 
 
 def _is_flow_of(label, trace, p, g, d, dt):
@@ -114,7 +130,7 @@ def test_march_factors_once_per_run(ref_params, ref_grid, monkeypatch):
     factors, propagators = _track_factorizations(monkeypatch)
     gen = assemble_generator(ref_params, ref_grid)
     v0 = sample_initial_state(builtin_data("paper"), ref_grid)
-    iterates = list(timestepper._march(gen, v0, 0.1, 5))
+    iterates = _iterates(gen, v0, 0.1, 5)
     assert len(iterates) == 5 and len(factors) == len(propagators) == 1
     vec = v0
     for expected in iterates:  # each single-step run factors afresh
@@ -139,7 +155,7 @@ def test_simulate_keeps_no_generator_or_factors_alive(ref_params, ref_grid,
 
     monkeypatch.setattr(timestepper, "assemble_generator", assemble)
     simulate(ref_params, ref_grid, ref_data, dt=0.1, t_end=1.0)
-    simulate(ref_params, ref_grid, ref_data, dt=0.1, t_end=1.0)
+    simulate(ref_params, ref_grid, ref_data, dt=0.1, t_end=50.0)  # power blocks
     gc.collect()
     assert ref_grid.dim <= timestepper.DENSE_STEP_MAX_DIM
     assert len(generators) == len(factors) == len(propagators) == 2
@@ -191,7 +207,7 @@ def _energies_one_state_at_a_time(gen, v0, dt, n_steps):
     """The energies of the V^n up to the last finite one, each taken alone."""
     energies = [gen.energy(v0)]
     with np.errstate(over="ignore", invalid="ignore"):
-        for vec in timestepper._march(gen, v0, dt, n_steps):
+        for vec in _one_at_a_time(gen, v0, dt, n_steps):
             e = gen.energy(vec)
             if not np.isfinite(e):
                 break
@@ -223,7 +239,7 @@ def test_divergent_trace_truncates_where_single_energies_do(ref_grid, ref_data,
     assert len(trace.times) == first_nonfinite
 
 
-@pytest.mark.parametrize("n_steps", [2_000, 20_000])
+@pytest.mark.parametrize("n_steps", [2_000, 20_000, 200_000])
 def test_simulate_memory_does_not_grow_with_the_step_count(ref_params, ref_grid,
                                                            ref_data, n_steps):
     # beyond the trace's own two arrays (energies and times), a run
@@ -322,8 +338,8 @@ def _shift_consistency_one_step_at_a_time(p, g, d, dt, t_end):
     v0 = sample_initial_state(d, g)
     worst, compared = 0.0, 0
     with np.errstate(over="ignore", invalid="ignore"):
-        pairs = zip(timestepper._march(gen_o, v0, dt, n_steps),
-                    timestepper._march(gen_s, v0, dt, n_steps))
+        pairs = zip(_one_at_a_time(gen_o, v0, dt, n_steps),
+                    _one_at_a_time(gen_s, v0, dt, n_steps))
         for n, (vo, vs) in enumerate(pairs, start=1):
             norm_o = gen_o.energy(vo)
             if norm_o == 0.0:
@@ -384,7 +400,7 @@ def test_sparse_path_matches_the_dense_reference(nx, nrho, label, a, mu, tau,
     # the difference beyond what a single solve shows
     dense = np.eye(grid.dim) - dt * gen.matrix
     prev = v0
-    for vec in timestepper._march(gen, v0, dt, 20):
+    for vec in _iterates(gen, v0, dt, 20):
         ref = np.linalg.solve(dense, prev)
         assert np.linalg.norm(vec - ref) <= 1e-12 * np.linalg.norm(ref)
         prev = vec
@@ -398,11 +414,12 @@ def test_sparse_path_matches_the_dense_reference(nx, nrho, label, a, mu, tau,
     assert np.array_equal(first.energies, second.energies)
 
 
-def _advance_by(gen, dt, dense):
-    """The time stepper's dense or sparse advance, whatever the dimension."""
+def _step_by(gen, vec, dt, dense):
+    """One step of the time stepper's dense or sparse path, whatever the
+    dimension."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(timestepper, "DENSE_STEP_MAX_DIM", gen.dim - (not dense))
-        return timestepper._advance(gen, dt)
+        return _step(gen, vec, dt)
 
 
 @pytest.mark.filterwarnings("ignore:Kelvin-Voigt stability condition")
@@ -418,8 +435,7 @@ def test_dense_and_sparse_advance_agree_across_the_crossover(
     # state dimensions within 6 of the crossover, on both sides of it
     grid = Grid(nx=nx, nrho=timestepper.DENSE_STEP_MAX_DIM + offset - 2 * nx)
     gen = assemble_generator(_params_for(label, a, mu, tau, xi_factor), grid)
-    dense, sparse = (_advance_by(gen, dt, flag) for flag in (True, False))
-    chosen = dense if grid.dim <= timestepper.DENSE_STEP_MAX_DIM else sparse
+    chosen = grid.dim <= timestepper.DENSE_STEP_MAX_DIM
     # the sparse solve, and the propagator solved from the same factors,
     # are each accurate to about eps * cond(I - dt*A) relative, so from the
     # same input the two paths agree to that
@@ -428,11 +444,85 @@ def test_dense_and_sparse_advance_agree_across_the_crossover(
 
     v0 = np.random.default_rng(seed).standard_normal(grid.dim)
     prev = v0
-    for vec in timestepper._march(gen, v0, dt, 20):
-        np.testing.assert_array_equal(vec, chosen(prev))
-        by_matvec, by_solve = dense(prev), sparse(prev)
+    for vec in _iterates(gen, v0, dt, 20):
+        np.testing.assert_array_equal(vec, _step_by(gen, prev, dt, chosen))
+        by_matvec, by_solve = (_step_by(gen, prev, dt, flag) for flag in (True, False))
         assert np.linalg.norm(by_matvec - by_solve) <= bound * np.linalg.norm(by_solve)
         prev = vec
+
+
+# power-block energies agree with one matvec per step to POWER_RTOL relative
+# while E(t_n) >= POWER_DEPTH * E(0).  Deeper in a decay the two drift
+# further apart: 2.3e-10 was seen at 1e-141 E(0) on the original system
+POWER_RTOL = 1e-11
+POWER_DEPTH = 1e-60
+
+
+def _power_threshold(dim):
+    """The fewest steps of a dense run that takes power blocks."""
+    return max(timestepper.POWER_STEPS_PER_DIM * dim, 2 * timestepper.POWER_BLOCK)
+
+
+def test_power_block_iterates_do_not_depend_on_how_they_are_read(ref_params,
+                                                                 ref_grid):
+    gen = assemble_generator(ref_params, ref_grid)
+    v0 = sample_initial_state(builtin_data("paper"), ref_grid)
+    n_steps = _power_threshold(ref_grid.dim) + 45
+    whole = _iterates(gen, v0, 0.1, n_steps)
+    np.testing.assert_array_equal(list(_one_at_a_time(gen, v0, 0.1, n_steps)), whole)
+    fill = timestepper._march(gen, v0, 0.1, n_steps)
+    for rows in np.array_split(np.empty_like(whole), [7, 40, 41, 200]):
+        fill(rows)
+        np.testing.assert_array_equal(rows, whole[:len(rows)])
+        whole = whole[len(rows):]
+
+
+@pytest.mark.filterwarnings("ignore:Kelvin-Voigt stability condition")
+@settings(max_examples=50, deadline=None)
+@given(nx=st.integers(2, 60), nrho=st.integers(2, 60),
+       label=st.sampled_from(SystemLabel), a=st.floats(0.1, 2.0),
+       mu=st.floats(0.1, 4.0), tau=st.floats(0.25, 4.0),
+       xi_factor=st.floats(1.1, 4.0), dt=st.floats(1e-3, 10.0),
+       data=st.sampled_from(["paper", "ramp"]), length=st.floats(0.02, 3.0))
+def test_power_blocks_match_one_matvec_per_step(nx, nrho, label, a, mu, tau,
+                                                xi_factor, dt, data, length):
+    # state dimensions up to DENSE_STEP_MAX_DIM, runs from 2% to three times
+    # the power-block threshold
+    grid = Grid(nx=nx, nrho=nrho)
+    assert grid.dim <= timestepper.DENSE_STEP_MAX_DIM
+    p = _params_for(label, a, mu, tau, xi_factor)
+    d = builtin_data(data)
+    threshold = _power_threshold(grid.dim)
+    n_steps = max(1, round(length * threshold))
+    trace = simulate(p, grid, d, dt=dt, t_end=n_steps * dt)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(timestepper, "POWER_STEPS_PER_DIM", math.inf)
+        ref = simulate(p, grid, d, dt=dt, t_end=n_steps * dt)
+
+    assert trace.diverged == ref.diverged
+    assert len(trace.energies) == len(ref.energies)
+    if n_steps < threshold:  # the same matvecs
+        np.testing.assert_array_equal(trace.energies, ref.energies)
+    np.testing.assert_allclose(trace.energies, ref.energies, rtol=POWER_RTOL,
+                               atol=POWER_RTOL * POWER_DEPTH * ref.energies[0])
+    if label is SystemLabel.SHIFTED or (label is SystemLabel.KELVIN_VOIGT
+                                        and kv_condition_satisfied(p)):
+        assert np.all(trace.energies[1:] <= trace.energies[:-1] * (1.0 + 1e-12))
+
+
+@pytest.mark.parametrize("a, mu, dt, last", [(1.0, 8.0, 0.1, 5897),
+                                             (0.0, 8.0, 0.1, 5351),
+                                             (0.5, 2.0, 0.05, 31177)])
+def test_power_blocks_truncate_where_one_matvec_per_step_does(ref_grid, ref_data,
+                                                              a, mu, dt, last):
+    p = internal_friction(a=a, mu=mu, tau=2.0, shifted=False)
+    trace = simulate(p, ref_grid, ref_data, dt=dt, t_end=40_000 * dt)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(timestepper, "POWER_STEPS_PER_DIM", math.inf)
+        ref = simulate(p, ref_grid, ref_data, dt=dt, t_end=40_000 * dt)
+    assert trace.diverged and ref.diverged
+    assert len(trace.energies) == len(ref.energies) == last + 1
+    np.testing.assert_allclose(trace.energies, ref.energies, rtol=POWER_RTOL)
 
 
 def test_time_stepping_never_builds_a_dense_matrix(ref_params, ref_data,
