@@ -17,30 +17,27 @@ import csv
 import math
 import pathlib
 import sys
+from dataclasses import replace
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from delay_wave_lab import (Grid, builtin_data, internal_friction,
-                            kelvin_voigt, sweep)
+from delay_wave_lab import sweep
+from delay_wave_lab.verification import (REF_DATA, REF_DT, REF_GRID, REF_KV,
+                                         REF_SHIFTED, REF_T_END)
 
-GRID = Grid(nx=20, nrho=20)
-DT = 0.1
-T_END = 50.0
-DATA = builtin_data("paper")
 OUT = pathlib.Path(__file__).resolve().parent.parent / "figures_out"
 
-ORIGINAL = internal_friction(a=1.0, mu=1.0, tau=2.0, shifted=False)
-SHIFTED = internal_friction(a=1.0, mu=1.0, tau=2.0)
-KELVIN_VOIGT = kelvin_voigt(a=1.0, mu=0.5, tau=2.0)
+# the reference setup of ``verify``; the original system differs only in the shift
+ORIGINAL = replace(REF_SHIFTED, shifted=False)
 
 # (figure, base params, varied key, values)
 FAMILIES = [
     ("fig1_original", ORIGINAL, "mu", (1.0, 2.0, 4.0, 8.0)),
-    ("fig1_shifted", SHIFTED, "mu", (1.0, 2.0, 4.0, 8.0)),
+    ("fig1_shifted", REF_SHIFTED, "mu", (1.0, 2.0, 4.0, 8.0)),
     ("fig2_original", ORIGINAL, "a", (0.5, 1.0, 2.0)),
-    ("fig2_shifted", SHIFTED, "a", (0.5, 1.0, 2.0)),
-    ("fig3_kv_mu", KELVIN_VOIGT, "mu", (0.25, 0.5, 0.75)),
-    ("fig3_kv_a", KELVIN_VOIGT, "a", (0.5, 1.0, 2.0)),
+    ("fig2_shifted", REF_SHIFTED, "a", (0.5, 1.0, 2.0)),
+    ("fig3_kv_mu", REF_KV, "mu", (0.25, 0.5, 0.75)),
+    ("fig3_kv_a", REF_KV, "a", (0.5, 1.0, 2.0)),
 ]
 
 
@@ -56,7 +53,8 @@ def main():
                 "classification", "diverged"]]
     for figure, base, vary, values in FAMILIES:
         curves = [["value", "t", "E", "neg_log10_E"]]
-        for row in sweep(base, GRID, DATA, DT, T_END, vary, values).rows:
+        table = sweep(base, REF_GRID, REF_DATA, REF_DT, REF_T_END, vary, values)
+        for row in table.rows:
             if row.error:
                 raise RuntimeError(f"{figure}, {vary} = {row.value}: {row.error}")
             curves += ([row.value, t, e, -math.log10(e) if e > 0 else math.inf]

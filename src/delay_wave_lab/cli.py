@@ -27,9 +27,6 @@ from .discretization import assemble_generator
 from .spectral import Rectangle, SingularRegionError
 from .timestepper import simulate, step_count
 
-COMMANDS = ("simulate", "spectrum", "resolvent", "charroots", "robin",
-            "sweep", "verify")
-
 
 class ConfigError(ValueError):
     """Malformed or inconsistent configuration; maps to exit code 2."""
@@ -247,23 +244,23 @@ def _cmd_verify() -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+def _commands(c_star: bool) -> dict:
+    """Each subcommand's handler, a function of the config alone."""
+    return {"simulate": _cmd_simulate, "spectrum": _cmd_spectrum,
+            "resolvent": _cmd_resolvent, "charroots": _cmd_charroots,
+            "robin": lambda cfg: _cmd_robin(cfg, c_star),
+            "sweep": _cmd_sweep, "verify": lambda cfg: _cmd_verify()}
+
+
+COMMANDS = tuple(_commands(c_star=False))
+
+
 def run(command: str, cfg: RunConfig, c_star: bool = False) -> int:
     """Dispatch one subcommand; returns the process exit code."""
-    if command == "simulate":
-        return _cmd_simulate(cfg)
-    if command == "spectrum":
-        return _cmd_spectrum(cfg)
-    if command == "resolvent":
-        return _cmd_resolvent(cfg)
-    if command == "charroots":
-        return _cmd_charroots(cfg)
-    if command == "robin":
-        return _cmd_robin(cfg, c_star)
-    if command == "sweep":
-        return _cmd_sweep(cfg)
-    if command == "verify":
-        return _cmd_verify()
-    raise ConfigError(f"unknown command {command!r}")
+    handler = _commands(c_star).get(command)
+    if handler is None:
+        raise ConfigError(f"unknown command {command!r}")
+    return handler(cfg)
 
 
 def _apply_overrides(text: str, extras: list[str]) -> str:

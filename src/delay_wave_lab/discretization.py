@@ -13,13 +13,15 @@ the dissipativity check; ``weighted_matrix`` by the resolvent norms below
 banded Cholesky factor ``gram_factor`` of G, which is tridiagonal in the
 state order, and build no dense matrix.  ``shifted_lu`` makes every sparse
 LU of the package: the time stepper's I - dt*A and the resolvent's
-i*beta*I - A.  It forms z*I - c*A in CSC directly from A's CSR arrays, with
-no identity matrix and no scipy sparse arithmetic, entry for entry what
-scipy's sparse ``(z*I - c*A).tocsc()`` gives; ``shift_deviation`` builds
-A_original - shift*I the same way in CSR.
+i*beta*I - A.  A stores its whole diagonal, so z*I - c*A has A's own pattern
+and is formed from A's CSR arrays by one entrywise transform of the data,
+with no identity matrix and no scipy sparse arithmetic, entry for entry what
+scipy's sparse ``z*I - c*A`` gives; ``shift_deviation`` builds
+A_original - shift*I the same way.
 
-``assemble_generator(p, g)`` builds the ``system_label(p)`` system; it
-subtracts ``p.shift`` on the diagonal exactly when that shift is nonzero.
+``assemble_generator(p, g)`` builds the ``system_label(p)`` system; it adds
+``-p.shift`` to every diagonal position, -0.0 for an unshifted system, which
+leaves every other entry's bits as they are and stores the diagonal.
 
 The stencils are matched so that the continuous energy computation survives
 discretization *exactly*:
@@ -55,6 +57,8 @@ if TYPE_CHECKING:  # scipy.sparse is imported on first assembly, not with the pa
 class DiscreteGenerator:
     """A sparse system matrix A together with the sparse Gram matrix G of the
     energy norm; ``label`` names the system, read off ``params``.
+    ``sparse_matrix`` stores its whole diagonal, explicit zeros included, as
+    ``shifted_lu`` and ``shift_deviation`` require.
 
     Immutable after construction apart from its caches; safe to share between
     threads.  The dense views are made on first use and time stepping never
@@ -118,15 +122,6 @@ class DiscreteGenerator:
         return float(norm) if vec.ndim == 1 else norm
 
 
-def _compressed(cls, n: int, major: np.ndarray, minor: np.ndarray,
-                data: np.ndarray) -> sparray:
-    """The n x n ``cls`` array (CSR or CSC) with ``data`` at the distinct
-    (major, minor) index pairs, given in sorted order."""
-    indptr = np.zeros(n + 1, dtype=minor.dtype)
-    np.cumsum(np.bincount(major, minlength=n), out=indptr[1:])
-    return cls((data, minor, indptr), shape=(n, n))
-
-
 def _csr(n: int, entries) -> sparray:
     """The n x n CSR array summing (rows, cols, value) entries, where rows and
     cols are index arrays of one length, or two indices, and value is a scalar.
@@ -146,34 +141,28 @@ def _csr(n: int, entries) -> sparray:
     rows, cols = rows[order], cols[order]
     starts = np.flatnonzero(np.concatenate(
         ([True], (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1]))))
-    return _compressed(sp.csr_array, n, rows[starts], cols[starts],
-                       np.add.reduceat(data[order], starts))
+    indptr = np.zeros(n + 1, dtype=cols.dtype)
+    np.cumsum(np.bincount(rows[starts], minlength=n), out=indptr[1:])
+    return sp.csr_array((np.add.reduceat(data[order], starts), cols[starts],
+                         indptr), shape=(n, n))
 
 
-def _shifted(a: sparray, z: complex, c: float, fmt: str) -> sparray:
-    """z*I - c*a in ``fmt``, "csr" or "csc", from the canonical CSR array a,
-    equal bit for bit to scipy's sparse ``(z*I - c*a).asformat(fmt)``: the
-    pattern of a plus the diagonal, less every entry that comes out exactly
-    zero."""
+def _shifted(a: sparray, z: complex, c: float) -> sparray:
+    """z*I - c*a in CSR from the canonical CSR array a, which must store its
+    whole diagonal, equal bit for bit to scipy's sparse ``z*I - c*a``: the
+    pattern of a less every entry that comes out exactly zero."""
     import scipy.sparse as sp
 
     n = a.shape[0]
     rows = np.repeat(np.arange(n, dtype=a.indices.dtype), np.diff(a.indptr))
     on_diag = rows == a.indices
-    zd = 1.0 * z  # z*I's diagonal; times 1.0 can flip the sign of a zero part
-    vals = np.where(on_diag, zd, 0.0) - c * a.data
-    bare = np.ones(n, dtype=bool)
-    bare[rows[on_diag]] = False
-    extra = np.flatnonzero(bare).astype(rows.dtype)
-    rows = np.concatenate((rows, extra))
-    cols = np.concatenate((a.indices, extra))
-    vals = np.concatenate((vals, np.full(len(extra), zd)))
-    major, minor = (rows, cols) if fmt == "csr" else (cols, rows)
-    kept = np.flatnonzero(vals)
-    keys = major[kept].astype(np.intp) * n + minor[kept]
-    order = kept[np.argsort(keys, kind="stable")]
-    return _compressed(sp.csr_array if fmt == "csr" else sp.csc_array, n,
-                       major[order], minor[order], vals[order])
+    if np.count_nonzero(on_diag) != n:
+        raise ValueError("the generator matrix does not store its whole diagonal")
+    # z*I's diagonal is 1.0*z: times 1.0 can flip the sign of a zero part
+    m = sp.csr_array((np.where(on_diag, 1.0 * z, 0.0) - c * a.data,
+                      a.indices.copy(), a.indptr.copy()), shape=(n, n))
+    m.eliminate_zeros()
+    return m
 
 
 def shifted_lu(gen: DiscreteGenerator, z: complex, c: float):
@@ -184,7 +173,7 @@ def shifted_lu(gen: DiscreteGenerator, z: complex, c: float):
     from scipy.sparse.linalg import splu
 
     with np.errstate(over="ignore", invalid="ignore"):  # caught just below
-        m = _shifted(gen.sparse_matrix, z, c, "csc")
+        m = _shifted(gen.sparse_matrix, z, c).tocsc()
     if not np.all(np.isfinite(m.data)):
         return None
     try:
@@ -202,8 +191,7 @@ def shift_deviation(shifted: DiscreteGenerator, original: DiscreteGenerator,
     """
     # A_original - shift*I as (-shift)*I - (-1)*A_original: -shift + x and
     # x - shift are the same float; both operands CSR, so scipy converts none
-    diff = shifted.sparse_matrix - _shifted(original.sparse_matrix,
-                                            -shift, -1.0, "csr")
+    diff = shifted.sparse_matrix - _shifted(original.sparse_matrix, -shift, -1.0)
     return float(abs(diff).max()) if diff.nnz else 0.0
 
 
@@ -273,9 +261,9 @@ def assemble_generator(p: Params, g: Grid,
                     (iv, iv + 1, p.a / dx**2),
                     (iw, iw, -p.a / dx),
                     (iw, iv[-1], p.a / dx)]
-    if p.shift != 0.0:
-        # summed onto the diagonal as x + (-shift), which is exactly x - shift
-        entries.append((np.arange(n), np.arange(n), -p.shift))
+    # every diagonal position stored, as x + (-shift), which is exactly
+    # x - shift; at shift 0 it is x + (-0.0), which is x bit for bit
+    entries.append((np.arange(n), np.arange(n), -p.shift))
 
     return DiscreteGenerator(sparse_matrix=_csr(n, entries),
                              sparse_gram=assemble_gram(p, g), params=p)

@@ -6,10 +6,12 @@ tolerance and reports a single pass/fail line.  The same checks back both
 
 A check collects one message per violated tolerance and passes exactly when
 it collects none; its detail is then a summary of what held, else the
-messages joined by "; ".  The reference setup (``REF_*``) is the "paper"
-data on a 20 x 20 grid, dt = 0.1 up to t = 50, the shifted internal-friction
-system at a = mu = 1, tau = 2, xi = 2*mu*tau and Kelvin-Voigt at a = 1,
-mu = 0.5, tau = 2, used by every check that names no other parameters.
+messages joined by "; ".  Every tolerance is tested as ``not value <= tol``
+or a chained comparison, so a NaN deciding value violates it.  The
+reference setup (``REF_*``) is the "paper" data on a 20 x 20 grid, dt = 0.1
+up to t = 50, the shifted internal-friction system at a = mu = 1, tau = 2,
+xi = 2*mu*tau and Kelvin-Voigt at a = 1, mu = 0.5, tau = 2, used by every
+check that names no other parameters.
 """
 
 from __future__ import annotations
@@ -60,16 +62,17 @@ def _random_shifted_params(rng) -> Params:
 def check_shift_identity() -> CheckResult:
     """Shifted matrix equals the original one minus shift*I, entrywise exactly."""
     rng = np.random.default_rng(20240 + 1)
+    errs = []
     for _ in range(20):
         p = _random_shifted_params(rng)
         dev = shift_deviation(
             assemble_generator(p, REF_GRID),
             assemble_generator(replace(p, shifted=False), REF_GRID), p.shift)
-        if dev != 0.0:
-            return CheckResult("shift identity", False,
-                               f"entrywise deviation {dev:.3e} (tolerance 0)")
-    return CheckResult("shift identity", True,
-                       "A_shifted == A_original - mu1*I for 20 random draws, tolerance 0")
+        if not dev == 0.0:
+            errs.append(f"entrywise deviation {dev:.3e} (tolerance 0)")
+            break
+    return _verdict("shift identity", errs,
+                    "A_shifted == A_original - mu1*I for 20 random draws, tolerance 0")
 
 
 def check_dissipativity() -> CheckResult:
@@ -82,15 +85,15 @@ def check_dissipativity() -> CheckResult:
         a = rng.uniform(0.2, 2.0)
         kv_cases.append(kelvin_voigt(a=a, mu=a * rng.uniform(0.05, 1.0),
                                      tau=rng.uniform(0.25, 4.0)))
+    # np.max, unlike max, returns NaN when any value is NaN
     worst_s, worst_kv = (
-        max(-math.inf, *(symmetrized_max_eigenvalue(assemble_generator(p, REF_GRID))
-                         for p in ps))
+        float(np.max([symmetrized_max_eigenvalue(assemble_generator(p, REF_GRID))
+                      for p in ps]))
         for ps in (cases, kv_cases))
-    ok = worst_s <= tol and worst_kv <= tol
-    return CheckResult(
-        "discrete dissipativity", ok,
-        f"max sym eigenvalue: shifted {worst_s:.3e}, Kelvin-Voigt (mu<=a) "
-        f"{worst_kv:.3e} (tolerance {tol})")
+    detail = (f"max sym eigenvalue: shifted {worst_s:.3e}, Kelvin-Voigt (mu<=a) "
+              f"{worst_kv:.3e} (tolerance {tol})")
+    return _verdict("discrete dissipativity",
+                    [] if worst_s <= tol and worst_kv <= tol else [detail], detail)
 
 
 def check_energy_monotonicity() -> CheckResult:
@@ -103,10 +106,13 @@ def check_energy_monotonicity() -> CheckResult:
             if trace.diverged or not np.all(np.isfinite(trace.energies)):
                 errs.append(f"{tag} dt={dt}: non-finite energy")
                 continue
-            ratio = trace.energies[1:] / trace.energies[:-1]
-            worst = float(ratio.max(initial=0.0))
-            if worst > 1.0 + slack:
-                errs.append(f"{tag} dt={dt}: step ratio {worst - 1.0:.3e} above slack")
+            energy = trace.energies
+            # no division: a ratio 0/0 would be NaN and hide a rise from 0
+            rises = np.flatnonzero(~(energy[1:] <= energy[:-1] * (1.0 + slack)))
+            if rises.size:
+                k = rises[0]
+                errs.append(f"{tag} dt={dt}: energy rises from {energy[k]:.3e} "
+                            f"to {energy[k + 1]:.3e} at step {k + 1}, above slack")
     return _verdict(
         "unconditional energy monotonicity", errs,
         "nonincreasing energies for shifted and Kelvin-Voigt at dt in "
@@ -117,13 +123,13 @@ def check_robin_oracle() -> CheckResult:
     """Closed forms and the critical constant of the Robin eigenvalue curve."""
     errs = []
     v0 = spectral.robin_eigenvalue(0.0)
-    if abs(v0 - math.pi ** 2 / 4.0) > 1e-8:
+    if not abs(v0 - math.pi ** 2 / 4.0) <= 1e-8:
         errs.append(f"C(0) = {v0!r} vs pi^2/4")
     v1 = spectral.robin_eigenvalue(-1.0)
-    if abs(v1) > 1e-8:
+    if not abs(v1) <= 1e-8:
         errs.append(f"C(-1) = {v1!r} vs 0")
     cs = spectral.find_c_star()
-    if abs(cs + 1.0) > 1e-6:
+    if not abs(cs + 1.0) <= 1e-6:
         errs.append(f"c_star = {cs!r} vs -1")
     curve = [spectral.robin_eigenvalue(c) for c in (-3.0, -2.0, -1.0, 0.0, 1.0, 2.0)]
     if not all(x < y for x, y in zip(curve, curve[1:])):
@@ -141,15 +147,15 @@ def check_spectrum_location() -> CheckResult:
     rep_o = spectral.eigenvalues(
         assemble_generator(replace(REF_SHIFTED, shifted=False), REF_GRID))
     errs = []
-    if rep_s.spectral_abscissa >= 0.0:
+    if not rep_s.spectral_abscissa < 0.0:
         errs.append(f"abscissa {rep_s.spectral_abscissa:.3e} not negative")
     pair_dev = np.max(np.abs(np.sort_complex(rep_s.eigenvalues)
                              - np.sort_complex(rep_s.eigenvalues.conj())))
-    if pair_dev > tol:
+    if not pair_dev <= tol:
         errs.append(f"conjugation pairing deviation {pair_dev:.3e}")
     shift_dev = np.max(np.abs(np.sort_complex(rep_o.eigenvalues - REF_SHIFTED.shift)
                               - np.sort_complex(rep_s.eigenvalues)))
-    if shift_dev > tol:
+    if not shift_dev <= tol:
         errs.append(f"spectrum shift deviation {shift_dev:.3e}")
     return _verdict(
         "spectrum location", errs,
@@ -169,7 +175,7 @@ def check_characteristic_oracle() -> CheckResult:
         errs.append(f"expected 1 root in the window, got {len(roots)}")
     else:
         dev = abs(abs(roots[0].lam) - theta1)
-        if dev > 1e-8:
+        if not dev <= 1e-8:
             errs.append(f"characteristic root magnitude off theta1 by {dev:.3e}")
     eig_errs = {}
     for nx in (20, 40):
@@ -177,7 +183,7 @@ def check_characteristic_oracle() -> CheckResult:
         vals = spectral.eigenvalues(gen).eigenvalues
         smallest = vals[np.argmin(np.abs(vals))]
         eig_errs[nx] = abs(abs(smallest) - theta1)
-    if eig_errs[20] > 5.0 / 20:
+    if not eig_errs[20] <= 5.0 / 20:
         errs.append(f"eigenvalue error {eig_errs[20]:.3e} above 5*dx")
     factor = eig_errs[20] / eig_errs[40]
     if not 1.7 <= factor <= 2.3:
@@ -251,7 +257,7 @@ def check_resolvent_scan() -> CheckResult:
         errs.append("non-finite or nonpositive resolvent norm")
     for b, nrm in zip(scan.betas, scan.norms):
         bound = 1.0 / np.min(np.abs(1j * b - scan.spectrum))
-        if nrm < bound - 1e-8:
+        if not nrm >= bound - 1e-8:
             errs.append(f"beta={b}: norm {nrm:.6f} below spectral bound {bound:.6f}")
     return _verdict(
         "resolvent scan", errs,
@@ -264,8 +270,10 @@ def check_polynomial_bound() -> CheckResult:
     """Tail power-law exponent of the shifted run is at least 1/2."""
     trace = simulate(REF_SHIFTED, REF_GRID, REF_DATA, dt=REF_DT, t_end=REF_T_END)
     fit = analysis.polynomial_fit_decay(trace)
-    return CheckResult(
-        "polynomial-bound consistency", fit.exponent >= 0.5,
+    errs = ([] if fit.exponent >= 0.5 else
+            [f"tail power-law exponent {fit.exponent:.1f} below 0.5"])
+    return _verdict(
+        "polynomial-bound consistency", errs,
         f"tail power-law exponent {fit.exponent:.1f} >= 0.5 "
         f"(exponential decay dominates any fixed power)")
 

@@ -14,7 +14,8 @@ from delay_wave_lab import (DampingLaw, Grid, Params, SystemLabel,
                             sample_initial_state, symmetrized_max_eigenvalue,
                             builtin_data, system_label)
 from delay_wave_lab import discretization
-from delay_wave_lab.discretization import shift_deviation, shifted_lu
+from delay_wave_lab.discretization import (DiscreteGenerator, shift_deviation,
+                                          shifted_lu)
 
 
 def _blocks(vec, g):
@@ -141,6 +142,10 @@ def test_sparse_assembly_equals_the_loop_assembly_bitwise(nx, nrho, label):
     gen = assemble_generator(p, g)
     A, G = _loop_generator(p, g, label)
     assert np.array_equal(gen.matrix, A)
+    # every diagonal position stored once, as an explicit zero where A's is 0
+    m = gen.sparse_matrix
+    rows = np.repeat(np.arange(g.dim), np.diff(m.indptr))
+    np.testing.assert_array_equal(rows[rows == m.indices], np.arange(g.dim))
     assert np.array_equal(gen.gram, G)
     assert np.array_equal(assemble_gram(p, g).toarray(), G)
 
@@ -197,7 +202,7 @@ def test_direct_sparse_builds_equal_the_scipy_reference_bitwise(
     identity = _coo_csr(g.dim, [(k, k, 1.0)])
     for z, c in ((1.0, dt), (1j * beta, 1.0), (-p.shift, -1.0)):
         for fmt in ("csr", "csc"):
-            _assert_same_arrays(discretization._shifted(A, z, c, fmt),
+            _assert_same_arrays(discretization._shifted(A, z, c).asformat(fmt),
                                 (z * identity - c * A).asformat(fmt))
     if p.shifted:
         original = assemble_generator(replace(p, shifted=False), g)
@@ -219,6 +224,18 @@ def test_sparse_builds_make_no_coo_array(ref_params, ref_grid, monkeypatch):
     assert shifted_lu(gen, 1.0, 0.1) is not None
     assert shifted_lu(gen, 2.0j, 1.0) is not None
     assert shift_deviation(gen, original, ref_params.shift) == 0.0
+
+
+def test_a_matrix_without_its_whole_diagonal_is_rejected(ref_params, ref_grid):
+    # only a hand-built generator can lack a diagonal position; z must never
+    # be left off the diagonal silently
+    gen = DiscreteGenerator(
+        sparse_matrix=sp.csr_array(np.array([[0.0, 1.0], [-1.0, -2.0]])),
+        sparse_gram=sp.csr_array(np.eye(2)), params=ref_params)
+    with pytest.raises(ValueError, match="whole diagonal"):
+        shifted_lu(gen, 1.0, 0.1)
+    with pytest.raises(ValueError, match="whole diagonal"):
+        shift_deviation(gen, gen, 1.0)
 
 
 def test_shift_deviation_subtracts_without_a_format_conversion(ref_params, ref_grid,

@@ -19,8 +19,12 @@ from delay_wave_lab import (DiscreteGenerator, Grid, Params, SingularStepError,
 
 
 def _toy_generator(matrix):
+    """A generator of ``matrix`` that, like an assembled one, stores every
+    diagonal position, explicit zeros included."""
     n = len(matrix)
-    return DiscreteGenerator(sparse_matrix=sp.csr_array(np.asarray(matrix, float)),
+    a = sp.csr_array(np.asarray(matrix, float))
+    a.setdiag(a.diagonal())
+    return DiscreteGenerator(sparse_matrix=a,
                              sparse_gram=sp.csr_array(np.eye(n)),
                              params=Params(a=0.0, mu=1.0, tau=1.0, xi=1.0))
 
