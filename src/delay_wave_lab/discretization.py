@@ -1,9 +1,15 @@
 """Sparse generator matrices and the energy Gram matrix.
 
 A and G have a handful of nonzeros per row and are stored as ``scipy.sparse``
-CSR arrays, built straight from their stencil entries: one stable sort of
-the keys row*n + col and one ``reduceat`` over each run of equal keys give
-the CSR arrays, with no COO array in between.  Time stepping factors
+CSR arrays, built straight from their stencil entries with no COO array in
+between.  A stencil entry names a value slot rather than a value, so the CSR
+pattern depends only on the law and the grid: it is found once per (law,
+nx, nrho) for A and per (nx, nrho) for G, by one stable sort of the keys
+row*n + col, and cached (``PATTERN_CACHE_SIZE`` grids each).  Every
+assembly then only fills the pattern: each stored position takes the value
+of its first slot, and the diagonal positions that receive a second value
+add it, the one floating-point addition a summing sort would make.  Time
+stepping factors
 I - dt*A from them, and the energy applies G directly to a flat state of
 ``core`` or to a block of them.  The dense
 views of ``DiscreteGenerator`` are built on first use, only by the spectral
@@ -41,7 +47,7 @@ whenever mu <= a, are negative semidefinite up to roundoff, for every grid.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -71,6 +77,10 @@ class DiscreteGenerator:
     ``gram_factor`` holds the banded Cholesky factor of G and
     ``generator_norm`` an upper bound on the energy norm of A, at most
     sqrt(1.01) times it, both made by the sparse resolvent norm.
+    The CSR patterns its matrices are filled into outlive it: a module-level
+    cache keeps, for each of the last ``PATTERN_CACHE_SIZE`` grids (per law
+    for A), the read-only index and slot arrays, never a matrix value; each
+    generator's ``indices`` and ``indptr`` are its own copies.
     """
 
     sparse_matrix: sparray
@@ -122,29 +132,54 @@ class DiscreteGenerator:
         return float(norm) if vec.ndim == 1 else norm
 
 
-def _csr(n: int, entries) -> sparray:
-    """The n x n CSR array summing (rows, cols, value) entries, where rows and
-    cols are index arrays of one length, or two indices, and value is a scalar.
+PATTERN_CACHE_SIZE = 8  # grids whose A pattern (per law) and G pattern are kept
 
-    Each position receives at most two values, whose sum is exact in either
-    order, so the result equals the dense entrywise accumulation bit for bit.
-    The keys row*n + col are sorted stably and each run of equal keys summed
-    by one ``reduceat``; a sum that is zero stays as an explicit entry.
+
+def _pattern(n: int, entries) -> tuple[np.ndarray, ...]:
+    """The CSR pattern of the n x n sum of (rows, cols, slot) entries, where
+    rows and cols are index arrays of one length, or two indices, and slot
+    numbers the entry's value in the array ``_fill`` is given.
+
+    Returns read-only (indices, indptr, first, two, second): stored position
+    k takes the value of slot first[k], and position two[j] adds that of
+    slot second[j].  The keys row*n + col are sorted stably, so a position's
+    values keep their order in ``entries``; no position may receive more
+    than two, whose sum is exact in either order, so the filled matrix
+    equals the dense entrywise accumulation bit for bit.
     """
     import scipy.sparse as sp
 
-    rows, cols, vals = zip(*entries)
+    rows, cols, slots = zip(*entries)
     rows = list(map(np.atleast_1d, rows))
-    data = np.repeat(np.array(vals, dtype=float), list(map(len, rows)))
+    slots = np.repeat(np.array(slots, dtype=np.intp), list(map(len, rows)))
     rows, cols = np.concatenate(rows), np.hstack(cols)
     order = np.argsort(rows * n + cols, kind="stable")
-    rows, cols = rows[order], cols[order]
-    starts = np.flatnonzero(np.concatenate(
-        ([True], (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1]))))
+    rows, cols, slots = rows[order], cols[order], slots[order]
+    new = np.concatenate(([True], (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])))
+    if np.any(~new[1:] & ~new[:-1]):
+        raise ValueError("a matrix position receives more than two values")
+    starts, repeats = np.flatnonzero(new), np.flatnonzero(~new)
     indptr = np.zeros(n + 1, dtype=cols.dtype)
     np.cumsum(np.bincount(rows[starts], minlength=n), out=indptr[1:])
-    return sp.csr_array((np.add.reduceat(data[order], starts), cols[starts],
-                         indptr), shape=(n, n))
+    # the constructor picks the index dtype every filled matrix will have
+    m = sp.csr_array((np.zeros(len(starts)), cols[starts], indptr), shape=(n, n))
+    pattern = (m.indices, m.indptr, slots[starts],
+               np.cumsum(new)[repeats] - 1, slots[repeats])
+    for array in pattern:
+        array.flags.writeable = False
+    return pattern
+
+
+def _fill(pattern: tuple[np.ndarray, ...], values: np.ndarray) -> sparray:
+    """The CSR array of ``pattern`` with the slot values ``values``; it gets
+    copies of the cached index arrays, which in-place methods may rewrite."""
+    import scipy.sparse as sp
+
+    indices, indptr, first, two, second = pattern
+    data = values[first]
+    data[two] += values[second]
+    n = len(indptr) - 1
+    return sp.csr_array((data, indices.copy(), indptr.copy()), shape=(n, n))
 
 
 def _shifted(a: sparray, z: complex, c: float) -> sparray:
@@ -195,41 +230,42 @@ def shift_deviation(shifted: DiscreteGenerator, original: DiscreteGenerator,
     return float(abs(diff).max()) if diff.nnz else 0.0
 
 
+@lru_cache(maxsize=PATTERN_CACHE_SIZE)
+def _gram_pattern(nx: int, nrho: int) -> tuple[np.ndarray, ...]:
+    """G's stencil, with the value slots of ``assemble_gram``."""
+    n = 2 * nx + nrho
+    k = np.arange(nx)              # u_1..u_nx
+    return _pattern(n, [
+        # gradient block: (1/dx) * D^T D with D the backward-difference map, u_0 = 0
+        (k, k, 0),
+        (k[:-1], k[:-1], 0),
+        (k[1:], k[:-1], 1),
+        (k[:-1], k[1:], 1),
+        (k[:-1] + nx, k[:-1] + nx, 2),   # v_1..v_{nx-1}
+        (2 * nx - 1, 2 * nx - 1, 3),     # w
+        (np.arange(2 * nx, n), np.arange(2 * nx, n), 4),
+    ])
+
+
 def assemble_gram(p: Params, g: Grid) -> sparray:
     """Sparse Gram matrix G of the discrete energy.
 
     ||V||_G^2 = sum_i ((u_i - u_{i-1})/dx)^2 dx + sum_i v_i^2 dx + w^2
                + xi * sum_j z_j^2 drho,  with u_0 = 0.
     """
-    nx = g.nx
-    dx, drho = g.dx, g.drho
-    k = np.arange(nx)              # u_1..u_nx
-    return _csr(g.dim, [
-        # gradient block: (1/dx) * D^T D with D the backward-difference map, u_0 = 0
-        (k, k, 1.0 / dx),
-        (k[:-1], k[:-1], 1.0 / dx),
-        (k[1:], k[:-1], -1.0 / dx),
-        (k[:-1], k[1:], -1.0 / dx),
-        (k[:-1] + nx, k[:-1] + nx, dx),   # v_1..v_{nx-1}
-        (2 * nx - 1, 2 * nx - 1, 1.0),    # w
-        (np.arange(2 * nx, g.dim), np.arange(2 * nx, g.dim), p.xi * drho),
-    ])
+    dx = g.dx
+    return _fill(_gram_pattern(g.nx, g.nrho),
+                 np.array([1.0 / dx, -1.0 / dx, dx, 1.0, p.xi * g.drho]))
 
 
-def assemble_generator(p: Params, g: Grid,
-                       label: SystemLabel | None = None) -> DiscreteGenerator:
-    """Assemble the sparse generator A_h of the system ``system_label(p)``.
+@lru_cache(maxsize=PATTERN_CACHE_SIZE)
+def _generator_pattern(law: DampingLaw, nx: int, nrho: int) -> tuple[np.ndarray, ...]:
+    """A's stencil, with the value slots of ``_generator_values``.
 
     Row layout follows the state (u_1..u_nx, v_1..v_{nx-1}, w, z_1..z_nrho)
     with the eliminated values u_0 = 0, v_0 = 0, v_nx := w and z_0 := w.
-    ``label``, if given, must be that system; ``perfbench/selftest.py`` still
-    passes one.
     """
-    if label not in (None, system_label(p)):
-        raise ValueError(f"label {label} does not match the params")
-
-    nx, n = g.nx, g.dim
-    dx, drho = g.dx, g.drho
+    n = 2 * nx + nrho
     iw = 2 * nx - 1
     i = np.arange(1, nx)           # interior nodes
     iu = i - 1                     # rows of u_1..u_{nx-1}
@@ -238,35 +274,68 @@ def assemble_generator(p: Params, g: Grid,
 
     entries = [
         # u rows: u_i' = v_i, with the boundary velocity closing the last row
-        (iu, iv, 1.0),
-        (nx - 1, iw, 1.0),
+        (iu, iv, 0),
+        (nx - 1, iw, 0),
         # v rows at interior nodes: D^2 u with u_0 = 0
-        (iv, iu, -2.0 / dx**2),
-        (iv[1:], iu[1:] - 1, 1.0 / dx**2),
-        (iv, iu + 1, 1.0 / dx**2),
+        (iv, iu, 1),
+        (iv[1:], iu[1:] - 1, 2),
+        (iv, iu + 1, 2),
         # w row: one-sided normal derivative plus the delayed feedback
-        (iw, nx - 1, -1.0 / dx),
-        (iw, nx - 2, 1.0 / dx),
-        (iw, n - 1, -p.mu),
+        (iw, nx - 1, 3),
+        (iw, nx - 2, 4),
+        (iw, n - 1, 5),
         # z rows: upwind transport with inflow z_0 = w
-        (iz, iz, -1.0 / (p.tau * drho)),
-        (iz, iz - 1, 1.0 / (p.tau * drho)),
+        (iz, iz, 6),
+        (iz, iz - 1, 7),
     ]
-    if p.law is DampingLaw.INTERNAL_FRICTION:
-        entries.append((iv, iv, -p.a))
+    if law is DampingLaw.INTERNAL_FRICTION:
+        entries.append((iv, iv, 8))
     else:
         # Kelvin-Voigt: + a * D^2 v, the boundary value v_nx is w
-        entries += [(iv, iv, -2.0 * p.a / dx**2),
-                    (iv[1:], iv[1:] - 1, p.a / dx**2),
-                    (iv, iv + 1, p.a / dx**2),
-                    (iw, iw, -p.a / dx),
-                    (iw, iv[-1], p.a / dx)]
+        entries += [(iv, iv, 9),
+                    (iv[1:], iv[1:] - 1, 10),
+                    (iv, iv + 1, 10),
+                    (iw, iw, 11),
+                    (iw, iv[-1], 12)]
     # every diagonal position stored, as x + (-shift), which is exactly
     # x - shift; at shift 0 it is x + (-0.0), which is x bit for bit
-    entries.append((np.arange(n), np.arange(n), -p.shift))
+    entries.append((np.arange(n), np.arange(n), 13))
+    return _pattern(n, entries)
 
-    return DiscreteGenerator(sparse_matrix=_csr(n, entries),
-                             sparse_gram=assemble_gram(p, g), params=p)
+
+def _generator_values(p: Params, g: Grid) -> np.ndarray:
+    """The value of each slot of ``_generator_pattern``, in slot order."""
+    dx, drho = g.dx, g.drho
+    return np.array([
+        1.0,                       # 0: u_i' = v_i
+        -2.0 / dx**2,              # 1, 2: D^2 u
+        1.0 / dx**2,
+        -1.0 / dx,                 # 3, 4: one-sided normal derivative
+        1.0 / dx,
+        -p.mu,                     # 5: delayed feedback
+        -1.0 / (p.tau * drho),     # 6, 7: upwind transport
+        1.0 / (p.tau * drho),
+        -p.a,                      # 8: internal friction
+        -2.0 * p.a / dx**2,        # 9, 10: Kelvin-Voigt a * D^2 v
+        p.a / dx**2,
+        -p.a / dx,                 # 11, 12: Kelvin-Voigt boundary term
+        p.a / dx,
+        -p.shift,                  # 13: every diagonal position
+    ], dtype=float)
+
+
+def assemble_generator(p: Params, g: Grid,
+                       label: SystemLabel | None = None) -> DiscreteGenerator:
+    """Assemble the sparse generator A_h of the system ``system_label(p)``.
+
+    ``label``, if given, must be that system; ``perfbench/selftest.py`` still
+    passes one.
+    """
+    if label not in (None, system_label(p)):
+        raise ValueError(f"label {label} does not match the params")
+    a = _fill(_generator_pattern(p.law, g.nx, g.nrho), _generator_values(p, g))
+    return DiscreteGenerator(sparse_matrix=a, sparse_gram=assemble_gram(p, g),
+                             params=p)
 
 
 def symmetrized_max_eigenvalue(gen: DiscreteGenerator) -> float:

@@ -213,6 +213,8 @@ def test_main_restores_the_warning_hooks(capsys):
     assert (warnings.formatwarning, warnings.showwarning) == before
 
 
+# the advisory is a UserWarning that cli.main prints; it is what is tested here
+@pytest.mark.filterwarnings("default:Kelvin-Voigt stability condition:UserWarning")
 def test_kelvin_voigt_violation_prints_one_advisory_line(capsys):
     code, out, err = _run(capsys, ["simulate", "--law", "kelvin_voigt",
                                    "--mu", "2", "--t_end", "1"])

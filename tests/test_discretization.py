@@ -1,6 +1,5 @@
 import math
 from dataclasses import replace
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -170,6 +169,51 @@ def _assert_same_arrays(fast, slow):
     np.testing.assert_array_equal(fast.data.view(np.int64), slow.data.view(np.int64))
 
 
+def _reference_entries(p, g):
+    """A's and G's stencils as numeric (rows, cols, value) entries, written
+    apart from the cached slot patterns; summed by ``_coo_csr`` they are the
+    assembly's oracle."""
+    nx, n = g.nx, g.dim
+    dx, drho = g.dx, g.drho
+    iw = 2 * nx - 1
+    i = np.arange(1, nx)
+    iu = i - 1
+    iv = nx + i - 1
+    iz = np.arange(iw + 1, n)
+    a_entries = [
+        (iu, iv, 1.0),
+        (nx - 1, iw, 1.0),
+        (iv, iu, -2.0 / dx**2),
+        (iv[1:], iu[1:] - 1, 1.0 / dx**2),
+        (iv, iu + 1, 1.0 / dx**2),
+        (iw, nx - 1, -1.0 / dx),
+        (iw, nx - 2, 1.0 / dx),
+        (iw, n - 1, -p.mu),
+        (iz, iz, -1.0 / (p.tau * drho)),
+        (iz, iz - 1, 1.0 / (p.tau * drho)),
+    ]
+    if p.law is DampingLaw.INTERNAL_FRICTION:
+        a_entries.append((iv, iv, -p.a))
+    else:
+        a_entries += [(iv, iv, -2.0 * p.a / dx**2),
+                      (iv[1:], iv[1:] - 1, p.a / dx**2),
+                      (iv, iv + 1, p.a / dx**2),
+                      (iw, iw, -p.a / dx),
+                      (iw, iv[-1], p.a / dx)]
+    a_entries.append((np.arange(n), np.arange(n), -p.shift))
+    k = np.arange(nx)
+    g_entries = [
+        (k, k, 1.0 / dx),
+        (k[:-1], k[:-1], 1.0 / dx),
+        (k[1:], k[:-1], -1.0 / dx),
+        (k[:-1], k[1:], -1.0 / dx),
+        (k[:-1] + nx, k[:-1] + nx, dx),
+        (2 * nx - 1, 2 * nx - 1, 1.0),
+        (np.arange(2 * nx, n), np.arange(2 * nx, n), p.xi * drho),
+    ]
+    return a_entries, g_entries
+
+
 @pytest.mark.filterwarnings("ignore:Kelvin-Voigt stability condition")
 @settings(max_examples=60, deadline=None)
 @given(nx=st.integers(2, 320), nrho=st.integers(1, 320),
@@ -178,25 +222,34 @@ def _assert_same_arrays(fast, slow):
        mu=st.one_of(st.just(0.0), st.floats(0.01, 4.0)),
        tau=st.floats(0.25, 4.0), xi_factor=st.floats(0.5, 4.0),
        dt=st.floats(1e-3, 10.0),
-       beta=st.one_of(st.just(0.0), st.floats(-1e3, 1e3)))
+       beta=st.one_of(st.just(0.0), st.floats(-1e3, 1e3)),
+       again=st.tuples(st.one_of(st.just(0.0), st.floats(0.01, 2.0)),
+                       st.one_of(st.just(0.0), st.floats(0.01, 4.0)),
+                       st.floats(0.25, 4.0), st.floats(0.5, 4.0), st.booleans()))
 @example(nx=2, nrho=1, label=SystemLabel.ORIGINAL, a=0.0, mu=0.0, tau=1.0,
-         xi_factor=1.0, dt=0.1, beta=0.0)
+         xi_factor=1.0, dt=0.1, beta=0.0, again=(1.0, 1.0, 2.0, 2.0, True))
 @example(nx=2, nrho=1, label=SystemLabel.KELVIN_VOIGT, a=0.0, mu=0.0, tau=1.0,
-         xi_factor=1.0, dt=0.1, beta=-0.0)
+         xi_factor=1.0, dt=0.1, beta=-0.0, again=(1.0, 0.5, 0.5, 1.0, False))
 def test_direct_sparse_builds_equal_the_scipy_reference_bitwise(
-        nx, nrho, label, a, mu, tau, xi_factor, dt, beta):
+        nx, nrho, label, a, mu, tau, xi_factor, dt, beta, again):
     # a = 0 and mu = 0 give explicit zeros in A, which the shifted matrix drops
     law = (DampingLaw.KELVIN_VOIGT if label is SystemLabel.KELVIN_VOIGT
            else DampingLaw.INTERNAL_FRICTION)
     p = Params(a=a, mu=mu, tau=tau, xi=tau * xi_factor, law=law,
                shifted=label is SystemLabel.SHIFTED)
     g = Grid(nx=nx, nrho=nrho)
-    gen = assemble_generator(p, g)
-    with mock.patch.object(discretization, "_csr", _coo_csr):
-        slow = assemble_generator(p, g)
-    _assert_same_arrays(gen.sparse_matrix, slow.sparse_matrix)
-    _assert_same_arrays(gen.sparse_gram, slow.sparse_gram)
+    # a second parameter set on the same grid and law fills the cached pattern
+    a2, mu2, tau2, xi_factor2, shifted2 = again
+    p2 = Params(a=a2, mu=mu2, tau=tau2, xi=tau2 * xi_factor2, law=law,
+                shifted=shifted2 and law is DampingLaw.INTERNAL_FRICTION)
+    for q in (p, p2):
+        gen = assemble_generator(q, g)
+        a_entries, g_entries = _reference_entries(q, g)
+        _assert_same_arrays(gen.sparse_matrix, _coo_csr(g.dim, a_entries))
+        _assert_same_arrays(gen.sparse_gram, _coo_csr(g.dim, g_entries))
+        _assert_same_arrays(assemble_gram(q, g), _coo_csr(g.dim, g_entries))
 
+    gen = assemble_generator(p, g)
     A = gen.sparse_matrix
     k = np.arange(g.dim)
     identity = _coo_csr(g.dim, [(k, k, 1.0)])
@@ -210,6 +263,61 @@ def test_direct_sparse_builds_equal_the_scipy_reference_bitwise(
             diff = A - (original.sparse_matrix - shift * identity)
             expected = float(abs(diff).max()) if diff.nnz else 0.0
             assert shift_deviation(gen, original, shift) == expected
+
+
+_PATTERNS = (discretization._generator_pattern, discretization._gram_pattern)
+
+
+def test_cached_patterns_are_bounded_and_read_only():
+    for cached in _PATTERNS:
+        assert cached.cache_info().maxsize == discretization.PATTERN_CACHE_SIZE < 100
+    for pattern in (discretization._generator_pattern(DampingLaw.KELVIN_VOIGT, 5, 3),
+                    discretization._gram_pattern(5, 3)):
+        for array in pattern:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+
+def _zero_data(m):
+    m.data[:] = 0.0
+
+
+def _eliminate_zeros(m):
+    m.data[::2] = 0.0
+    m.eliminate_zeros()
+
+
+def _write_indices(m):
+    m.indices[:] = 0
+
+
+def _write_indptr(m):
+    m.indptr[1:] = m.indptr[-1]
+
+
+@pytest.mark.parametrize("damage", [_zero_data, _eliminate_zeros, _write_indices,
+                                    _write_indptr])
+def test_changing_a_generator_leaves_the_next_assembly_unchanged(
+        kv_params, ref_grid, damage):
+    before = assemble_generator(kv_params, ref_grid)
+    want = (before.sparse_matrix.copy(), before.sparse_gram.copy())
+    damage(before.sparse_matrix)
+    damage(before.sparse_gram)
+    after = assemble_generator(kv_params, ref_grid)
+    _assert_same_arrays(after.sparse_matrix, want[0])
+    _assert_same_arrays(after.sparse_gram, want[1])
+
+
+def test_a_sweep_finds_the_generator_pattern_once(ref_params, ref_data):
+    from delay_wave_lab.analysis import sweep
+
+    discretization._generator_pattern.cache_clear()
+    table = sweep(ref_params, Grid(nx=7, nrho=5), ref_data, dt=0.1, t_end=20.0,
+                  vary="mu", values=[0.5, 1.0, 1.5])
+    assert [row.error for row in table.rows] == ["", "", ""]
+    info = discretization._generator_pattern.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
 
 
 def test_sparse_builds_make_no_coo_array(ref_params, ref_grid, monkeypatch):
