@@ -11,10 +11,11 @@ a step is one sparse triangular solve.  Up to it a step is one dense matvec
 with the propagator M = (I - dt*A)^{-1}, solved from those factors; a run
 of at least ``POWER_STEPS_PER_DIM`` steps per state dimension makes only its
 first ``POWER_BLOCK`` iterates so and every later chunk of that many as one
-matrix product with P = M^POWER_BLOCK.  M, P and the chunk are dropped with
-the run.  ``simulate`` and ``shift_consistency`` write their iterates into
-one reused block of up to ``ENERGY_BLOCK_ENTRIES`` floats and take the
-block's energies in one call.
+matrix product with P = M^POWER_BLOCK.  That one loop, ``_march``, yields
+the iterates a block at a time in one array it owns and refills, of up to
+``ENERGY_BLOCK_ENTRIES`` floats; ``simulate`` and ``shift_consistency`` take
+each block's energies in one call.  M, P, the chunk and the block are
+dropped with the run, also when its caller stops early.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ MAX_STEPS = 1_000_000  # largest t_end/dt of a run; step_count enforces it
 # matvec beat the sparse solve up to n = 240 and lost from n = 300 on (one
 # BLAS thread); 180 leaves a margin for the n sparse solves that build it
 DENSE_STEP_MAX_DIM = 180
-# floats of iterates per energy block of ``simulate``: 128 KiB
+# floats of iterates per energy block, shared by marches read together: 128 KiB
 ENERGY_BLOCK_ENTRIES = 2 ** 14
 # iterates per power block of a long dense run, a power of two: P = M^32
 # takes five squarings
@@ -71,11 +72,13 @@ def _factorization(gen: DiscreteGenerator, dt: float):
         f"(I - dt*A) is singular for dt={dt} on the {gen.label.value} system")
 
 
-def _march(gen: DiscreteGenerator, vec: np.ndarray, dt: float, n_steps: int):
-    """The backward-Euler march V^1, ..., V^n_steps of V^0 = vec, as a
-    function ``fill(rows)`` that writes the next len(rows) iterates into the
-    rows of a (k, n) array, successive calls continuing where the last one
-    stopped.
+def _march(gen: DiscreteGenerator, vec: np.ndarray, dt: float, n_steps: int,
+           together: int = 1):
+    """The backward-Euler march V^1, ..., V^n_steps of V^0 = vec, yielded as
+    (start, block) with block[j] = V^(start+j).  Each block is a view of one
+    array the march owns and refills; ``together`` marches read side by side
+    share ``ENERGY_BLOCK_ENTRIES`` floats.  The factors are made at the
+    first block, so a singular step is raised there.
 
     Each iterate is one sparse solve above ``DENSE_STEP_MAX_DIM``, one matvec
     with the dense propagator M up to it.  A dense run of at least
@@ -84,54 +87,34 @@ def _march(gen: DiscreteGenerator, vec: np.ndarray, dt: float, n_steps: int):
     the chunk before it with P = M^b, squared up from M, since
     V^(k+b) = P V^k.  The last chunk may run up to b - 1 steps past the end.
     """
-    lu = _factorization(gen, dt)
-    if gen.dim > DENSE_STEP_MAX_DIM:
-        step = lu.solve
-    else:
-        propagator = lu.solve(np.eye(gen.dim))
-        step = propagator.dot
-
-    def one_at_a_time(rows):
-        nonlocal vec
-        for row in rows:
-            row[:] = vec = step(vec)
-
-    if (gen.dim > DENSE_STEP_MAX_DIM
-            or n_steps < max(POWER_STEPS_PER_DIM * gen.dim, 2 * POWER_BLOCK)):
-        return one_at_a_time
-
-    chunk = np.empty((POWER_BLOCK, gen.dim))
-    one_at_a_time(chunk)
-    power = propagator
-    for _ in range(POWER_BLOCK.bit_length() - 1):
-        power = power @ power
-    used = 0
-
-    def by_power_blocks(rows):
-        nonlocal chunk, used
-        done = 0
-        while done < len(rows):
-            if used == POWER_BLOCK:
-                chunk = chunk @ power.T
-                used = 0
-            take = min(POWER_BLOCK - used, len(rows) - done)
-            rows[done:done + take] = chunk[used:used + take]
-            done += take
-            used += take
-
-    return by_power_blocks
-
-
-def _blocks(marches, n_steps: int, dim: int):
-    """Write the iterates V^1, ..., V^n_steps of each march into one reused
-    array of at most ``ENERGY_BLOCK_ENTRIES`` floats and yield (n, block)
-    after each fill, where block[k][j] is V^(n+j) of the k-th march."""
-    rows = min(n_steps, max(1, ENERGY_BLOCK_ENTRIES // (len(marches) * dim)))
-    block = np.empty((len(marches), rows, dim))
+    step = _factorization(gen, dt).solve
+    powered = False
+    if gen.dim <= DENSE_STEP_MAX_DIM:
+        power = step(np.eye(gen.dim))  # M; a long run squares it up to P
+        step = power.dot  # which drops the factors
+        powered = n_steps >= max(POWER_STEPS_PER_DIM * gen.dim, 2 * POWER_BLOCK)
+    if powered:
+        chunk, first = np.empty((POWER_BLOCK, gen.dim)), 1  # chunk[j] = V^(first+j)
+        for j in range(POWER_BLOCK):
+            chunk[j] = vec = step(vec)
+        del step, vec  # only the chunk and P march on; M goes when squared
+        for _ in range(POWER_BLOCK.bit_length() - 1):
+            power = power @ power
+    rows = min(n_steps, max(1, ENERGY_BLOCK_ENTRIES // (together * gen.dim)))
+    block = np.empty((rows, gen.dim))
     for start in range(1, n_steps + 1, rows):
-        part = block[:, :n_steps + 1 - start]
-        for fill, iterates in zip(marches, part):
-            fill(iterates)
+        part = block[:n_steps + 1 - start]
+        if not powered:
+            for row in part:
+                row[:] = vec = step(vec)
+        else:
+            n, stop = start, start + len(part)
+            while n < stop:
+                if n == first + POWER_BLOCK:
+                    chunk, first = chunk @ power.T, n
+                take = min(first + POWER_BLOCK, stop) - n
+                part[n - start:n - start + take] = chunk[n - first:n - first + take]
+                n += take
         yield start, part
 
 
@@ -160,8 +143,8 @@ def simulate(p: Params, g: Grid, d: InitialData, dt: float,
 
     Deterministic given its inputs.  If the energy stops being finite the
     trace is truncated at the last finite value and marked as diverged.
-    The iterates are copied into one reused block and their energies taken
-    a block at a time, so a diverged run marches at most one block further.
+    The energies are taken a block of iterates at a time, so a diverged run
+    marches at most one block further.
     """
     n_steps = step_count(dt, t_end)
     gen = assemble_generator(p, g)
@@ -171,9 +154,8 @@ def simulate(p: Params, g: Grid, d: InitialData, dt: float,
     energies[0] = gen.energy(vec)
     last = n_steps
 
-    marches = [_march(gen, vec, dt, n_steps)]
     with np.errstate(over="ignore", invalid="ignore"):
-        for start, (rows,) in _blocks(marches, n_steps, gen.dim):
+        for start, rows in _march(gen, vec, dt, n_steps):
             e = gen.energy(rows)
             finite = np.isfinite(e)
             if not finite.all():
@@ -221,9 +203,9 @@ def shift_consistency(p: Params, g: Grid, d: InitialData, dt: float,
     worst = 0.0
     compared = 0
     diverged = False
-    marches = [_march(gen_o, v0, dt, n_steps), _march(gen_s, v0, dt, n_steps)]
+    marches = zip(_march(gen_o, v0, dt, n_steps, 2), _march(gen_s, v0, dt, n_steps, 2))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for start, (vo, vs) in _blocks(marches, n_steps, gen_o.dim):
+        for (start, vo), (_, vs) in marches:
             norm_o = gen_o.energy(vo)
             # e^{mu1 t_n}/||V_orig|| as one exponent, so it stays finite while
             # e^{mu1 t_n} alone overflows; both terms share the factor form,

@@ -830,6 +830,20 @@ def test_region_boundary_through_root_is_reported():
         characteristic_roots(p, Rectangle(0.0, 1.0, 0.05, 4.0))
 
 
+def test_root_just_outside_an_edge_is_found_once_the_edge_clears_it():
+    # a real Kelvin-Voigt root lies 2.7e-3 left of Re = -0.9; along that
+    # edge |F| falls to 1.6e-3 near Im = 0 and the walk of a child region
+    # cannot settle.  With the edge at -0.95 the root is inside and found
+    p = kelvin_voigt(a=1.0, mu=0.2, tau=2.0)
+    with pytest.raises(RootEnumerationError, match="did not stabilize"):
+        characteristic_roots(p, Rectangle(-0.9, 0.5, -60.0, 60.0))
+    roots = characteristic_roots(p, Rectangle(-0.95, 0.5, -60.0, 60.0))
+    assert [r.lam for r in roots] == pytest.approx(
+        [-0.902721324202, -0.374946159446 - 0.959361699507j,
+         -0.374946159446 + 0.959361699507j], abs=1e-11)
+    assert all(r.residual < 1e-10 for r in roots)
+
+
 def test_walk_through_a_root_stops_at_the_sample_cap():
     # walked together with a clean boundary, the walk along Re = 0, through
     # the undamped roots, refines alone up to WINDING_MAX_SAMPLES per side

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -32,18 +33,21 @@ def _toy_generator(matrix):
 def _iterates(gen, vec, dt, n_steps):
     """The backward-Euler iterates V^1, ..., V^n_steps of V^0 = vec as the
     rows of one array, from the time stepper's only loop."""
-    rows = np.empty((n_steps, len(vec)))
-    timestepper._march(gen, vec, dt, n_steps)(rows)
-    return rows
+    rows = []
+    for start, block in timestepper._march(gen, vec, dt, n_steps):
+        assert start == len(rows) + 1
+        rows.extend(block.copy())  # the march refills its block
+    return np.array(rows)
 
 
 def _one_at_a_time(gen, vec, dt, n_steps):
-    """Yield the iterates of the same march, read one row at a time."""
-    fill = timestepper._march(gen, vec, dt, n_steps)
-    for _ in range(n_steps):
-        row = np.empty((1, len(vec)))
-        fill(row)
-        yield row[0]
+    """The iterates of the same march, read in blocks of one row.  A march
+    sizes its block when it makes its first one."""
+    march = timestepper._march(gen, vec, dt, n_steps)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(timestepper, "ENERGY_BLOCK_ENTRIES", len(vec))
+        first = next(march)
+    return (row for _, (row,) in itertools.chain([first], march))
 
 
 def _step(gen, vec, dt):
@@ -79,6 +83,18 @@ def test_singular_step_is_reported():
     # dt*A overflows: the matrix is rejected before it is factored
     with pytest.raises(SingularStepError, match="dt=1e"):
         _step(gen, np.ones(5), dt=1e308)
+
+
+def test_singular_step_is_reported_by_simulate_and_shift_consistency(ref_data,
+                                                                     monkeypatch):
+    # the march factors at its first block, inside the callers' loops
+    grid = Grid(nx=2, nrho=1)
+    gen = _toy_generator(np.eye(grid.dim) / 0.25)
+    monkeypatch.setattr(timestepper, "assemble_generator", lambda *args: gen)
+    p = internal_friction(a=1.0, mu=1.0, tau=2.0)
+    for run in (simulate, shift_consistency):
+        with pytest.raises(SingularStepError, match="dt=0.25.*original"):
+            run(p, grid, ref_data, dt=0.25, t_end=1.0)
 
 
 @pytest.mark.parametrize("dt", [0.01, 0.1, 1.0])
@@ -160,9 +176,14 @@ def test_simulate_keeps_no_generator_or_factors_alive(ref_params, ref_grid,
     monkeypatch.setattr(timestepper, "assemble_generator", assemble)
     simulate(ref_params, ref_grid, ref_data, dt=0.1, t_end=1.0)
     simulate(ref_params, ref_grid, ref_data, dt=0.1, t_end=50.0)  # power blocks
+    # diverging runs break off their marches, which are left suspended
+    original = internal_friction(a=0.0, mu=8.0, tau=2.0, shifted=False)
+    assert simulate(original, ref_grid, ref_data, dt=0.1, t_end=2000.0).diverged
+    shifted = internal_friction(a=1.0, mu=8.0, tau=2.0)
+    assert shift_consistency(shifted, ref_grid, ref_data, dt=0.1, t_end=200.0).diverged
     gc.collect()
     assert ref_grid.dim <= timestepper.DENSE_STEP_MAX_DIM
-    assert len(generators) == len(factors) == len(propagators) == 2
+    assert len(generators) == len(factors) == len(propagators) == 5
     assert all(ref() is None for ref in generators + factors + propagators)
 
 
@@ -257,6 +278,22 @@ def test_simulate_memory_does_not_grow_with_the_step_count(ref_params, ref_grid,
     finally:
         tracemalloc.stop()
     assert peak - 2 * 8 * (n_steps + 1) <= 2 ** 20
+
+
+@pytest.mark.parametrize("n_steps", [2_000, 20_000])
+def test_shift_consistency_memory_does_not_grow_with_the_step_count(
+        ref_params, ref_grid, ref_data, n_steps):
+    # two marches share one block's worth of iterates; the report keeps no
+    # trace, so the whole run allocates a fixed amount
+    shift_consistency(ref_params, ref_grid, ref_data, dt=0.01, t_end=0.1)  # warm caches
+    tracemalloc.start()
+    try:
+        shift_consistency(ref_params, ref_grid, ref_data, dt=0.01,
+                          t_end=n_steps * 0.01)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 ** 20
 
 
 def test_simulation_is_deterministic(ref_params, ref_grid, ref_data):
@@ -468,17 +505,21 @@ def _power_threshold(dim):
 
 
 def test_power_block_iterates_do_not_depend_on_how_they_are_read(ref_params,
-                                                                 ref_grid):
+                                                                 ref_grid,
+                                                                 monkeypatch):
     gen = assemble_generator(ref_params, ref_grid)
     v0 = sample_initial_state(builtin_data("paper"), ref_grid)
-    n_steps = _power_threshold(ref_grid.dim) + 45
-    whole = _iterates(gen, v0, 0.1, n_steps)
-    np.testing.assert_array_equal(list(_one_at_a_time(gen, v0, 0.1, n_steps)), whole)
-    fill = timestepper._march(gen, v0, 0.1, n_steps)
-    for rows in np.array_split(np.empty_like(whole), [7, 40, 41, 200]):
-        fill(rows)
-        np.testing.assert_array_equal(rows, whole[:len(rows)])
-        whole = whole[len(rows):]
+    threshold = _power_threshold(ref_grid.dim)
+    for dense_max, n_steps in [(ref_grid.dim - 1, threshold + 45),  # sparse
+                               (ref_grid.dim, threshold - 1),       # dense
+                               (ref_grid.dim, threshold + 45)]:     # power blocks
+        monkeypatch.setattr(timestepper, "DENSE_STEP_MAX_DIM", dense_max)
+        whole = _iterates(gen, v0, 0.1, n_steps)  # in blocks of the default size
+        assert len(whole) == n_steps
+        for rows in [1, 7, 40, 41, 200]:
+            monkeypatch.setattr(timestepper, "ENERGY_BLOCK_ENTRIES", rows * ref_grid.dim)
+            np.testing.assert_array_equal(_iterates(gen, v0, 0.1, n_steps), whole)
+        monkeypatch.undo()
 
 
 @pytest.mark.filterwarnings("ignore:Kelvin-Voigt stability condition")
