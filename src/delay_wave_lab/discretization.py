@@ -4,30 +4,28 @@ A and G have a handful of nonzeros per row and are stored as ``scipy.sparse``
 CSR arrays, built straight from their stencil entries with no COO array in
 between.  A stencil entry names a value slot rather than a value, so the CSR
 pattern depends only on the law and the grid: it is found once per (law,
-nx, nrho) for A and per (nx, nrho) for G, by one stable sort of the keys
-row*n + col, and cached (``PATTERN_CACHE_SIZE`` grids each).  Every
-assembly then only fills the pattern: each stored position takes the value
-of its first slot, and the diagonal positions that receive a second value
-add it, the one floating-point addition a summing sort would make.  Time
-stepping factors
-I - dt*A from them, and the energy applies G directly to a flat state of
-``core`` or to a block of them.  The dense
-views of ``DiscreteGenerator`` are built on first use, only by the spectral
-diagnostics: ``matrix`` (A) by the full spectrum and, with ``gram`` (G), by
-the dissipativity check; ``weighted_matrix`` by the resolvent norms below
-``spectral.SPARSE_RESOLVENT_MIN_DIM``.  Above it the resolvent norms use the
-banded Cholesky factor ``gram_factor`` of G, which is tridiagonal in the
-state order, and build no dense matrix.  ``shifted_lu`` makes every sparse
-LU of the package: the time stepper's I - dt*A and the resolvent's
-i*beta*I - A.  A stores its whole diagonal, so z*I - c*A has A's own pattern
-and is formed from A's CSR arrays by one entrywise transform of the data,
-with no identity matrix and no scipy sparse arithmetic, entry for entry what
-scipy's sparse ``z*I - c*A`` gives; ``shift_deviation`` builds
-A_original - shift*I the same way.
+nx, nrho) for A and per (nx, nrho) for G, by one sort of the keys
+row*n + col, and cached (``PATTERN_CACHE_SIZE`` grids each).  Every stored
+position has exactly one stencil entry, so every assembly is one gather of
+slot values.  Time stepping factors I - dt*A from them, and the energy
+applies G directly to a flat state of ``core`` or to a block of them.  The
+dense views of ``DiscreteGenerator`` are built on first use, only by the
+spectral diagnostics: ``matrix`` (A) by the full spectrum and, with
+``gram`` (G), by the dissipativity check; ``weighted_matrix`` by the
+resolvent norms below ``spectral.SPARSE_RESOLVENT_MIN_DIM``.  Above it the
+resolvent norms use the banded Cholesky factor ``gram_factor`` of G, which
+is tridiagonal in the state order, and build no dense matrix.
+``shifted_lu`` makes every sparse LU of the package: the time stepper's
+I - dt*A and the resolvent's i*beta*I - A.  A stores its whole diagonal, so
+z*I - c*A has A's own pattern and is formed from A's CSR arrays by one
+entrywise transform of the data, with no identity matrix and no scipy
+sparse arithmetic, entry for entry what scipy's sparse ``z*I - c*A`` gives;
+``shift_deviation`` builds A_original - shift*I the same way.
 
-``assemble_generator(p, g)`` builds the ``system_label(p)`` system; it adds
-``-p.shift`` to every diagonal position, -0.0 for an unshifted system, which
-leaves every other entry's bits as they are and stores the diagonal.
+``assemble_generator(p, g)`` builds the ``system_label(p)`` system and stores
+its whole diagonal: a diagonal slot with a stencil value x holds x - p.shift,
+and the other diagonal positions hold -p.shift.  An unshifted system has
+p.shift = 0.0, and x - 0.0 is x bit for bit, -0.0 included.
 
 The stencils are matched so that the continuous energy computation survives
 discretization *exactly*:
@@ -136,35 +134,27 @@ PATTERN_CACHE_SIZE = 8  # grids whose A pattern (per law) and G pattern are kept
 
 
 def _pattern(n: int, entries) -> tuple[np.ndarray, ...]:
-    """The CSR pattern of the n x n sum of (rows, cols, slot) entries, where
-    rows and cols are index arrays of one length, or two indices, and slot
-    numbers the entry's value in the array ``_fill`` is given.
+    """The CSR pattern of the n x n matrix of (rows, cols, slot) entries,
+    where rows and cols are index arrays of one length, or two indices, and
+    slot numbers the entry's value in the array ``_fill`` is given.
 
-    Returns read-only (indices, indptr, first, two, second): stored position
-    k takes the value of slot first[k], and position two[j] adds that of
-    slot second[j].  The keys row*n + col are sorted stably, so a position's
-    values keep their order in ``entries``; no position may receive more
-    than two, whose sum is exact in either order, so the filled matrix
-    equals the dense entrywise accumulation bit for bit.
+    Returns read-only (indices, indptr, slots): stored position k takes the
+    value of slot slots[k].  Each position has one entry; a second entry at
+    a position raises ``ValueError``.
     """
     import scipy.sparse as sp
 
     rows, cols, slots = zip(*entries)
     rows = list(map(np.atleast_1d, rows))
     slots = np.repeat(np.array(slots, dtype=np.intp), list(map(len, rows)))
-    rows, cols = np.concatenate(rows), np.hstack(cols)
-    order = np.argsort(rows * n + cols, kind="stable")
-    rows, cols, slots = rows[order], cols[order], slots[order]
-    new = np.concatenate(([True], (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])))
-    if np.any(~new[1:] & ~new[:-1]):
-        raise ValueError("a matrix position receives more than two values")
-    starts, repeats = np.flatnonzero(new), np.flatnonzero(~new)
-    indptr = np.zeros(n + 1, dtype=cols.dtype)
-    np.cumsum(np.bincount(rows[starts], minlength=n), out=indptr[1:])
+    keys, first = np.unique(np.concatenate(rows) * n + np.hstack(cols),
+                            return_index=True)
+    if len(keys) < len(slots):
+        raise ValueError("two stencil entries share a matrix position")
+    indptr = np.searchsorted(keys, np.arange(n + 1) * n)
     # the constructor picks the index dtype every filled matrix will have
-    m = sp.csr_array((np.zeros(len(starts)), cols[starts], indptr), shape=(n, n))
-    pattern = (m.indices, m.indptr, slots[starts],
-               np.cumsum(new)[repeats] - 1, slots[repeats])
+    m = sp.csr_array((np.zeros(len(keys)), keys % n, indptr), shape=(n, n))
+    pattern = (m.indices, m.indptr, slots[first])
     for array in pattern:
         array.flags.writeable = False
     return pattern
@@ -175,11 +165,9 @@ def _fill(pattern: tuple[np.ndarray, ...], values: np.ndarray) -> sparray:
     copies of the cached index arrays, which in-place methods may rewrite."""
     import scipy.sparse as sp
 
-    indices, indptr, first, two, second = pattern
-    data = values[first]
-    data[two] += values[second]
+    indices, indptr, slots = pattern
     n = len(indptr) - 1
-    return sp.csr_array((data, indices.copy(), indptr.copy()), shape=(n, n))
+    return sp.csr_array((values[slots], indices.copy(), indptr.copy()), shape=(n, n))
 
 
 def _shifted(a: sparray, z: complex, c: float) -> sparray:
@@ -237,13 +225,13 @@ def _gram_pattern(nx: int, nrho: int) -> tuple[np.ndarray, ...]:
     k = np.arange(nx)              # u_1..u_nx
     return _pattern(n, [
         # gradient block: (1/dx) * D^T D with D the backward-difference map, u_0 = 0
-        (k, k, 0),
         (k[:-1], k[:-1], 0),
-        (k[1:], k[:-1], 1),
-        (k[:-1], k[1:], 1),
-        (k[:-1] + nx, k[:-1] + nx, 2),   # v_1..v_{nx-1}
-        (2 * nx - 1, 2 * nx - 1, 3),     # w
-        (np.arange(2 * nx, n), np.arange(2 * nx, n), 4),
+        (nx - 1, nx - 1, 1),
+        (k[1:], k[:-1], 2),
+        (k[:-1], k[1:], 2),
+        (k[:-1] + nx, k[:-1] + nx, 3),   # v_1..v_{nx-1}
+        (2 * nx - 1, 2 * nx - 1, 4),     # w
+        (np.arange(2 * nx, n), np.arange(2 * nx, n), 5),
     ])
 
 
@@ -255,12 +243,15 @@ def assemble_gram(p: Params, g: Grid) -> sparray:
     """
     dx = g.dx
     return _fill(_gram_pattern(g.nx, g.nrho),
-                 np.array([1.0 / dx, -1.0 / dx, dx, 1.0, p.xi * g.drho]))
+                 np.array([1.0 / dx + 1.0 / dx, 1.0 / dx, -1.0 / dx, dx, 1.0,
+                           p.xi * g.drho]))
 
 
 @lru_cache(maxsize=PATTERN_CACHE_SIZE)
 def _generator_pattern(law: DampingLaw, nx: int, nrho: int) -> tuple[np.ndarray, ...]:
-    """A's stencil, with the value slots of ``_generator_values``.
+    """A's stencil, with the value slots of ``_generator_values``.  Every
+    diagonal position is stored: slot 13 (-shift) fills those of the rows
+    whose stencil has no diagonal value.
 
     Row layout follows the state (u_1..u_nx, v_1..v_{nx-1}, w, z_1..z_nrho)
     with the eliminated values u_0 = 0, v_0 = 0, v_nx := w and z_0 := w.
@@ -276,6 +267,7 @@ def _generator_pattern(law: DampingLaw, nx: int, nrho: int) -> tuple[np.ndarray,
         # u rows: u_i' = v_i, with the boundary velocity closing the last row
         (iu, iv, 0),
         (nx - 1, iw, 0),
+        (np.arange(nx), np.arange(nx), 13),
         # v rows at interior nodes: D^2 u with u_0 = 0
         (iv, iu, 1),
         (iv[1:], iu[1:] - 1, 2),
@@ -289,7 +281,7 @@ def _generator_pattern(law: DampingLaw, nx: int, nrho: int) -> tuple[np.ndarray,
         (iz, iz - 1, 7),
     ]
     if law is DampingLaw.INTERNAL_FRICTION:
-        entries.append((iv, iv, 8))
+        entries += [(iv, iv, 8), (iw, iw, 13)]
     else:
         # Kelvin-Voigt: + a * D^2 v, the boundary value v_nx is w
         entries += [(iv, iv, 9),
@@ -297,9 +289,6 @@ def _generator_pattern(law: DampingLaw, nx: int, nrho: int) -> tuple[np.ndarray,
                     (iv, iv + 1, 10),
                     (iw, iw, 11),
                     (iw, iv[-1], 12)]
-    # every diagonal position stored, as x + (-shift), which is exactly
-    # x - shift; at shift 0 it is x + (-0.0), which is x bit for bit
-    entries.append((np.arange(n), np.arange(n), 13))
     return _pattern(n, entries)
 
 
@@ -307,20 +296,20 @@ def _generator_values(p: Params, g: Grid) -> np.ndarray:
     """The value of each slot of ``_generator_pattern``, in slot order."""
     dx, drho = g.dx, g.drho
     return np.array([
-        1.0,                       # 0: u_i' = v_i
-        -2.0 / dx**2,              # 1, 2: D^2 u
+        1.0,                               # 0: u_i' = v_i
+        -2.0 / dx**2,                      # 1, 2: D^2 u
         1.0 / dx**2,
-        -1.0 / dx,                 # 3, 4: one-sided normal derivative
+        -1.0 / dx,                         # 3, 4: one-sided normal derivative
         1.0 / dx,
-        -p.mu,                     # 5: delayed feedback
-        -1.0 / (p.tau * drho),     # 6, 7: upwind transport
+        -p.mu,                             # 5: delayed feedback
+        -1.0 / (p.tau * drho) - p.shift,   # 6, 7: upwind transport
         1.0 / (p.tau * drho),
-        -p.a,                      # 8: internal friction
-        -2.0 * p.a / dx**2,        # 9, 10: Kelvin-Voigt a * D^2 v
+        -p.a - p.shift,                    # 8: internal friction
+        -2.0 * p.a / dx**2 - p.shift,      # 9, 10: Kelvin-Voigt a * D^2 v
         p.a / dx**2,
-        -p.a / dx,                 # 11, 12: Kelvin-Voigt boundary term
+        -p.a / dx - p.shift,               # 11, 12: Kelvin-Voigt boundary term
         p.a / dx,
-        -p.shift,                  # 13: every diagonal position
+        -p.shift,                          # 13: a diagonal with no stencil value
     ], dtype=float)
 
 

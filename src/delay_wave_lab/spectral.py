@@ -106,7 +106,10 @@ def resolvent_norm(gen: DiscreteGenerator, beta: float) -> float:
     dense SVD, at and above it from one sparse LU and one Lanczos run; both
     paths raise :class:`BetaNearSpectrumError` for a shift too close to the
     spectrum, and a failed Lanczos run raises :class:`EigensolverError`.
+    A non-finite beta raises ``ValueError``.
     """
+    if not math.isfinite(beta):
+        raise ValueError(f"beta must be finite, got {beta}")
     if gen.dim >= SPARSE_RESOLVENT_MIN_DIM:
         return _sparse_resolvent_norm(gen, beta)
     return _dense_resolvent_norm(gen, beta)
@@ -205,10 +208,11 @@ class ResolventScan:
 
 
 def sorted_betas(betas) -> np.ndarray:
-    """The scan frequencies as a sorted array; every beta must be positive."""
+    """The scan frequencies as a sorted array; every beta must be finite and
+    positive."""
     betas = np.asarray(sorted(float(b) for b in betas))
-    if not np.all(betas > 0.0):
-        raise ValueError(f"betas must be positive, got {betas.tolist()}")
+    if not np.all(np.isfinite(betas) & (betas > 0.0)):
+        raise ValueError(f"betas must be finite and positive, got {betas.tolist()}")
     return betas
 
 

@@ -273,10 +273,19 @@ def test_cached_patterns_are_bounded_and_read_only():
         assert cached.cache_info().maxsize == discretization.PATTERN_CACHE_SIZE < 100
     for pattern in (discretization._generator_pattern(DampingLaw.KELVIN_VOIGT, 5, 3),
                     discretization._gram_pattern(5, 3)):
+        indices, indptr, slots = pattern
+        assert len(indices) == len(slots) == indptr[-1]
         for array in pattern:
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
+
+
+def test_a_position_with_two_stencil_entries_is_refused():
+    with pytest.raises(ValueError, match="share a matrix position"):
+        discretization._pattern(3, [(0, 0, 0), (0, 0, 1)])
+    with pytest.raises(ValueError, match="share a matrix position"):
+        discretization._pattern(3, [(np.arange(3), np.arange(3), 0), (2, 2, 1)])
 
 
 def _zero_data(m):

@@ -1,9 +1,18 @@
-"""The Python examples of README.md run as written."""
+"""The Python examples of README.md run as written, and the names and
+values it quotes from the package are the code's."""
 
+import importlib
+import pkgutil
 import re
 from pathlib import Path
 
+import delay_wave_lab
+
 README = Path(__file__).resolve().parents[1] / "README.md"
+MODULES = {m.name for m in pkgutil.iter_modules(delay_wave_lab.__path__)}
+# `module.NAME`, optionally followed by = value, where value is a number or
+# base^exponent
+QUOTED = re.compile(r"`(\w+)\.(\w+)`(?:\s*=\s*(\d+(?:\.\d+)?(?:\^\d+)?))?")
 
 
 def test_readme_python_blocks_run():
@@ -12,3 +21,27 @@ def test_readme_python_blocks_run():
     assert blocks
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
+
+
+def _quoted_names():
+    return [m for m in QUOTED.finditer(README.read_text()) if m[1] in MODULES]
+
+
+def test_readme_module_names_resolve():
+    quoted = _quoted_names()
+    assert len(quoted) >= 5
+    for m in quoted:
+        module = importlib.import_module(f"delay_wave_lab.{m[1]}")
+        assert hasattr(module, m[2]), f"README quotes {m[1]}.{m[2]}, which is gone"
+
+
+def test_readme_quoted_values_equal_the_code():
+    quoted = [m for m in _quoted_names() if m[3]]
+    assert {f"{m[1]}.{m[2]}" for m in quoted} >= {
+        "timestepper.DENSE_STEP_MAX_DIM", "timestepper.ENERGY_BLOCK_ENTRIES",
+        "discretization.PATTERN_CACHE_SIZE"}
+    for m in quoted:
+        base, _, exponent = m[3].partition("^")
+        value = float(base) ** int(exponent or 1)
+        code = getattr(importlib.import_module(f"delay_wave_lab.{m[1]}"), m[2])
+        assert code == value, f"README gives {m[1]}.{m[2]} = {m[3]}, the code {code}"

@@ -200,6 +200,24 @@ def test_sparse_resolvent_norm_near_eigenvalue_errors():
         resolvent_norm(gen, beta)
 
 
+@pytest.mark.parametrize("beta", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("nx", [DENSE_NX[0], SPARSE_NX[-1]], ids=["dense", "sparse"])
+def test_resolvent_norm_rejects_a_non_finite_beta(ref_params, nx, beta):
+    # one error on both paths, raised before either makes its matrix
+    gen = assemble_generator(ref_params, Grid(nx=nx, nrho=nx))
+    with pytest.raises(ValueError, match=f"^beta must be finite, got {beta}$"):
+        resolvent_norm(gen, beta)
+
+
+@pytest.mark.parametrize("betas", [[1.0, math.inf], [math.nan, 2.0], [-math.inf],
+                                   [1.0, -1.0], [0.0]])
+def test_scan_frequencies_must_be_finite_and_positive(ref_params, ref_grid, betas):
+    with pytest.raises(ValueError, match="betas must be finite and positive"):
+        spectral.sorted_betas(betas)
+    with pytest.raises(ValueError, match="betas must be finite and positive"):
+        resolvent_scan(assemble_generator(ref_params, ref_grid), betas)
+
+
 def test_sparse_resolvent_norm_reports_lanczos_failure(ref_params, monkeypatch):
     def no_convergence(*args, **kwargs):
         raise spla.ArpackNoConvergence("No convergence", [], [])
