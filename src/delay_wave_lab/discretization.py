@@ -16,11 +16,13 @@ resolvent norms below ``spectral.SPARSE_RESOLVENT_MIN_DIM``.  Above it the
 resolvent norms use the banded Cholesky factor ``gram_factor`` of G, which
 is tridiagonal in the state order, and build no dense matrix.
 ``shifted_lu`` makes every sparse LU of the package: the time stepper's
-I - dt*A and the resolvent's i*beta*I - A.  A stores its whole diagonal, so
-z*I - c*A has A's own pattern and is formed from A's CSR arrays by one
-entrywise transform of the data, with no identity matrix and no scipy
-sparse arithmetic, entry for entry what scipy's sparse ``z*I - c*A`` gives;
-``shift_deviation`` builds A_original - shift*I the same way.
+I - dt*A above ``timestepper.DENSE_STEP_MAX_DIM`` (up to it the stepper
+factors a dense copy with LAPACK) and the resolvent's i*beta*I - A.  A
+stores its whole diagonal, so z*I - c*A has A's own pattern and is formed
+from A's CSR arrays by one entrywise transform of the data, with no
+identity matrix and no scipy sparse arithmetic, entry for entry what
+scipy's sparse ``z*I - c*A`` gives; ``shift_deviation`` builds
+A_original - shift*I the same way.
 
 ``assemble_generator(p, g)`` builds the ``system_label(p)`` system and stores
 its whole diagonal: a diagonal slot with a stencil value x holds x - p.shift,
@@ -66,8 +68,9 @@ class DiscreteGenerator:
 
     Immutable after construction apart from its caches; safe to share between
     threads.  The dense views are made on first use and time stepping never
-    builds them (its dense propagator comes from the LU of I - dt*A and
-    lives only as long as its run): ``matrix`` and ``gram`` for
+    builds them (its dense propagator comes from a LAPACK LU of a dense
+    I - dt*A that it makes from ``sparse_matrix``, and lives only as long
+    as its run): ``matrix`` and ``gram`` for
     ``spectral.eigenvalues`` and ``symmetrized_max_eigenvalue``,
     ``weighted_matrix`` for ``spectral.resolvent_norm`` below its sparse
     crossover dimension.

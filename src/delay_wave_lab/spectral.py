@@ -342,9 +342,10 @@ def _winding_number(f, rects: list[Rectangle]) -> list[int]:
     so the previous samples are reused exactly and only the midpoints are
     evaluated.  The walks advance together: their first samples are one call
     of f, and each refinement round is one call for the midpoints of every
-    walk still open.  Every walk keeps its own stop rule, cap and errors; the
-    first round in which a walk fails raises, for the first such rectangle
-    in list order.
+    walk still open.  A round takes the phase steps, their largest size and
+    their total for all its walks in a few whole-array calls; each walk
+    then keeps its own stop rule, cap and errors, and the first round in
+    which a walk fails raises, for the first such rectangle in list order.
     """
     corners = np.array([[complex(r.re_min, r.im_min), complex(r.re_max, r.im_min),
                          complex(r.re_max, r.im_max), complex(r.re_min, r.im_max)]
@@ -356,18 +357,23 @@ def _winding_number(f, rects: list[Rectangle]) -> list[int]:
     prev: list[float | None] = [None] * len(rects)
     walks = list(range(len(rects)))  # rectangle of each row of vals
     while True:
+        rings = vals.reshape(len(walks), -1)
+        usable = rings.all(axis=1) & np.isfinite(rings).all(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):  # unusable rows raise
+            dargs = np.angle(np.roll(rings, -1, axis=1) / rings)
+        steep = np.abs(dargs).max(axis=1) > 0.5 * math.pi
+        totals = dargs.sum(axis=1) / (2.0 * math.pi)
+        del dargs  # not held through the next call of f
         going = []  # rows of vals whose walk refines again
         for row, i in enumerate(walks):
-            if not (vals[row].all() and np.isfinite(vals[row]).all()):
+            if not usable[row]:
                 raise RootEnumerationError(
                     "characteristic function vanishes or overflows on the region "
                     "boundary; shrink or move the region")
-            ring = vals[row].ravel()
-            dargs = np.angle(np.concatenate((ring[1:], ring[:1])) / ring)
-            if np.max(np.abs(dargs)) > 0.5 * math.pi:
+            if steep[row]:
                 prev[i] = None
             else:
-                total = dargs.sum() / (2.0 * math.pi)
+                total = totals[row]
                 if prev[i] is not None and abs(total - prev[i]) < 1e-3:
                     if abs(total - round(total)) > 1e-3:
                         raise RootEnumerationError(

@@ -6,11 +6,13 @@ of the shifted and Kelvin-Voigt systems are nonincreasing for every dt.
 Divergence of the original system is a result, not an error; traces are
 truncated at the last finite energy and flagged.
 
-Every run factors I - dt*A once with ``splu``.  Above ``DENSE_STEP_MAX_DIM``
-a step is one sparse triangular solve.  Up to it a step is one dense matvec
-with the propagator M = (I - dt*A)^{-1}, solved from those factors; a run
-of at least ``POWER_STEPS_PER_DIM`` steps per state dimension makes only its
-first ``POWER_BLOCK`` iterates so and every later chunk of that many as one
+Every run factors I - dt*A once.  Above ``DENSE_STEP_MAX_DIM`` the factors
+come from ``splu`` and a step is one sparse triangular solve.  Up to it a
+step is one dense matvec with the propagator M = (I - dt*A)^{-1}, made by
+one LAPACK LU and inverse (``dgetrf``, ``dgetri``) of a dense I - dt*A, so
+small grids build no SuperLU object; a run of at least
+``POWER_STEPS_PER_DIM`` steps per state dimension makes only its first
+``POWER_BLOCK`` iterates so and every later chunk of that many as one
 matrix product with P = M^POWER_BLOCK.  That one loop, ``_march``, yields
 the iterates a block at a time in one array it owns and refills, of up to
 ``ENERGY_BLOCK_ENTRIES`` floats; ``simulate`` and ``shift_consistency`` take
@@ -23,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg as sla  # noqa: F401 -- perfbench's tracer wraps this attribute by name
+import scipy.linalg as sla  # perfbench's tracer also wraps this attribute by name
 
 from .core import Grid, InitialData, Params, sample_initial_state
 from .discretization import (DiscreteGenerator, assemble_generator,
@@ -33,7 +35,8 @@ from .discretization import (DiscreteGenerator, assemble_generator,
 MAX_STEPS = 1_000_000  # largest t_end/dt of a run; step_count enforces it
 # largest state dimension stepped by the dense propagator.  Per step the
 # matvec beat the sparse solve up to n = 240 and lost from n = 300 on (one
-# BLAS thread); 180 leaves a margin for the n sparse solves that build it
+# BLAS thread).  Building M by a LAPACK LU and inverse costs less than by
+# splu and n solves up to n of about 155, and 0.86 against 0.57 ms at 180
 DENSE_STEP_MAX_DIM = 180
 # floats of iterates per energy block, shared by marches read together: 128 KiB
 ENERGY_BLOCK_ENTRIES = 2 ** 14
@@ -61,15 +64,40 @@ class SimulationTrace:
     diverged: bool = False
 
 
+def _require_regular(gen: DiscreteGenerator, dt: float,
+                     pivots: np.ndarray | None) -> None:
+    """Raise ``SingularStepError`` unless the pivots, the diagonal of U in an
+    LU of I - dt*A, are finite and none is below 1e-300 times the largest,
+    or 1; None stands for a factorization that failed."""
+    if pivots is not None:
+        pivots = np.abs(pivots)
+        if np.all(np.isfinite(pivots)) and pivots.min() >= 1e-300 * max(pivots.max(), 1.0):
+            return
+    raise SingularStepError(
+        f"(I - dt*A) is singular for dt={dt} on the {gen.label.value} system")
+
+
 def _factorization(gen: DiscreteGenerator, dt: float):
     """Sparse LU factors of (I - dt*A)."""
     lu = shifted_lu(gen, 1.0, dt)
-    if lu is not None:
-        diag = np.abs(lu.U.diagonal())
-        if np.all(np.isfinite(diag)) and diag.min() >= 1e-300 * max(diag.max(), 1.0):
-            return lu
-    raise SingularStepError(
-        f"(I - dt*A) is singular for dt={dt} on the {gen.label.value} system")
+    _require_regular(gen, dt, None if lu is None else lu.U.diagonal())
+    return lu
+
+
+def _propagator(gen: DiscreteGenerator, dt: float) -> np.ndarray:
+    """Dense M = (I - dt*A)^{-1} from one LAPACK LU, ``dgetrf`` then
+    ``dgetri``, of a dense I - dt*A that only this call holds.  LAPACK
+    factors the column-major view of that array, (I - dt*A)^T, in place, and
+    M is the transpose of its inverse; from the same states M agreed with
+    the sparse solve about twice as closely as an LU of I - dt*A itself
+    did."""
+    with np.errstate(over="ignore", invalid="ignore"):  # caught just below
+        m = np.eye(gen.dim) - dt * gen.sparse_matrix.toarray()
+    lu = None
+    if np.all(np.isfinite(m)):
+        lu, piv, info = sla.lapack.dgetrf(m.T, overwrite_a=True)
+    _require_regular(gen, dt, None if lu is None or info else lu.diagonal())
+    return sla.lapack.dgetri(lu, piv, overwrite_lu=True)[0].T
 
 
 def _march(gen: DiscreteGenerator, vec: np.ndarray, dt: float, n_steps: int,
@@ -80,19 +108,21 @@ def _march(gen: DiscreteGenerator, vec: np.ndarray, dt: float, n_steps: int,
     share ``ENERGY_BLOCK_ENTRIES`` floats.  The factors are made at the
     first block, so a singular step is raised there.
 
-    Each iterate is one sparse solve above ``DENSE_STEP_MAX_DIM``, one matvec
-    with the dense propagator M up to it.  A dense run of at least
+    Each iterate is one solve with the ``splu`` factors above
+    ``DENSE_STEP_MAX_DIM``, one matvec up to it with the dense propagator M
+    of ``_propagator``, which comes from a LAPACK LU.  A dense run of at least
     ``POWER_STEPS_PER_DIM`` * n steps, and two blocks, makes only its first
     b = ``POWER_BLOCK`` iterates so; each later chunk of b is one product of
     the chunk before it with P = M^b, squared up from M, since
     V^(k+b) = P V^k.  The last chunk may run up to b - 1 steps past the end.
     """
-    step = _factorization(gen, dt).solve
     powered = False
     if gen.dim <= DENSE_STEP_MAX_DIM:
-        power = step(np.eye(gen.dim))  # M; a long run squares it up to P
-        step = power.dot  # which drops the factors
+        power = _propagator(gen, dt)  # M; a long run squares it up to P
+        step = power.dot
         powered = n_steps >= max(POWER_STEPS_PER_DIM * gen.dim, 2 * POWER_BLOCK)
+    else:
+        step = _factorization(gen, dt).solve
     if powered:
         chunk, first = np.empty((POWER_BLOCK, gen.dim)), 1  # chunk[j] = V^(first+j)
         for j in range(POWER_BLOCK):

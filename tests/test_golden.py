@@ -18,13 +18,13 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 GOLDEN = {
     "simulate":
-        "33d3f06eae37fae52d23ba7a78cf1bfc93bd764b593598d02d463b82cc662802",
+        "cf918745713b0a646033fe23ce263914a8ffc0da3e5cc8e6f4890399dadfb796",
     "simulate --law kelvin_voigt --mu 0.5":
-        "19c830d7ce451e916561ffd3704954affcd2e03a153d408069e8a641fb66574a",
+        "1d444413c4d6019e3ed75a133a80bfd34dcf35598834bae789ae8129c54b8b82",
     "sweep":
-        "949c474f9d8a00de013cfd5b72d9351ddddcbe11ef4b5a3e771e405d6029491d",
+        "b7524ba0fac83b994d3402f8a23175da0082e76fce39268a08831f9a6e5cddca",
     "sweep --shifted false --values 1,2,4,8":
-        "a234d00cda760269906cc9dec4b12f006fdf5a36ca5e24e82a4c9df995e58224",
+        "661b75502066255d54dc45cb226125f60c841b021fe121f7eb099a8b43f50123",
     "spectrum":
         "5d6c912c6bbef134f8beadf875503a17525943d1a46ec46ea0f936fc58d91e08",
     "resolvent":

@@ -229,7 +229,8 @@ def test_sparse_resolvent_norm_reports_lanczos_failure(ref_params, monkeypatch):
 
 
 def test_package_import_leaves_scipy_sparse_unloaded():
-    # scipy.sparse.linalg alone costs about 0.2 s of start-up
+    # with scipy.linalg and scipy.sparse loaded, importing scipy.sparse.linalg
+    # took 12-16 ms more under -X importtime (3 runs)
     code = ("import sys, delay_wave_lab.cli; "
             "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))")
     src = Path(__file__).resolve().parents[1] / "src"
@@ -237,6 +238,23 @@ def test_package_import_leaves_scipy_sparse_unloaded():
                          text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=str(src))).stdout
     assert out.strip() == "[]"
+
+
+def test_reference_grid_commands_load_no_superlu():
+    # up to DENSE_STEP_MAX_DIM time stepping takes a LAPACK LU, not splu
+    code = """
+import contextlib, io, sys
+from delay_wave_lab import cli
+for command in ("simulate", "sweep", "verify"):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main([command]) == 0, command
+print("scipy.sparse.linalg" in sys.modules)
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=str(src))).stdout
+    assert out.strip() == "False"
 
 
 def test_resolvent_scan_factors_the_gram_once(ref_params, ref_grid, monkeypatch):

@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 from hypothesis import given, settings, strategies as st
 
 from delay_wave_lab import (DiscreteGenerator, Grid, Params, SingularStepError,
@@ -110,39 +110,21 @@ def test_step_contracts_dissipative_states(ref_params, kv_params, ref_grid,
         assert gen.energy(out) <= gen.energy(vec) * (1.0 + 1e-12)
 
 
-class _FactorProxy:
-    """The parts of a SuperLU object the time stepper uses; unlike SuperLU
-    itself it can be weakly referenced.  Its methods are its own, so whatever
-    holds ``solve`` keeps the proxy, and its weak reference, alive.  A solve
-    of a matrix, the dense propagator, is recorded in ``propagators``."""
-
-    def __init__(self, lu, propagators):
-        self._lu = lu
-        self._propagators = propagators
-
-    def solve(self, b):
-        x = self._lu.solve(b)
-        if x.ndim == 2:
-            self._propagators.append(weakref.ref(x))
-        return x
-
-    @property
-    def U(self):
-        return self._lu.U
-
-
 def _track_factorizations(monkeypatch):
-    """Route scipy.sparse.linalg.splu through a recorder of weak references
-    to the factors and to the dense propagators solved from them."""
+    """Route the LAPACK LU (``dgetrf``) and inverse (``dgetri``) that make a
+    dense propagator through a recorder of weak references to the factors
+    and to the propagators made from them."""
     factors, propagators = [], []
-    real = spla.splu
 
-    def splu(m, *args, **kwargs):
-        lu = _FactorProxy(real(m, *args, **kwargs), propagators)
-        factors.append(weakref.ref(lu))
-        return lu
+    def recording(real, refs):
+        def call(*args, **kwargs):
+            out = real(*args, **kwargs)
+            refs.append(weakref.ref(out[0]))
+            return out
+        return call
 
-    monkeypatch.setattr(spla, "splu", splu)
+    for name, refs in (("dgetrf", factors), ("dgetri", propagators)):
+        monkeypatch.setattr(lapack, name, recording(getattr(lapack, name), refs))
     return factors, propagators
 
 
@@ -477,9 +459,9 @@ def test_dense_and_sparse_advance_agree_across_the_crossover(
     grid = Grid(nx=nx, nrho=timestepper.DENSE_STEP_MAX_DIM + offset - 2 * nx)
     gen = assemble_generator(_params_for(label, a, mu, tau, xi_factor), grid)
     chosen = grid.dim <= timestepper.DENSE_STEP_MAX_DIM
-    # the sparse solve, and the propagator solved from the same factors,
-    # are each accurate to about eps * cond(I - dt*A) relative, so from the
-    # same input the two paths agree to that
+    # the sparse solve, and the propagator from a LAPACK LU of
+    # (I - dt*A)^T, are each accurate to about eps * cond(I - dt*A)
+    # relative, so from the same input the two paths agree to that
     cond = np.linalg.cond(np.eye(grid.dim) - dt * gen.matrix, 1)
     bound = np.finfo(float).eps * cond
 
@@ -568,6 +550,32 @@ def test_power_blocks_truncate_where_one_matvec_per_step_does(ref_grid, ref_data
     assert trace.diverged and ref.diverged
     assert len(trace.energies) == len(ref.energies) == last + 1
     np.testing.assert_allclose(trace.energies, ref.energies, rtol=POWER_RTOL)
+
+
+# energies of the dense path, whose propagator comes from a LAPACK LU of
+# I - dt*A, agree with the sparse path to DENSE_RTOL relative while
+# E(t_n) >= POWER_DEPTH * E(0).  Below, the largest difference is 3.6e-12
+# (Kelvin-Voigt, nx = nrho = 60, dt = 0.1); against a propagator solved from
+# the sparse factors, energies moved by up to 1.09e-11 (dt = 0.01)
+DENSE_RTOL = 2e-11
+
+
+@pytest.mark.parametrize("dt", [0.01, 0.1, 1.0])
+@pytest.mark.parametrize("n", [20, 60])
+def test_dense_path_energies_match_the_sparse_path(ref_params, kv_params,
+                                                   ref_data, n, dt):
+    grid = Grid(nx=n, nrho=n)
+    assert grid.dim <= timestepper.DENSE_STEP_MAX_DIM
+    growing = internal_friction(a=0.0, mu=8.0, tau=2.0, shifted=False)
+    for p in (ref_params, growing, kv_params):
+        trace = simulate(p, grid, ref_data, dt=dt, t_end=50.0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(timestepper, "DENSE_STEP_MAX_DIM", 0)
+            ref = simulate(p, grid, ref_data, dt=dt, t_end=50.0)
+        assert trace.diverged == ref.diverged
+        assert len(trace.energies) == len(ref.energies)
+        np.testing.assert_allclose(trace.energies, ref.energies, rtol=DENSE_RTOL,
+                                   atol=DENSE_RTOL * POWER_DEPTH * ref.energies[0])
 
 
 def test_time_stepping_never_builds_a_dense_matrix(ref_params, ref_data,
