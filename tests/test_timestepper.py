@@ -111,20 +111,25 @@ def test_step_contracts_dissipative_states(ref_params, kv_params, ref_grid,
 
 
 def _track_factorizations(monkeypatch):
-    """Route the LAPACK LU (``dgetrf``) and inverse (``dgetri``) that make a
-    dense propagator through a recorder of weak references to the factors
-    and to the propagators made from them."""
+    """Record weak references to the storage of each dense LU that LAPACK's
+    ``dgetrf`` makes in place, and to each propagator M that
+    ``timestepper._propagator`` returns, the very array a dense march keeps."""
     factors, propagators = [], []
+    real_getrf, real_propagator = lapack.dgetrf, timestepper._propagator
 
-    def recording(real, refs):
-        def call(*args, **kwargs):
-            out = real(*args, **kwargs)
-            refs.append(weakref.ref(out[0]))
-            return out
-        return call
+    def getrf(*args, **kwargs):
+        out = real_getrf(*args, **kwargs)
+        lu = out[0]  # a view of the array it factored in place, if any
+        factors.append(weakref.ref(lu if lu.base is None else lu.base))
+        return out
 
-    for name, refs in (("dgetrf", factors), ("dgetri", propagators)):
-        monkeypatch.setattr(lapack, name, recording(getattr(lapack, name), refs))
+    def propagator(*args):
+        m = real_propagator(*args)
+        propagators.append(weakref.ref(m))
+        return m
+
+    monkeypatch.setattr(lapack, "dgetrf", getrf)
+    monkeypatch.setattr(timestepper, "_propagator", propagator)
     return factors, propagators
 
 
@@ -141,7 +146,15 @@ def test_march_factors_once_per_run(ref_params, ref_grid, monkeypatch):
     assert len(factors) == len(propagators) == 6
     # the propagator belongs to its run, not to the generator that outlives it
     gc.collect()
-    assert all(ref() is None for ref in propagators)
+    assert all(ref() is None for ref in factors + propagators)
+    # a suspended march still holds M and its storage, so the check can fail
+    march = timestepper._march(gen, v0, 0.1, 5)
+    next(march)
+    gc.collect()
+    assert factors[-1]() is not None and propagators[-1]() is not None
+    march.close()
+    gc.collect()
+    assert factors[-1]() is None and propagators[-1]() is None
 
 
 def test_simulate_keeps_no_generator_or_factors_alive(ref_params, ref_grid,
