@@ -1,28 +1,38 @@
-"""Sparse generator matrices and the energy Gram matrix.
+"""Generator matrices and the energy Gram matrix.
 
-A and G have a handful of nonzeros per row and are stored as ``scipy.sparse``
-CSR arrays, built straight from their stencil entries with no COO array in
-between.  A stencil entry names a value slot rather than a value, so the CSR
-pattern depends only on the law and the grid: it is found once per (law,
-nx, nrho) for A and per (nx, nrho) for G, by one sort of the keys
-row*n + col, and cached (``PATTERN_CACHE_SIZE`` grids each).  Every stored
+Each operator is stored in the form its consumers use.  G is tridiagonal in
+the state order, with off-diagonal entries only in the u block, and is kept
+at every grid as its two diagonals (``gram_band``).
+``DiscreteGenerator.gram_product`` applies it to a flat state or to a block
+of them, real or complex, entry for entry as a CSR product with G does, and
+the energy is taken from it.  A has a handful of nonzeros per row.  Below
+``SPARSE_MIN_DIM`` it is a dense array, the form all its consumers there
+take: the time stepper's dense propagator, the full spectrum's ``eig``, the
+resolvent's SVD and the dissipativity ``eigh``.  At and above it A is a
+``scipy.sparse`` CSR array, which ``splu`` factors and the sparse resolvent
+norm applies.  ``scipy.sparse`` is imported only on that CSR side, so the
+commands at the reference grid never load it.
+
+A is built straight from its stencil entries.  A stencil entry names a value
+slot rather than a value, so the positions of A depend only on the law and
+the grid: they are found once per (law, nx, nrho), by one sort of the keys
+row*n + col, and cached (``PATTERN_CACHE_SIZE`` grids).  Every stored
 position has exactly one stencil entry, so every assembly is one gather of
-slot values.  Time stepping factors I - dt*A from them, and the energy
-applies G directly to a flat state of ``core`` or to a block of them.  The
-dense views of ``DiscreteGenerator`` are built on first use, only by the
-spectral diagnostics: ``matrix`` (A) by the full spectrum and, with
-``gram`` (G), by the dissipativity check; ``weighted_matrix`` by the
-resolvent norms below ``spectral.SPARSE_RESOLVENT_MIN_DIM``.  Above it the
-resolvent norms use the banded Cholesky factor ``gram_factor`` of G, which
-is tridiagonal in the state order, and build no dense matrix.
-``shifted_lu`` makes every sparse LU of the package: the time stepper's
-I - dt*A above ``timestepper.DENSE_STEP_MAX_DIM`` (up to it the stepper
-factors a dense copy with LAPACK) and the resolvent's i*beta*I - A.  A
-stores its whole diagonal, so z*I - c*A has A's own pattern and is formed
-from A's CSR arrays by one entrywise transform of the data, with no
-identity matrix and no scipy sparse arithmetic, entry for entry what
-scipy's sparse ``z*I - c*A`` gives; ``shift_deviation`` builds
-A_original - shift*I the same way.
+slot values, into a dense array or into the data of a CSR array.  The dense
+views of ``DiscreteGenerator`` serve the spectral diagnostics: ``matrix`` (A
+itself when A is dense) the full spectrum and, with ``gram`` (G), the
+dissipativity check; ``weighted_matrix`` the resolvent norms of a dense A.
+For a CSR A the resolvent norms use the banded Cholesky factor
+``gram_factor`` of G and build no dense matrix.  ``shifted_lu`` makes every
+sparse LU of the package, all of a CSR A: the time stepper's I - dt*A above
+``timestepper.DENSE_STEP_MAX_DIM`` (up to it the stepper factors a dense
+I - dt*A with LAPACK) and the resolvent's i*beta*I - A.  A CSR A stores its
+whole diagonal, so z*I - c*A has A's own pattern and is formed from A's CSR
+arrays by one entrywise transform of the data, with no identity matrix and
+no scipy sparse arithmetic, entry for entry what scipy's sparse
+``z*I - c*A`` gives; ``shift_deviation`` builds A_original - shift*I the
+same way from a CSR A, and from a dense A by subtracting shift from its
+diagonal.
 
 ``assemble_generator(p, g)`` builds the ``system_label(p)`` system and stores
 its whole diagonal: a diagonal slot with a stencil value x holds x - p.shift,
@@ -55,43 +65,44 @@ import scipy.linalg as sla
 
 from .core import DampingLaw, Grid, Params, SystemLabel, system_label
 
-if TYPE_CHECKING:  # scipy.sparse is imported on first assembly, not with the package
+if TYPE_CHECKING:  # scipy.sparse is imported only to build or factor a CSR A
     from scipy.sparse import sparray
 
 
 @dataclass(eq=False)
 class DiscreteGenerator:
-    """A sparse system matrix A together with the sparse Gram matrix G of the
-    energy norm; ``label`` names the system, read off ``params``.
-    ``sparse_matrix`` stores its whole diagonal, explicit zeros included, as
-    ``shifted_lu`` and ``shift_deviation`` require.
+    """A system matrix A together with the Gram matrix G of the energy norm;
+    ``label`` names the system, read off ``params``.  ``operator`` is A: a
+    dense array below ``SPARSE_MIN_DIM``, a CSR array that stores its whole
+    diagonal, explicit zeros included, at and above it, as ``shifted_lu``
+    and ``shift_deviation`` require.  ``gram_band`` is G as (d, e): its
+    diagonal d, and e, its sub- and superdiagonal within the u block (the
+    first len(e) + 1 states), where all its off-diagonal entries lie.
 
     Immutable after construction apart from its caches; safe to share between
     threads.  The dense views are made on first use and time stepping never
     builds them (its dense propagator comes from a LAPACK LU of a dense
-    I - dt*A that it makes from ``sparse_matrix``, and lives only as long
-    as its run): ``matrix`` and ``gram`` for
+    I - dt*A that only that run holds): ``matrix`` and ``gram`` for
     ``spectral.eigenvalues`` and ``symmetrized_max_eigenvalue``,
-    ``weighted_matrix`` for ``spectral.resolvent_norm`` below its sparse
-    crossover dimension.
+    ``weighted_matrix`` for ``spectral.resolvent_norm`` of a dense A.
     These caches are freed together with the generator:
     ``gram_factor`` holds the banded Cholesky factor of G and
     ``generator_norm`` an upper bound on the energy norm of A, at most
     sqrt(1.01) times it, both made by the sparse resolvent norm.
-    The CSR patterns its matrices are filled into outlive it: a module-level
-    cache keeps, for each of the last ``PATTERN_CACHE_SIZE`` grids (per law
-    for A), the read-only index and slot arrays, never a matrix value; each
-    generator's ``indices`` and ``indptr`` are its own copies.
+    The positions A is filled into outlive it: a module-level cache keeps,
+    for each of the last ``PATTERN_CACHE_SIZE`` grids and laws, the
+    read-only key and slot arrays, never a matrix value; a CSR A has index
+    arrays of its own.
     """
 
-    sparse_matrix: sparray
-    sparse_gram: sparray
+    operator: np.ndarray | sparray
+    gram_band: tuple[np.ndarray, np.ndarray]
     params: Params
     generator_norm: float | None = field(default=None, init=False, repr=False)
 
     @property
     def dim(self) -> int:
-        return self.sparse_matrix.shape[0]
+        return self.operator.shape[0]
 
     @property
     def label(self) -> SystemLabel:
@@ -99,13 +110,18 @@ class DiscreteGenerator:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """Dense copy of A."""
-        return self.sparse_matrix.toarray()
+        """A as a dense array: ``operator`` itself when that is dense."""
+        a = self.operator
+        return a if isinstance(a, np.ndarray) else a.toarray()
 
     @cached_property
     def gram(self) -> np.ndarray:
         """Dense copy of G."""
-        return self.sparse_gram.toarray()
+        d, e = self.gram_band
+        g = np.diag(d)
+        k = np.arange(len(e))
+        g[k + 1, k] = g[k, k + 1] = e
+        return g
 
     @cached_property
     def weighted_matrix(self) -> np.ndarray:
@@ -120,33 +136,53 @@ class DiscreteGenerator:
         """Lower bidiagonal L with G = L L^T, in ``cholesky_banded`` storage:
         the diagonal in row 0 and the subdiagonal in row 1.  G is tridiagonal
         in the state order, so L has no other nonzeros."""
+        d, e = self.gram_band
         band = np.zeros((2, self.dim))
-        band[0] = self.sparse_gram.diagonal()
-        band[1, :-1] = self.sparse_gram.diagonal(-1)
+        band[0] = d
+        band[1, :len(e)] = e
         return sla.cholesky_banded(band, lower=True)
+
+    def gram_product(self, vec: np.ndarray) -> np.ndarray:
+        """G V for a flat state V, real or complex, or for each row of a block
+        of them.  Each entry is summed in column order onto the diagonal
+        term, as a CSR product sums it; the off-diagonal terms are taken only
+        inside the u block, so an infinite entry outside it meets no zero of
+        G.  A row's value equals that of the same state on its own bit for
+        bit, which a BLAS product with a dense G does not promise."""
+        d, e = self.gram_band
+        k = len(e) + 1
+        out = vec * d
+        out[..., 1:k] = vec[..., :k - 1] * e + out[..., 1:k]
+        out[..., :k - 1] += vec[..., 1:k] * e
+        out += 0.0  # a CSR sum starts at 0.0, so no entry of it is -0.0
+        return out
 
     def energy(self, vec: np.ndarray) -> float | np.ndarray:
         """Energy norm ||V||_G = sqrt(V^T G V) of a flat state, as a float, or
         of each row of a block of states.  A row's value equals that of the
         same state on its own bit for bit."""
-        norm = np.sqrt(np.sum(vec * (self.sparse_gram @ vec.T).T, axis=-1))
+        norm = np.sqrt(np.sum(vec * self.gram_product(vec), axis=-1))
         return float(norm) if vec.ndim == 1 else norm
 
 
-PATTERN_CACHE_SIZE = 8  # grids whose A pattern (per law) and G pattern are kept
+# A is dense below this state dimension and CSR at and above it.  Resolvent
+# norms of 7 betas, one BLAS thread: sparse 15-16 ms vs dense 23 at n = 150,
+# 13-14 vs 13 at n = 120
+SPARSE_MIN_DIM = 150
+PATTERN_CACHE_SIZE = 8  # grids whose A pattern (per law) is kept
 
 
 def _pattern(n: int, entries) -> tuple[np.ndarray, ...]:
-    """The CSR pattern of the n x n matrix of (rows, cols, slot) entries,
-    where rows and cols are index arrays of one length, or two indices, and
-    slot numbers the entry's value in the array ``_fill`` is given.
+    """The stored positions of the n x n matrix of (rows, cols, slot)
+    entries, where rows and cols are index arrays of one length, or two
+    indices, and slot numbers the entry's value in the array ``_fill`` is
+    given.
 
-    Returns read-only (indices, indptr, slots): stored position k takes the
-    value of slot slots[k].  Each position has one entry; a second entry at
-    a position raises ``ValueError``.
+    Returns read-only (keys, slots): the sorted keys row*n + col of the
+    stored positions, and slots[k], the slot whose value position k takes.
+    Each position has one entry; a second entry at a position raises
+    ``ValueError``.
     """
-    import scipy.sparse as sp
-
     rows, cols, slots = zip(*entries)
     rows = list(map(np.atleast_1d, rows))
     slots = np.repeat(np.array(slots, dtype=np.intp), list(map(len, rows)))
@@ -154,23 +190,28 @@ def _pattern(n: int, entries) -> tuple[np.ndarray, ...]:
                             return_index=True)
     if len(keys) < len(slots):
         raise ValueError("two stencil entries share a matrix position")
-    indptr = np.searchsorted(keys, np.arange(n + 1) * n)
-    # the constructor picks the index dtype every filled matrix will have
-    m = sp.csr_array((np.zeros(len(keys)), keys % n, indptr), shape=(n, n))
-    pattern = (m.indices, m.indptr, slots[first])
+    pattern = (keys, slots[first])
     for array in pattern:
         array.flags.writeable = False
     return pattern
 
 
-def _fill(pattern: tuple[np.ndarray, ...], values: np.ndarray) -> sparray:
-    """The CSR array of ``pattern`` with the slot values ``values``; it gets
-    copies of the cached index arrays, which in-place methods may rewrite."""
+def _fill(pattern: tuple[np.ndarray, ...], values: np.ndarray,
+          n: int) -> np.ndarray | sparray:
+    """The n x n matrix of ``pattern`` with the slot values ``values``: dense
+    below ``SPARSE_MIN_DIM``, CSR with index arrays of its own at and above
+    it.  A dense matrix holds 0.0 where a slot value is -0.0, as ``toarray``
+    of the CSR form does, so both forms give the same dense matrix."""
+    keys, slots = pattern
+    if n < SPARSE_MIN_DIM:
+        a = np.zeros(n * n)
+        a[keys] = (values + 0.0)[slots]  # -0.0 + 0.0 is 0.0
+        return a.reshape(n, n)
     import scipy.sparse as sp
 
-    indices, indptr, slots = pattern
-    n = len(indptr) - 1
-    return sp.csr_array((values[slots], indices.copy(), indptr.copy()), shape=(n, n))
+    # the constructor picks the smallest index dtype that holds n
+    return sp.csr_array((values[slots], keys % n,
+                         np.searchsorted(keys, np.arange(n + 1) * n)), shape=(n, n))
 
 
 def _shifted(a: sparray, z: complex, c: float) -> sparray:
@@ -192,14 +233,14 @@ def _shifted(a: sparray, z: complex, c: float) -> sparray:
 
 
 def shifted_lu(gen: DiscreteGenerator, z: complex, c: float):
-    """Sparse LU factors of z*I - c*A, or None when that matrix has a
-    non-finite entry or is exactly singular.  The A + A^T ordering in
+    """Sparse LU factors of z*I - c*A for a CSR A, or None when that matrix
+    has a non-finite entry or is exactly singular.  The A + A^T ordering in
     symmetric mode suits the nearly symmetric pattern of A; pivoting stays
     partial (diag_pivot_thresh = 1)."""
     from scipy.sparse.linalg import splu
 
     with np.errstate(over="ignore", invalid="ignore"):  # caught just below
-        m = _shifted(gen.sparse_matrix, z, c).tocsc()
+        m = _shifted(gen.operator, z, c).tocsc()
     if not np.all(np.isfinite(m.data)):
         return None
     try:
@@ -210,44 +251,40 @@ def shifted_lu(gen: DiscreteGenerator, z: complex, c: float):
 
 def shift_deviation(shifted: DiscreteGenerator, original: DiscreteGenerator,
                     shift: float) -> float:
-    """Largest entrywise |A_shifted - (A_original - shift*I)|.
+    """Largest entrywise |A_shifted - (A_original - shift*I)|, of two dense
+    or two CSR matrices.
 
     Zero exactly when the shift identity holds entrywise, since x - y == 0
     only for x == y in floating point.
     """
+    a = shifted.operator
+    if isinstance(a, np.ndarray):
+        expected = original.operator.copy()
+        expected.flat[::len(a) + 1] -= shift
+        return float(np.max(np.abs(a - expected)))
     # A_original - shift*I as (-shift)*I - (-1)*A_original: -shift + x and
     # x - shift are the same float; both operands CSR, so scipy converts none
-    diff = shifted.sparse_matrix - _shifted(original.sparse_matrix, -shift, -1.0)
+    diff = a - _shifted(original.operator, -shift, -1.0)
     return float(abs(diff).max()) if diff.nnz else 0.0
 
 
-@lru_cache(maxsize=PATTERN_CACHE_SIZE)
-def _gram_pattern(nx: int, nrho: int) -> tuple[np.ndarray, ...]:
-    """G's stencil, with the value slots of ``assemble_gram``."""
-    n = 2 * nx + nrho
-    k = np.arange(nx)              # u_1..u_nx
-    return _pattern(n, [
-        # gradient block: (1/dx) * D^T D with D the backward-difference map, u_0 = 0
-        (k[:-1], k[:-1], 0),
-        (nx - 1, nx - 1, 1),
-        (k[1:], k[:-1], 2),
-        (k[:-1], k[1:], 2),
-        (k[:-1] + nx, k[:-1] + nx, 3),   # v_1..v_{nx-1}
-        (2 * nx - 1, 2 * nx - 1, 4),     # w
-        (np.arange(2 * nx, n), np.arange(2 * nx, n), 5),
-    ])
-
-
-def assemble_gram(p: Params, g: Grid) -> sparray:
-    """Sparse Gram matrix G of the discrete energy.
+def assemble_gram(p: Params, g: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Gram matrix G of the discrete energy, as ``DiscreteGenerator.gram_band``.
 
     ||V||_G^2 = sum_i ((u_i - u_{i-1})/dx)^2 dx + sum_i v_i^2 dx + w^2
-               + xi * sum_j z_j^2 drho,  with u_0 = 0.
+               + xi * sum_j z_j^2 drho,  with u_0 = 0,
+
+    that is (1/dx) * D^T D on u, with D the backward-difference map, and a
+    diagonal on v, w and z.
     """
-    dx = g.dx
-    return _fill(_gram_pattern(g.nx, g.nrho),
-                 np.array([1.0 / dx + 1.0 / dx, 1.0 / dx, -1.0 / dx, dx, 1.0,
-                           p.xi * g.drho]))
+    nx, dx = g.nx, g.dx
+    d = np.empty(g.dim)
+    d[:nx - 1] = 1.0 / dx + 1.0 / dx
+    d[nx - 1] = 1.0 / dx
+    d[nx:2 * nx - 1] = dx                # v_1..v_{nx-1}
+    d[2 * nx - 1] = 1.0                  # w
+    d[2 * nx:] = p.xi * g.drho
+    return d, np.full(nx - 1, -1.0 / dx)
 
 
 @lru_cache(maxsize=PATTERN_CACHE_SIZE)
@@ -318,16 +355,15 @@ def _generator_values(p: Params, g: Grid) -> np.ndarray:
 
 def assemble_generator(p: Params, g: Grid,
                        label: SystemLabel | None = None) -> DiscreteGenerator:
-    """Assemble the sparse generator A_h of the system ``system_label(p)``.
+    """Assemble the generator A_h of the system ``system_label(p)``.
 
     ``label``, if given, must be that system; ``perfbench/selftest.py`` still
     passes one.
     """
     if label not in (None, system_label(p)):
         raise ValueError(f"label {label} does not match the params")
-    a = _fill(_generator_pattern(p.law, g.nx, g.nrho), _generator_values(p, g))
-    return DiscreteGenerator(sparse_matrix=a, sparse_gram=assemble_gram(p, g),
-                             params=p)
+    a = _fill(_generator_pattern(p.law, g.nx, g.nrho), _generator_values(p, g), g.dim)
+    return DiscreteGenerator(operator=a, gram_band=assemble_gram(p, g), params=p)
 
 
 def symmetrized_max_eigenvalue(gen: DiscreteGenerator) -> float:

@@ -93,8 +93,6 @@ def eigenvalues(gen: DiscreteGenerator) -> SpectrumReport:
 # resolvent norms
 
 
-# 7 betas, one BLAS thread: sparse 15-16 ms vs dense 23 at n = 150, 13-14 vs 13 at n = 120
-SPARSE_RESOLVENT_MIN_DIM = 150
 NEAR_SPECTRUM_CONDITION = 1e14  # largest accepted energy-norm condition number
 GENERATOR_NORM_TOL = 1e-2  # Lanczos tolerance of the guard's ||A||_G (31 matvecs at n = 480)
 
@@ -102,17 +100,17 @@ GENERATOR_NORM_TOL = 1e-2  # Lanczos tolerance of the guard's ||A||_G (31 matvec
 def resolvent_norm(gen: DiscreteGenerator, beta: float) -> float:
     """Operator norm of (i*beta*I - A)^{-1} in the energy norm.
 
-    Exact up to roundoff.  Below SPARSE_RESOLVENT_MIN_DIM it comes from one
-    dense SVD, at and above it from one sparse LU and one Lanczos run; both
-    paths raise :class:`BetaNearSpectrumError` for a shift too close to the
+    Exact up to roundoff.  For a dense A, below
+    ``discretization.SPARSE_MIN_DIM``, it comes from one dense SVD, for a
+    CSR A from one sparse LU and one Lanczos run; both paths raise :class:`BetaNearSpectrumError` for a shift too close to the
     spectrum, and a failed Lanczos run raises :class:`EigensolverError`.
     A non-finite beta raises ``ValueError``.
     """
     if not math.isfinite(beta):
         raise ValueError(f"beta must be finite, got {beta}")
-    if gen.dim >= SPARSE_RESOLVENT_MIN_DIM:
-        return _sparse_resolvent_norm(gen, beta)
-    return _dense_resolvent_norm(gen, beta)
+    if isinstance(gen.operator, np.ndarray):
+        return _dense_resolvent_norm(gen, beta)
+    return _sparse_resolvent_norm(gen, beta)
 
 
 def _near_spectrum(beta: float, reason: str) -> BetaNearSpectrumError:
@@ -149,7 +147,7 @@ def _sparse_resolvent_norm(gen: DiscreteGenerator, beta: float) -> float:
                         lambda y: scale * lu.solve(y, trans="H"),
                         f"the resolvent at beta={beta}") / scale
     if gen.generator_norm is None:
-        a = gen.sparse_matrix
+        a = gen.operator
         # Lanczos stops with its Ritz value theta within tol*theta of the top
         # eigenvalue, so sqrt(1 + tol) * sqrt(theta) bounds ||A||_G from above
         gen.generator_norm = math.sqrt(1.0 + GENERATOR_NORM_TOL) * _energy_norm(
@@ -173,11 +171,11 @@ def _energy_norm(gen: DiscreteGenerator, forward, adjoint, what: str,
     """
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
-    factor, gram = gen.gram_factor, gen.sparse_gram
+    factor, gram = gen.gram_factor, gen.gram_product
 
     def apply(v):
         x = lapack.ztbtrs(factor, v, uplo="L", trans="T")[0]
-        return lapack.ztbtrs(factor, adjoint(gram @ forward(x)), uplo="L")[0]
+        return lapack.ztbtrs(factor, adjoint(gram(forward(x))), uplo="L")[0]
 
     n = gen.dim
     try:

@@ -10,13 +10,16 @@ Every run factors I - dt*A once.  Above ``DENSE_STEP_MAX_DIM`` the factors
 come from ``splu`` and a step is one sparse triangular solve.  Up to it a
 step is one dense matvec with the propagator M = (I - dt*A)^{-1}, made by
 one LAPACK LU and inverse (``dgetrf``, ``dgetri``) of a dense I - dt*A, so
-small grids build no SuperLU object; a run of at least
+small grids build no SuperLU object.  That I - dt*A comes straight from A
+below ``discretization.SPARSE_MIN_DIM``, where A is a dense array, and from
+a dense copy of the CSR A made for the run from there up to
+``DENSE_STEP_MAX_DIM``; a run of at least
 ``POWER_STEPS_PER_DIM`` steps per state dimension makes only its first
 ``POWER_BLOCK`` iterates so and every later chunk of that many as one
 matrix product with P = M^POWER_BLOCK.  That one loop, ``_march``, yields
 the iterates a block at a time in one array it owns and refills, of up to
 ``ENERGY_BLOCK_ENTRIES`` floats; ``simulate`` and ``shift_consistency`` take
-each block's energies in one call.  M, P, the chunk and the block are
+each block's energies in one call, which applies G by its two diagonals.  M, P, the chunk and the block are
 dropped with the run, also when its caller stops early.
 """
 
@@ -86,13 +89,17 @@ def _factorization(gen: DiscreteGenerator, dt: float):
 
 def _propagator(gen: DiscreteGenerator, dt: float) -> np.ndarray:
     """Dense M = (I - dt*A)^{-1} from one LAPACK LU, ``dgetrf`` then
-    ``dgetri``, of a dense I - dt*A that only this call holds.  LAPACK
+    ``dgetri``, of a dense I - dt*A that only this call holds, formed from a
+    dense A or from a fresh dense copy of a CSR one.  LAPACK
     factors the column-major view of that array, (I - dt*A)^T, in place, and
     M is the transpose of its inverse; from the same states M agreed with
     the sparse solve about twice as closely as an LU of I - dt*A itself
     did."""
+    a = gen.operator
+    if not isinstance(a, np.ndarray):  # a CSR A, from discretization.SPARSE_MIN_DIM on
+        a = a.toarray()
     with np.errstate(over="ignore", invalid="ignore"):  # caught just below
-        m = np.eye(gen.dim) - dt * gen.sparse_matrix.toarray()
+        m = np.eye(gen.dim) - dt * a
     lu = None
     if np.all(np.isfinite(m)):
         lu, piv, info = sla.lapack.dgetrf(m.T, overwrite_a=True)

@@ -10,7 +10,8 @@ import pytest
 import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings, strategies as st
 
-from delay_wave_lab import (Grid, Params, assemble_generator, cli, spectral,
+from delay_wave_lab import (Grid, Params, assemble_generator, cli, discretization,
+                            spectral,
                             verification)
 from delay_wave_lab.cli import ConfigError, RunConfig, main, parse_config
 
@@ -183,7 +184,7 @@ def test_resolvent_near_spectrum_exits_1(capsys, monkeypatch):
     monkeypatch.setattr(cli, "validate_params", lambda p: p)
     gen = assemble_generator(Params(a=0.0, mu=0.0, tau=2.0, xi=1.0),
                              Grid(nx=60, nrho=60))
-    assert gen.dim >= spectral.SPARSE_RESOLVENT_MIN_DIM
+    assert gen.dim >= discretization.SPARSE_MIN_DIM
     vals = spectral.eigenvalues(gen).eigenvalues
     beta = np.abs(vals[np.abs(vals.real) < 1e-10].imag).min()
     code, stdout, err = _run(capsys, ["resolvent", "--a", "0", "--mu", "0",

@@ -25,7 +25,24 @@ def _blocks(vec, g):
 
 def _rayleigh(gen, vec):
     """The quadratic form <A V, V>_G = V^T G A V of the dissipativity checks."""
-    return float(vec @ (gen.sparse_gram @ (gen.sparse_matrix @ vec)))
+    return float(vec @ gen.gram_product(gen.operator @ vec))
+
+
+# the smallest grid nx = nrho whose A is a CSR array
+CSR_GRID = Grid(nx=50, nrho=50)
+assert CSR_GRID.dim == discretization.SPARSE_MIN_DIM
+
+
+def _assert_same_bits(fast, slow, any_nan=False):
+    """Same shape, dtype and bits, signed zeros and NaN payloads included;
+    with ``any_nan``, a NaN part matches a NaN part of any sign or payload."""
+    assert fast.shape == slow.shape and fast.dtype == slow.dtype
+    bits = [np.ascontiguousarray(x).view(np.float64) for x in (fast, slow)]
+    if any_nan:
+        nan = np.isnan(bits[0])
+        np.testing.assert_array_equal(nan, np.isnan(bits[1]))
+        bits = [np.where(nan, 0.0, x) for x in bits]
+    np.testing.assert_array_equal(*(x.view(np.int64) for x in bits))
 
 
 def test_smallest_grid_matrix_by_hand():
@@ -72,7 +89,7 @@ def test_shift_identity_is_exact(ref_grid):
 
 
 def _loop_generator(p, g, label):
-    """The entrywise dense assembly the sparse one replaced, kept as reference."""
+    """The entrywise dense assembly the stencil one replaced, kept as reference."""
     nx, nrho, n = g.nx, g.nrho, g.dim
     dx, drho = g.dx, g.drho
     iu = lambda i: i - 1
@@ -129,7 +146,7 @@ def _loop_generator(p, g, label):
 @pytest.mark.filterwarnings("ignore:Kelvin-Voigt stability condition")
 @pytest.mark.parametrize("nx, nrho", [(2, 1), (3, 5), (20, 22), (320, 322)])
 @pytest.mark.parametrize("label", list(SystemLabel))
-def test_sparse_assembly_equals_the_loop_assembly_bitwise(nx, nrho, label):
+def test_assembly_equals_the_loop_assembly_bitwise(nx, nrho, label):
     rng = np.random.default_rng(nx + nrho)
     a, mu, tau = rng.uniform(0.1, 2.0), rng.uniform(0.1, 4.0), rng.uniform(0.25, 4.0)
     if label is SystemLabel.KELVIN_VOIGT:
@@ -140,13 +157,19 @@ def test_sparse_assembly_equals_the_loop_assembly_bitwise(nx, nrho, label):
     g = Grid(nx=nx, nrho=nrho)
     gen = assemble_generator(p, g)
     A, G = _loop_generator(p, g, label)
-    assert np.array_equal(gen.matrix, A)
-    # every diagonal position stored once, as an explicit zero where A's is 0
-    m = gen.sparse_matrix
-    rows = np.repeat(np.arange(g.dim), np.diff(m.indptr))
-    np.testing.assert_array_equal(rows[rows == m.indices], np.arange(g.dim))
-    assert np.array_equal(gen.gram, G)
-    assert np.array_equal(assemble_gram(p, g).toarray(), G)
+    _assert_same_bits(gen.matrix, A)
+    if g.dim < discretization.SPARSE_MIN_DIM:
+        assert gen.matrix is gen.operator
+    else:
+        # every diagonal position stored once, as an explicit zero where A's is 0
+        m = gen.operator
+        rows = np.repeat(np.arange(g.dim), np.diff(m.indptr))
+        np.testing.assert_array_equal(rows[rows == m.indices], np.arange(g.dim))
+    _assert_same_bits(gen.gram, G)
+    d, e = assemble_gram(p, g)
+    _assert_same_bits(d, np.diag(G).copy())
+    _assert_same_bits(e, np.diag(G, 1)[:nx - 1].copy())
+    assert not np.diag(G, 1)[nx - 1:].any()
 
 
 def _coo_csr(n, entries):
@@ -171,8 +194,8 @@ def _assert_same_arrays(fast, slow):
 
 def _reference_entries(p, g):
     """A's and G's stencils as numeric (rows, cols, value) entries, written
-    apart from the cached slot patterns; summed by ``_coo_csr`` they are the
-    assembly's oracle."""
+    apart from the cached slot patterns and from ``assemble_gram``; summed by
+    ``_coo_csr`` they are the assembly's oracle."""
     nx, n = g.nx, g.dim
     dx, drho = g.dx, g.drho
     iw = 2 * nx - 1
@@ -242,43 +265,42 @@ def test_direct_sparse_builds_equal_the_scipy_reference_bitwise(
     a2, mu2, tau2, xi_factor2, shifted2 = again
     p2 = Params(a=a2, mu=mu2, tau=tau2, xi=tau2 * xi_factor2, law=law,
                 shifted=shifted2 and law is DampingLaw.INTERNAL_FRICTION)
+    # below the crossover A is dense, equal to the dense copy of the sum
     for q in (p, p2):
         gen = assemble_generator(q, g)
         a_entries, g_entries = _reference_entries(q, g)
-        _assert_same_arrays(gen.sparse_matrix, _coo_csr(g.dim, a_entries))
-        _assert_same_arrays(gen.sparse_gram, _coo_csr(g.dim, g_entries))
-        _assert_same_arrays(assemble_gram(q, g), _coo_csr(g.dim, g_entries))
+        want = _coo_csr(g.dim, a_entries)
+        if g.dim < discretization.SPARSE_MIN_DIM:
+            _assert_same_bits(gen.operator, want.toarray())
+        else:
+            _assert_same_arrays(gen.operator, want)
+        _assert_same_bits(gen.gram, _coo_csr(g.dim, g_entries).toarray())
 
     gen = assemble_generator(p, g)
-    A = gen.sparse_matrix
-    k = np.arange(g.dim)
-    identity = _coo_csr(g.dim, [(k, k, 1.0)])
-    for z, c in ((1.0, dt), (1j * beta, 1.0), (-p.shift, -1.0)):
-        for fmt in ("csr", "csc"):
-            _assert_same_arrays(discretization._shifted(A, z, c).asformat(fmt),
-                                (z * identity - c * A).asformat(fmt))
+    if g.dim >= discretization.SPARSE_MIN_DIM:
+        A = gen.operator
+        identity = _coo_csr(g.dim, [(np.arange(g.dim), np.arange(g.dim), 1.0)])
+        for z, c in ((1.0, dt), (1j * beta, 1.0), (-p.shift, -1.0)):
+            for fmt in ("csr", "csc"):
+                _assert_same_arrays(discretization._shifted(A, z, c).asformat(fmt),
+                                    (z * identity - c * A).asformat(fmt))
     if p.shifted:
         original = assemble_generator(replace(p, shifted=False), g)
         for shift in (p.shift, p.shift * (1.0 + 2.0**-30)):
-            diff = A - (original.sparse_matrix - shift * identity)
-            expected = float(abs(diff).max()) if diff.nnz else 0.0
+            expected = np.max(np.abs(gen.matrix - (original.matrix
+                                                   - shift * np.eye(g.dim))))
             assert shift_deviation(gen, original, shift) == expected
 
 
-_PATTERNS = (discretization._generator_pattern, discretization._gram_pattern)
-
-
 def test_cached_patterns_are_bounded_and_read_only():
-    for cached in _PATTERNS:
-        assert cached.cache_info().maxsize == discretization.PATTERN_CACHE_SIZE < 100
-    for pattern in (discretization._generator_pattern(DampingLaw.KELVIN_VOIGT, 5, 3),
-                    discretization._gram_pattern(5, 3)):
-        indices, indptr, slots = pattern
-        assert len(indices) == len(slots) == indptr[-1]
-        for array in pattern:
-            assert not array.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = 0
+    cached = discretization._generator_pattern
+    assert cached.cache_info().maxsize == discretization.PATTERN_CACHE_SIZE < 100
+    keys, slots = pattern = cached(DampingLaw.KELVIN_VOIGT, 5, 3)
+    assert len(keys) == len(slots) and np.all(np.diff(keys) > 0)
+    for array in pattern:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
 
 
 def test_a_position_with_two_stencil_entries_is_refused():
@@ -305,17 +327,27 @@ def _write_indptr(m):
     m.indptr[1:] = m.indptr[-1]
 
 
-@pytest.mark.parametrize("damage", [_zero_data, _eliminate_zeros, _write_indices,
-                                    _write_indptr])
+def _zero_dense(a):
+    a[:] = 0.0
+
+
+@pytest.mark.parametrize("grid, damage", [
+    (CSR_GRID, _zero_data), (CSR_GRID, _eliminate_zeros), (CSR_GRID, _write_indices),
+    (CSR_GRID, _write_indptr), (Grid(nx=20, nrho=20), _zero_dense)])
 def test_changing_a_generator_leaves_the_next_assembly_unchanged(
-        kv_params, ref_grid, damage):
-    before = assemble_generator(kv_params, ref_grid)
-    want = (before.sparse_matrix.copy(), before.sparse_gram.copy())
-    damage(before.sparse_matrix)
-    damage(before.sparse_gram)
-    after = assemble_generator(kv_params, ref_grid)
-    _assert_same_arrays(after.sparse_matrix, want[0])
-    _assert_same_arrays(after.sparse_gram, want[1])
+        kv_params, grid, damage):
+    before = assemble_generator(kv_params, grid)
+    want = (before.operator.copy(), [x.copy() for x in before.gram_band])
+    damage(before.operator)
+    for x in before.gram_band:
+        x[:] = 0.0
+    after = assemble_generator(kv_params, grid)
+    if isinstance(want[0], np.ndarray):
+        _assert_same_bits(after.operator, want[0])
+    else:
+        _assert_same_arrays(after.operator, want[0])
+    for got, band in zip(after.gram_band, want[1]):
+        _assert_same_bits(got, band)
 
 
 def test_a_sweep_finds_the_generator_pattern_once(ref_params, ref_data):
@@ -329,15 +361,15 @@ def test_a_sweep_finds_the_generator_pattern_once(ref_params, ref_data):
     assert (info.misses, info.hits) == (1, 2)
 
 
-def test_sparse_builds_make_no_coo_array(ref_params, ref_grid, monkeypatch):
+def test_sparse_builds_make_no_coo_array(ref_params, monkeypatch):
     def coo_array(*args, **kwargs):
         raise AssertionError("a COO array was built")
 
     # the package's own name and the one scipy's constructors import
     monkeypatch.setattr(sp, "coo_array", coo_array)
     monkeypatch.setattr(sp._coo, "coo_array", coo_array)
-    gen = assemble_generator(ref_params, ref_grid)
-    original = assemble_generator(replace(ref_params, shifted=False), ref_grid)
+    gen = assemble_generator(ref_params, CSR_GRID)
+    original = assemble_generator(replace(ref_params, shifted=False), CSR_GRID)
     assert shifted_lu(gen, 1.0, 0.1) is not None
     assert shifted_lu(gen, 2.0j, 1.0) is not None
     assert shift_deviation(gen, original, ref_params.shift) == 0.0
@@ -347,26 +379,26 @@ def test_a_matrix_without_its_whole_diagonal_is_rejected(ref_params, ref_grid):
     # only a hand-built generator can lack a diagonal position; z must never
     # be left off the diagonal silently
     gen = DiscreteGenerator(
-        sparse_matrix=sp.csr_array(np.array([[0.0, 1.0], [-1.0, -2.0]])),
-        sparse_gram=sp.csr_array(np.eye(2)), params=ref_params)
+        operator=sp.csr_array(np.array([[0.0, 1.0], [-1.0, -2.0]])),
+        gram_band=(np.ones(2), np.zeros(0)), params=ref_params)
     with pytest.raises(ValueError, match="whole diagonal"):
         shifted_lu(gen, 1.0, 0.1)
     with pytest.raises(ValueError, match="whole diagonal"):
         shift_deviation(gen, gen, 1.0)
 
 
-def test_shift_deviation_subtracts_without_a_format_conversion(ref_params, ref_grid,
+def test_shift_deviation_subtracts_without_a_format_conversion(ref_params,
                                                               monkeypatch):
     def tocsr(self, *args, **kwargs):
         raise AssertionError("a CSC operand was converted to CSR")
 
-    gen = assemble_generator(ref_params, ref_grid)
-    original = assemble_generator(replace(ref_params, shifted=False), ref_grid)
+    gen = assemble_generator(ref_params, CSR_GRID)
+    original = assemble_generator(replace(ref_params, shifted=False), CSR_GRID)
     monkeypatch.setattr(sp.csc_array, "tocsr", tocsr)
     assert shift_deviation(gen, original, ref_params.shift) == 0.0
     assert shift_deviation(gen, original, 2.0 * ref_params.shift) == ref_params.shift
     with pytest.raises(AssertionError, match="converted"):
-        gen.sparse_matrix - original.sparse_matrix.tocsc()
+        gen.operator - original.operator.tocsc()
 
 
 def test_label_law_mismatch_rejected(ref_params, kv_params, ref_grid):
@@ -389,7 +421,7 @@ def test_generator_label_follows_the_params(kv_params, ref_grid, shifted):
 
 
 def test_gram_is_positive_definite(ref_params, ref_grid):
-    G = assemble_gram(ref_params, ref_grid).toarray()
+    G = assemble_generator(ref_params, ref_grid).gram
     assert np.array_equal(G, G.T)
     assert sla.eigh(G, eigvals_only=True)[0] > 0.0
 
@@ -521,3 +553,66 @@ def test_reference_initial_energy_scale(ref_params, ref_grid, ref_data):
     gen = assemble_generator(ref_params, ref_grid)
     e0 = gen.energy(sample_initial_state(ref_data, ref_grid))
     assert np.isfinite(e0) and 1e4 < e0 < 1e6
+
+
+# entries that a CSR product and a careless dense one treat differently
+SPECIAL_ENTRIES = np.array([math.inf, -math.inf, math.nan, 1e308, -1e308, 0.0, -0.0])
+
+
+@pytest.mark.parametrize("nx, nrho", [(2, 1), (3, 2), (20, 22), (50, 50), (320, 322)])
+def test_gram_band_products_equal_a_csr_gram_bitwise(nx, nrho):
+    # the CSR G the band replaced, from the loop assembly: G x, the block
+    # product, and the energies, real and complex, below and above the
+    # crossover, with infinite, NaN, huge and signed-zero entries
+    g = Grid(nx=nx, nrho=nrho)
+    p = internal_friction(a=1.0, mu=1.0, tau=2.0)
+    gen = assemble_generator(p, g)
+    csr = sp.csr_array(_loop_generator(p, g, system_label(p))[1])
+    rng = np.random.default_rng(nx + nrho)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rows in (1, 17, 273):
+            block = (rng.standard_normal((rows, g.dim))
+                     * 10.0 ** rng.uniform(-150, 150, (rows, 1)))
+            hit = rng.random(block.shape) < 2.0 / g.dim
+            block[hit] = rng.choice(SPECIAL_ENTRIES, np.count_nonzero(hit))
+            block[0, :] = -0.0 if rows == 17 else block[0]
+            # numpy's and scipy's complex products sum two NaN terms in their
+            # own order, so a complex NaN may come out with the other sign
+            for x in (block, block - 1j * block[::-1]):
+                loose = x.dtype == complex
+                _assert_same_bits(gen.gram_product(x), (csr @ x.T).T, loose)
+                for row in x[:17]:
+                    _assert_same_bits(gen.gram_product(row), csr @ row, loose)
+            want = np.sqrt(np.sum(block * (csr @ block.T).T, axis=-1))
+            _assert_same_bits(gen.energy(block), want)
+            _assert_same_bits(np.array([gen.energy(row) for row in block]), want)
+
+
+def _position(a, row, col):
+    """Where A's entry (row, col) is stored: an index pair of a dense A, an
+    index into the data of a CSR A."""
+    if isinstance(a, np.ndarray):
+        return row, col
+    start, stop = a.indptr[row], a.indptr[row + 1]
+    return start + int(np.flatnonzero(a.indices[start:stop] == col)[0])
+
+
+@pytest.mark.parametrize("nx", [20, 80], ids=["dense", "csr"])
+def test_shift_deviation_sees_one_ulp_on_either_form(ref_params, nx):
+    g = Grid(nx=nx, nrho=nx)
+    original = assemble_generator(replace(ref_params, shifted=False), g)
+    assert isinstance(original.operator, np.ndarray) is (nx == 20)
+    assert shift_deviation(assemble_generator(ref_params, g), original,
+                           ref_params.shift) == 0.0
+    # a diagonal entry of a v row, the u_1' = v_1 entry, and both
+    for moved in ([(nx, nx)], [(0, nx)], [(nx, nx), (0, nx)]):
+        gen = assemble_generator(ref_params, g)
+        values = gen.operator if nx == 20 else gen.operator.data
+        steps = []
+        for row, col in moved:
+            k = _position(gen.operator, row, col)
+            old = values[k]
+            values[k] = np.nextafter(old, math.inf)
+            steps.append(values[k] - old)
+        assert min(steps) > 0.0
+        assert shift_deviation(gen, original, ref_params.shift) == max(steps)

@@ -12,7 +12,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg as sla
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.linalg import lapack
@@ -26,6 +25,7 @@ from delay_wave_lab import (BetaNearSpectrumError, DampingLaw,
                             eigenvalues, find_c_star, internal_friction,
                             kelvin_voigt, resolvent_norm, resolvent_scan,
                             robin_eigenvalue, spectral)
+from delay_wave_lab import discretization
 
 
 def _bisect(f, lo, hi, tol=1e-14):
@@ -45,12 +45,11 @@ THETA_2 = 3.4256184594817283          # cot(t) = t on (pi, 3 pi/2)
 ROBIN_MINUS_2 = -3.6672558244966540   # -s^2 with tanh(s) = s/2
 
 
-def _toy_generator(matrix, gram=None):
-    matrix = sp.csr_array(np.asarray(matrix, float))
-    n = matrix.shape[0]
-    return DiscreteGenerator(sparse_matrix=matrix,
-                             sparse_gram=sp.csr_array(np.eye(n))
-                             if gram is None else sp.csr_array(gram),
+def _toy_generator(matrix):
+    """A generator of the small dense ``matrix`` with G = I."""
+    n = len(matrix)
+    return DiscreteGenerator(operator=np.asarray(matrix, float),
+                             gram_band=(np.ones(n), np.zeros(0)),
                              params=Params(a=0.0, mu=1.0, tau=1.0, xi=1.0))
 
 
@@ -145,15 +144,20 @@ def test_resolvent_norm_near_eigenvalue_errors():
 # grids nx = nrho on either side of the sparse crossover n = 3 * nx
 DENSE_NX = (20, 30, 40)
 SPARSE_NX = (50, 60, 80)
-assert max(DENSE_NX) * 3 < spectral.SPARSE_RESOLVENT_MIN_DIM <= min(SPARSE_NX) * 3
+assert max(DENSE_NX) * 3 < discretization.SPARSE_MIN_DIM <= min(SPARSE_NX) * 3
 
 
-def _law_generator(law: str, mu: float, nx: int) -> DiscreteGenerator:
+def _law_generator(law: str, mu: float, nx: int, csr: bool = False) -> DiscreteGenerator:
+    """The generator on nx = nrho, with a CSR A also below the crossover
+    when ``csr``."""
     if law == "kelvin_voigt":
         p = kelvin_voigt(a=1.0, mu=mu, tau=2.0)
     else:
         p = internal_friction(a=1.0, mu=mu, tau=2.0, shifted=law == "shifted")
-    return assemble_generator(p, Grid(nx=nx, nrho=nx))
+    with pytest.MonkeyPatch.context() as mp:
+        if csr:
+            mp.setattr(discretization, "SPARSE_MIN_DIM", 0)
+        return assemble_generator(p, Grid(nx=nx, nrho=nx))
 
 
 @settings(max_examples=40, deadline=None)
@@ -168,10 +172,12 @@ def _law_generator(law: str, mu: float, nx: int) -> DiscreteGenerator:
 @example(law="original", mu=0.9, nx=80, beta=1e300)
 def test_sparse_resolvent_norm_matches_dense_svd(law, mu, nx, beta):
     gen = _law_generator(law, mu, nx)
-    sparse = spectral._sparse_resolvent_norm(gen, beta)
+    sparse = spectral._sparse_resolvent_norm(_law_generator(law, mu, nx, csr=True), beta)
     dense = spectral._dense_resolvent_norm(gen, beta)
     assert sparse == pytest.approx(dense, rel=1e-12)
-    expected = sparse if gen.dim >= spectral.SPARSE_RESOLVENT_MIN_DIM else dense
+    # the form of A picks the path: dense below the crossover, CSR from it on
+    assert isinstance(gen.operator, np.ndarray) is (gen.dim < discretization.SPARSE_MIN_DIM)
+    expected = dense if isinstance(gen.operator, np.ndarray) else sparse
     assert resolvent_norm(gen, beta) == expected
 
 
@@ -193,7 +199,7 @@ def test_sparse_resolvent_norm_near_eigenvalue_errors():
     # undamped: beta = |Im lambda| of the slowest eigenvalue on the axis
     gen = assemble_generator(Params(a=0.0, mu=0.0, tau=2.0, xi=1.0),
                              Grid(nx=60, nrho=60))
-    assert gen.dim >= spectral.SPARSE_RESOLVENT_MIN_DIM
+    assert gen.dim >= discretization.SPARSE_MIN_DIM
     vals = eigenvalues(gen).eigenvalues
     beta = float(np.abs(vals[np.abs(vals.real) < 1e-10].imag).min())
     with pytest.raises(BetaNearSpectrumError, match="too close to spectrum"):
@@ -241,20 +247,23 @@ def test_package_import_leaves_scipy_sparse_unloaded():
 
 
 def test_reference_grid_commands_load_no_superlu():
-    # up to DENSE_STEP_MAX_DIM time stepping takes a LAPACK LU, not splu
+    # up to DENSE_STEP_MAX_DIM time stepping takes a LAPACK LU, not splu,
+    # and below discretization.SPARSE_MIN_DIM A and G are numpy arrays, so
+    # no command at the reference grid loads scipy.sparse at all
     code = """
 import contextlib, io, sys
 from delay_wave_lab import cli
-for command in ("simulate", "sweep", "verify"):
+for argv in (["simulate"], ["sweep"], ["verify"], ["spectrum"], ["resolvent"],
+             ["charroots"], ["robin", "--c-star"]):
     with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main([command]) == 0, command
-print("scipy.sparse.linalg" in sys.modules)
+        assert cli.main(argv) == 0, argv
+print(sorted(m for m in sys.modules if m.startswith("scipy.sparse")))
 """
     src = Path(__file__).resolve().parents[1] / "src"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=str(src))).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[]"
 
 
 def test_resolvent_scan_factors_the_gram_once(ref_params, ref_grid, monkeypatch):
@@ -364,7 +373,7 @@ def test_delayed_eigenvalue_converges_at_first_order(p, region):
     root = max((r.lam for r in characteristic_roots(p, region)), key=lambda z: z.real)
     errors = []
     for nx in (20, 80, 320, 1280):
-        a = assemble_generator(p, Grid(nx=nx, nrho=nx)).sparse_matrix.astype(complex)
+        a = assemble_generator(p, Grid(nx=nx, nrho=nx)).operator.astype(complex)
         (val,) = spla.eigs(a, k=1, sigma=root, return_eigenvectors=False)
         errors.append(abs(val - root))
     orders = [math.log(e0 / e1, 4) for e0, e1 in zip(errors, errors[1:])]

@@ -8,7 +8,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from scipy.linalg import lapack
 from hypothesis import given, settings, strategies as st
 
@@ -17,16 +16,14 @@ from delay_wave_lab import (DiscreteGenerator, Grid, Params, SingularStepError,
                             internal_friction, kelvin_voigt,
                             kv_condition_satisfied, sample_initial_state,
                             shift_consistency, simulate, timestepper)
+from delay_wave_lab import discretization
 
 
 def _toy_generator(matrix):
-    """A generator of ``matrix`` that, like an assembled one, stores every
-    diagonal position, explicit zeros included."""
+    """A generator of the small dense ``matrix`` with G = I."""
     n = len(matrix)
-    a = sp.csr_array(np.asarray(matrix, float))
-    a.setdiag(a.diagonal())
-    return DiscreteGenerator(sparse_matrix=a,
-                             sparse_gram=sp.csr_array(np.eye(n)),
+    return DiscreteGenerator(operator=np.asarray(matrix, float),
+                             gram_band=(np.ones(n), np.zeros(0)),
                              params=Params(a=0.0, mu=1.0, tau=1.0, xi=1.0))
 
 
@@ -502,13 +499,15 @@ def _power_threshold(dim):
 def test_power_block_iterates_do_not_depend_on_how_they_are_read(ref_params,
                                                                  ref_grid,
                                                                  monkeypatch):
-    gen = assemble_generator(ref_params, ref_grid)
     v0 = sample_initial_state(builtin_data("paper"), ref_grid)
     threshold = _power_threshold(ref_grid.dim)
     for dense_max, n_steps in [(ref_grid.dim - 1, threshold + 45),  # sparse
                                (ref_grid.dim, threshold - 1),       # dense
                                (ref_grid.dim, threshold + 45)]:     # power blocks
         monkeypatch.setattr(timestepper, "DENSE_STEP_MAX_DIM", dense_max)
+        # a march that factors with splu needs a CSR A
+        monkeypatch.setattr(discretization, "SPARSE_MIN_DIM", dense_max + 1)
+        gen = assemble_generator(ref_params, ref_grid)
         whole = _iterates(gen, v0, 0.1, n_steps)  # in blocks of the default size
         assert len(whole) == n_steps
         for rows in [1, 7, 40, 41, 200]:
@@ -584,6 +583,7 @@ def test_dense_path_energies_match_the_sparse_path(ref_params, kv_params,
         trace = simulate(p, grid, ref_data, dt=dt, t_end=50.0)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(timestepper, "DENSE_STEP_MAX_DIM", 0)
+            mp.setattr(discretization, "SPARSE_MIN_DIM", 0)
             ref = simulate(p, grid, ref_data, dt=dt, t_end=50.0)
         assert trace.diverged == ref.diverged
         assert len(trace.energies) == len(ref.energies)
