@@ -102,8 +102,9 @@ def resolvent_norm(gen: DiscreteGenerator, beta: float) -> float:
 
     Exact up to roundoff.  For a dense A, below
     ``discretization.SPARSE_MIN_DIM``, it comes from one dense SVD, for a
-    CSR A from one sparse LU and one Lanczos run; both paths raise :class:`BetaNearSpectrumError` for a shift too close to the
-    spectrum, and a failed Lanczos run raises :class:`EigensolverError`.
+    CSR A from one sparse LU and one Lanczos run; both paths raise
+    :class:`BetaNearSpectrumError` for a shift too close to the spectrum,
+    and a failed Lanczos run raises :class:`EigensolverError`.
     A non-finite beta raises ``ValueError``.
     """
     if not math.isfinite(beta):

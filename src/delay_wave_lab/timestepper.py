@@ -19,8 +19,9 @@ a dense copy of the CSR A made for the run from there up to
 matrix product with P = M^POWER_BLOCK.  That one loop, ``_march``, yields
 the iterates a block at a time in one array it owns and refills, of up to
 ``ENERGY_BLOCK_ENTRIES`` floats; ``simulate`` and ``shift_consistency`` take
-each block's energies in one call, which applies G by its two diagonals.  M, P, the chunk and the block are
-dropped with the run, also when its caller stops early.
+each block's energies in one call, which applies G by its two diagonals.
+M, P, the chunk and the block are dropped with the run, also when its
+caller stops early.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ def _propagator(gen: DiscreteGenerator, dt: float) -> np.ndarray:
     the sparse solve about twice as closely as an LU of I - dt*A itself
     did."""
     a = gen.operator
-    if not isinstance(a, np.ndarray):  # a CSR A, from discretization.SPARSE_MIN_DIM on
+    if not isinstance(a, np.ndarray):  # CSR from discretization.SPARSE_MIN_DIM on
         a = a.toarray()
     with np.errstate(over="ignore", invalid="ignore"):  # caught just below
         m = np.eye(gen.dim) - dt * a
