@@ -10,8 +10,10 @@ the energy is taken from it.  A has a handful of nonzeros per row.  Below
 take: the time stepper's dense propagator, the full spectrum's ``eig``, the
 resolvent's SVD and the dissipativity ``eigh``.  At and above it A is a
 ``scipy.sparse`` CSR array, which ``splu`` factors and the sparse resolvent
-norm applies.  ``scipy.sparse`` is imported only on that CSR side, so the
-commands at the reference grid never load it.
+norm applies.  The time stepper and the resolvent norm pick their dense or
+sparse path from the form of A, so ``_fill`` is the one place that compares
+the state dimension with a constant.  ``scipy.sparse`` is imported only on
+the CSR side, so the commands at the reference grid never load it.
 
 A is built straight from its stencil entries.  A stencil entry names a value
 slot rather than a value, so the positions of A depend only on the law and
@@ -24,9 +26,9 @@ itself when A is dense) the full spectrum and, with ``gram`` (G), the
 dissipativity check; ``weighted_matrix`` the resolvent norms of a dense A.
 For a CSR A the resolvent norms use the banded Cholesky factor
 ``gram_factor`` of G and build no dense matrix.  ``shifted_lu`` makes every
-sparse LU of the package, all of a CSR A: the time stepper's I - dt*A above
-``timestepper.DENSE_STEP_MAX_DIM`` (up to it the stepper factors a dense
-I - dt*A with LAPACK) and the resolvent's i*beta*I - A.  A CSR A stores its
+sparse LU of the package, all of a CSR A: the time stepper's I - dt*A (for a
+dense A the stepper factors a dense I - dt*A with LAPACK) and the
+resolvent's i*beta*I - A.  A CSR A stores its
 whole diagonal, so z*I - c*A has A's own pattern and is formed from A's CSR
 arrays by one entrywise transform of the data, with no identity matrix and
 no scipy sparse arithmetic, entry for entry what scipy's sparse
@@ -72,10 +74,11 @@ if TYPE_CHECKING:  # scipy.sparse is imported only to build or factor a CSR A
 @dataclass(eq=False)
 class DiscreteGenerator:
     """A system matrix A together with the Gram matrix G of the energy norm;
-    ``label`` names the system, read off ``params``.  ``operator`` is A: a
-    dense array below ``SPARSE_MIN_DIM``, a CSR array that stores its whole
-    diagonal, explicit zeros included, at and above it, as ``shifted_lu``
-    and ``shift_deviation`` require.  ``gram_band`` is G as (d, e): its
+    ``label`` names the system, read off ``params``.  ``operator`` is A, and
+    its form picks the dense or sparse path of every consumer: a dense array
+    below ``SPARSE_MIN_DIM``, a CSR array that stores its whole diagonal,
+    explicit zeros included, at and above it, as ``shifted_lu`` and
+    ``shift_deviation`` require.  ``gram_band`` is G as (d, e): its
     diagonal d, and e, its sub- and superdiagonal within the u block (the
     first len(e) + 1 states), where all its off-diagonal entries lie.
 
@@ -165,10 +168,12 @@ class DiscreteGenerator:
         return float(norm) if vec.ndim == 1 else norm
 
 
-# A is dense below this state dimension and CSR at and above it.  Resolvent
-# norms of 7 betas, one BLAS thread: sparse 15-16 ms vs dense 23 at n = 150,
-# 13-14 vs 13 at n = 120
-SPARSE_MIN_DIM = 150
+# A is dense below this state dimension and CSR at and above it, and its form
+# picks every dense or sparse path.  At n = 180, one BLAS thread, simulate
+# with the dense propagator against splu took 14.9 against 38.3 ms over 5,000
+# steps, 3.5 against 3.6 over 400 and 1.25 against 0.49 over 10; the 7-beta
+# resolvent scan took 47 ms by the dense SVD against 27 by the sparse path
+SPARSE_MIN_DIM = 181
 PATTERN_CACHE_SIZE = 8  # grids whose A pattern (per law) is kept
 
 

@@ -100,9 +100,9 @@ GENERATOR_NORM_TOL = 1e-2  # Lanczos tolerance of the guard's ||A||_G (31 matvec
 def resolvent_norm(gen: DiscreteGenerator, beta: float) -> float:
     """Operator norm of (i*beta*I - A)^{-1} in the energy norm.
 
-    Exact up to roundoff.  For a dense A, below
-    ``discretization.SPARSE_MIN_DIM``, it comes from one dense SVD, for a
-    CSR A from one sparse LU and one Lanczos run; both paths raise
+    Exact up to roundoff.  The form of A picks the path: for a dense A,
+    below ``discretization.SPARSE_MIN_DIM``, one dense SVD, for a CSR A
+    one sparse LU and one Lanczos run.  Both paths raise
     :class:`BetaNearSpectrumError` for a shift too close to the spectrum,
     and a failed Lanczos run raises :class:`EigensolverError`.
     A non-finite beta raises ``ValueError``.

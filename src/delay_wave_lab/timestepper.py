@@ -6,20 +6,19 @@ of the shifted and Kelvin-Voigt systems are nonincreasing for every dt.
 Divergence of the original system is a result, not an error; traces are
 truncated at the last finite energy and flagged.
 
-Every run factors I - dt*A once.  Above ``DENSE_STEP_MAX_DIM`` the factors
-come from ``splu`` and a step is one sparse triangular solve.  Up to it a
-step is one dense matvec with the propagator M = (I - dt*A)^{-1}, made by
-one LAPACK LU and inverse (``dgetrf``, ``dgetri``) of a dense I - dt*A, so
-small grids build no SuperLU object.  That I - dt*A comes straight from A
-below ``discretization.SPARSE_MIN_DIM``, where A is a dense array, and from
-a dense copy of the CSR A made for the run from there up to
-``DENSE_STEP_MAX_DIM``; a run of at least
-``POWER_STEPS_PER_DIM`` steps per state dimension makes only its first
-``POWER_BLOCK`` iterates so and every later chunk of that many as one
-matrix product with P = M^POWER_BLOCK.  That one loop, ``_march``, yields
-the iterates a block at a time in one array it owns and refills, of up to
-``ENERGY_BLOCK_ENTRIES`` floats; ``simulate`` and ``shift_consistency`` take
-each block's energies in one call, which applies G by its two diagonals.
+Every run factors I - dt*A once, in the form ``assemble_generator`` stored
+A in.  For a CSR A, from ``discretization.SPARSE_MIN_DIM`` on, the factors
+come from ``splu`` and a step is one sparse triangular solve.  For a dense
+A, below it, a step is one dense matvec with the propagator
+M = (I - dt*A)^{-1}, made by one LAPACK LU and inverse (``dgetrf``,
+``dgetri``) of a dense I - dt*A, so small grids build no SuperLU object; a
+run of at least ``POWER_STEPS_PER_DIM`` steps per state dimension makes
+only its first ``POWER_BLOCK`` iterates so and every later chunk of that
+many as one matrix product with P = M^POWER_BLOCK.  That one loop,
+``_march``, yields the iterates a block at a time in one array it owns and
+refills, of up to ``ENERGY_BLOCK_ENTRIES`` floats; ``simulate`` and
+``shift_consistency`` take each block's energies in one call, which applies
+G by its two diagonals.
 M, P, the chunk and the block are dropped with the run, also when its
 caller stops early.
 """
@@ -37,11 +36,6 @@ from .discretization import (DiscreteGenerator, assemble_generator,
 
 
 MAX_STEPS = 1_000_000  # largest t_end/dt of a run; step_count enforces it
-# largest state dimension stepped by the dense propagator.  Per step the
-# matvec beat the sparse solve up to n = 240 and lost from n = 300 on (one
-# BLAS thread).  Building M by a LAPACK LU and inverse costs less than by
-# splu and n solves up to n of about 155, and 0.86 against 0.57 ms at 180
-DENSE_STEP_MAX_DIM = 180
 # floats of iterates per energy block, shared by marches read together: 128 KiB
 ENERGY_BLOCK_ENTRIES = 2 ** 14
 # iterates per power block of a long dense run, a power of two: P = M^32
@@ -89,18 +83,14 @@ def _factorization(gen: DiscreteGenerator, dt: float):
 
 
 def _propagator(gen: DiscreteGenerator, dt: float) -> np.ndarray:
-    """Dense M = (I - dt*A)^{-1} from one LAPACK LU, ``dgetrf`` then
-    ``dgetri``, of a dense I - dt*A that only this call holds, formed from a
-    dense A or from a fresh dense copy of a CSR one.  LAPACK
+    """Dense M = (I - dt*A)^{-1} of a dense A from one LAPACK LU, ``dgetrf``
+    then ``dgetri``, of a dense I - dt*A that only this call holds.  LAPACK
     factors the column-major view of that array, (I - dt*A)^T, in place, and
     M is the transpose of its inverse; from the same states M agreed with
     the sparse solve about twice as closely as an LU of I - dt*A itself
     did."""
-    a = gen.operator
-    if not isinstance(a, np.ndarray):  # CSR from discretization.SPARSE_MIN_DIM on
-        a = a.toarray()
     with np.errstate(over="ignore", invalid="ignore"):  # caught just below
-        m = np.eye(gen.dim) - dt * a
+        m = np.eye(gen.dim) - dt * gen.operator
     lu = None
     if np.all(np.isfinite(m)):
         lu, piv, info = sla.lapack.dgetrf(m.T, overwrite_a=True)
@@ -116,16 +106,16 @@ def _march(gen: DiscreteGenerator, vec: np.ndarray, dt: float, n_steps: int,
     share ``ENERGY_BLOCK_ENTRIES`` floats.  The factors are made at the
     first block, so a singular step is raised there.
 
-    Each iterate is one solve with the ``splu`` factors above
-    ``DENSE_STEP_MAX_DIM``, one matvec up to it with the dense propagator M
-    of ``_propagator``, which comes from a LAPACK LU.  A dense run of at least
-    ``POWER_STEPS_PER_DIM`` * n steps, and two blocks, makes only its first
-    b = ``POWER_BLOCK`` iterates so; each later chunk of b is one product of
-    the chunk before it with P = M^b, squared up from M, since
+    The form of A picks the path.  For a CSR A each iterate is one solve
+    with the ``splu`` factors, for a dense A one matvec with the propagator
+    M of ``_propagator``, which comes from a LAPACK LU.  A dense run of at
+    least ``POWER_STEPS_PER_DIM`` * n steps, and two blocks, makes only its
+    first b = ``POWER_BLOCK`` iterates so; each later chunk of b is one
+    product of the chunk before it with P = M^b, squared up from M, since
     V^(k+b) = P V^k.  The last chunk may run up to b - 1 steps past the end.
     """
     powered = False
-    if gen.dim <= DENSE_STEP_MAX_DIM:
+    if isinstance(gen.operator, np.ndarray):
         power = _propagator(gen, dt)  # M; a long run squares it up to P
         step = power.dot
         powered = n_steps >= max(POWER_STEPS_PER_DIM * gen.dim, 2 * POWER_BLOCK)

@@ -183,13 +183,13 @@ def test_resolvent_near_spectrum_exits_1(capsys, monkeypatch):
     # undamped generator, whose eigenvalues sit on the imaginary axis
     monkeypatch.setattr(cli, "validate_params", lambda p: p)
     gen = assemble_generator(Params(a=0.0, mu=0.0, tau=2.0, xi=1.0),
-                             Grid(nx=60, nrho=60))
+                             Grid(nx=61, nrho=61))
     assert gen.dim >= discretization.SPARSE_MIN_DIM
     vals = spectral.eigenvalues(gen).eigenvalues
     beta = np.abs(vals[np.abs(vals.real) < 1e-10].imag).min()
     code, stdout, err = _run(capsys, ["resolvent", "--a", "0", "--mu", "0",
                                       "--xi", "1", "--shifted", "false",
-                                      "--nx", "60", "--nrho", "60",
+                                      "--nx", "61", "--nrho", "61",
                                       "--betas", repr(float(beta))])
     assert code == 1
     assert "BetaNearSpectrumError" in err and "too close to spectrum" in err
@@ -201,7 +201,7 @@ def test_resolvent_lanczos_failure_exits_1(capsys, monkeypatch):
         raise spla.ArpackNoConvergence("No convergence", [], [])
 
     monkeypatch.setattr(spla, "eigsh", no_convergence)
-    code, stdout, err = _run(capsys, ["resolvent", "--nx", "60", "--nrho", "60",
+    code, stdout, err = _run(capsys, ["resolvent", "--nx", "61", "--nrho", "61",
                                       "--betas", "1, 2"])
     assert code == 1
     assert "EigensolverError" in err and "beta=1.0" in err

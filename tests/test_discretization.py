@@ -28,8 +28,8 @@ def _rayleigh(gen, vec):
     return float(vec @ gen.gram_product(gen.operator @ vec))
 
 
-# the smallest grid nx = nrho whose A is a CSR array
-CSR_GRID = Grid(nx=50, nrho=50)
+# a grid of the smallest state dimension whose A is a CSR array
+CSR_GRID = Grid(nx=60, nrho=61)
 assert CSR_GRID.dim == discretization.SPARSE_MIN_DIM
 
 

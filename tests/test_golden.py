@@ -21,6 +21,8 @@ GOLDEN = {
         "cf918745713b0a646033fe23ce263914a8ffc0da3e5cc8e6f4890399dadfb796",
     "simulate --law kelvin_voigt --mu 0.5":
         "1d444413c4d6019e3ed75a133a80bfd34dcf35598834bae789ae8129c54b8b82",
+    "simulate --law kelvin_voigt --mu 0.5 --nx 60 --nrho 60 --dt 0.01":
+        "5573843c8e1ad269c90a0d244e85667af50bbd45f25140a3d4c0982ffb6057e2",
     "sweep":
         "b7524ba0fac83b994d3402f8a23175da0082e76fce39268a08831f9a6e5cddca",
     "sweep --shifted false --values 1,2,4,8":

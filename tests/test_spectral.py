@@ -142,8 +142,8 @@ def test_resolvent_norm_near_eigenvalue_errors():
 
 
 # grids nx = nrho on either side of the sparse crossover n = 3 * nx
-DENSE_NX = (20, 30, 40)
-SPARSE_NX = (50, 60, 80)
+DENSE_NX = (20, 30, 40, 50, 60)
+SPARSE_NX = (61, 80)
 assert max(DENSE_NX) * 3 < discretization.SPARSE_MIN_DIM <= min(SPARSE_NX) * 3
 
 
@@ -183,14 +183,14 @@ def test_sparse_resolvent_norm_matches_dense_svd(law, mu, nx, beta):
 
 @pytest.mark.parametrize("law", ["shifted", "original", "kelvin_voigt"])
 def test_generator_norm_bounds_the_energy_norm_from_above(law):
-    gen = _law_generator(law, 0.5, 60)
+    gen = _law_generator(law, 0.5, 60, csr=True)
     spectral._sparse_resolvent_norm(gen, 1.0)
     exact = sla.svdvals(gen.weighted_matrix)[0]
     assert exact <= gen.generator_norm <= 1.01 * exact
 
 
 def test_sparse_resolvent_norm_is_repeatable(ref_params):
-    norms = [resolvent_norm(assemble_generator(ref_params, Grid(nx=60, nrho=60)), 3.7)
+    norms = [resolvent_norm(assemble_generator(ref_params, Grid(nx=61, nrho=61)), 3.7)
              for _ in range(2)]
     assert norms[0] == norms[1]
 
@@ -198,7 +198,7 @@ def test_sparse_resolvent_norm_is_repeatable(ref_params):
 def test_sparse_resolvent_norm_near_eigenvalue_errors():
     # undamped: beta = |Im lambda| of the slowest eigenvalue on the axis
     gen = assemble_generator(Params(a=0.0, mu=0.0, tau=2.0, xi=1.0),
-                             Grid(nx=60, nrho=60))
+                             Grid(nx=61, nrho=61))
     assert gen.dim >= discretization.SPARSE_MIN_DIM
     vals = eigenvalues(gen).eigenvalues
     beta = float(np.abs(vals[np.abs(vals.real) < 1e-10].imag).min())
@@ -229,7 +229,7 @@ def test_sparse_resolvent_norm_reports_lanczos_failure(ref_params, monkeypatch):
         raise spla.ArpackNoConvergence("No convergence", [], [])
 
     monkeypatch.setattr(spla, "eigsh", no_convergence)
-    gen = assemble_generator(ref_params, Grid(nx=60, nrho=60))
+    gen = assemble_generator(ref_params, Grid(nx=61, nrho=61))
     with pytest.raises(EigensolverError, match="beta=4.0"):
         resolvent_norm(gen, 4.0)
 
@@ -247,14 +247,17 @@ def test_package_import_leaves_scipy_sparse_unloaded():
 
 
 def test_reference_grid_commands_load_no_superlu():
-    # up to DENSE_STEP_MAX_DIM time stepping takes a LAPACK LU, not splu,
-    # and below discretization.SPARSE_MIN_DIM A and G are numpy arrays, so
-    # no command at the reference grid loads scipy.sparse at all
+    # below discretization.SPARSE_MIN_DIM A is a numpy array and G is its
+    # band at every size, so time stepping takes a LAPACK LU, not splu, and
+    # no command at the reference grid (n = 60) or at n = 180 loads
+    # scipy.sparse at all
     code = """
 import contextlib, io, sys
 from delay_wave_lab import cli
 for argv in (["simulate"], ["sweep"], ["verify"], ["spectrum"], ["resolvent"],
-             ["charroots"], ["robin", "--c-star"]):
+             ["charroots"], ["robin", "--c-star"],
+             ["simulate", "--nx", "60", "--nrho", "60", "--dt", "0.01"],
+             ["resolvent", "--nx", "60", "--nrho", "60"]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, argv
 print(sorted(m for m in sys.modules if m.startswith("scipy.sparse")))

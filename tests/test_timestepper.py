@@ -4,6 +4,7 @@ import math
 import tracemalloc
 import warnings
 import weakref
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -50,6 +51,14 @@ def _one_at_a_time(gen, vec, dt, n_steps):
 def _step(gen, vec, dt):
     """One backward-Euler step through the time stepper's only loop."""
     return _iterates(gen, vec, dt, 1)[0]
+
+
+def _assemble_as(p, grid, dense):
+    """The generator of ``p`` on ``grid`` with a dense or a CSR A, whatever
+    the dimension; the form of A picks the time stepper's path."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(discretization, "SPARSE_MIN_DIM", grid.dim + 1 if dense else 0)
+        return assemble_generator(p, grid)
 
 
 def _is_flow_of(label, trace, p, g, d, dt):
@@ -174,7 +183,7 @@ def test_simulate_keeps_no_generator_or_factors_alive(ref_params, ref_grid,
     shifted = internal_friction(a=1.0, mu=8.0, tau=2.0)
     assert shift_consistency(shifted, ref_grid, ref_data, dt=0.1, t_end=200.0).diverged
     gc.collect()
-    assert ref_grid.dim <= timestepper.DENSE_STEP_MAX_DIM
+    assert ref_grid.dim < discretization.SPARSE_MIN_DIM
     assert len(generators) == len(factors) == len(propagators) == 5
     assert all(ref() is None for ref in generators + factors + propagators)
 
@@ -425,40 +434,57 @@ def test_sparse_path_matches_the_dense_reference(nx, nrho, label, a, mu, tau,
                                                  xi_factor, dt, seed):
     grid = Grid(nx=nx, nrho=nrho)
     p = _params_for(label, a, mu, tau, xi_factor)
-    gen = assemble_generator(p, grid)
     v0 = np.random.default_rng(seed).standard_normal(grid.dim)
-
-    # each sparse iterate against a dense solve of the previous one; the
-    # two paths round differently, so over many steps the dynamics amplify
-    # the difference beyond what a single solve shows
-    dense = np.eye(grid.dim) - dt * gen.matrix
-    prev = v0
-    for vec in _iterates(gen, v0, dt, 20):
-        ref = np.linalg.solve(dense, prev)
-        assert np.linalg.norm(vec - ref) <= 1e-12 * np.linalg.norm(ref)
-        prev = vec
-
-    assert gen.energy(v0) == pytest.approx(np.sqrt(v0 @ gen.gram @ v0), rel=1e-14)
-
     data = builtin_data("ramp")
-    first = simulate(p, grid, data, dt=dt, t_end=5 * dt)
-    second = simulate(p, grid, data, dt=dt, t_end=5 * dt)
-    assert len(first.energies) == 6
-    assert np.array_equal(first.energies, second.energies)
+    for csr in (False, True):
+        gen = _assemble_as(p, grid, dense=not csr)
+        assert isinstance(gen.operator, np.ndarray) is not csr
+
+        # each iterate of the splu or the propagator path against a dense
+        # solve of the previous one; the paths round differently, so over
+        # many steps the dynamics amplify the difference beyond what a
+        # single solve shows
+        dense = np.eye(grid.dim) - dt * gen.matrix
+        prev = v0
+        for vec in _iterates(gen, v0, dt, 20):
+            ref = np.linalg.solve(dense, prev)
+            assert np.linalg.norm(vec - ref) <= 1e-12 * np.linalg.norm(ref)
+            prev = vec
+
+        assert gen.energy(v0) == pytest.approx(np.sqrt(v0 @ gen.gram @ v0), rel=1e-14)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(discretization, "SPARSE_MIN_DIM", 0 if csr else grid.dim + 1)
+            first = simulate(p, grid, data, dt=dt, t_end=5 * dt)
+            second = simulate(p, grid, data, dt=dt, t_end=5 * dt)
+        assert len(first.energies) == 6
+        assert np.array_equal(first.energies, second.energies)
 
 
-def _step_by(gen, vec, dt, dense):
-    """One step of the time stepper's dense or sparse path, whatever the
-    dimension."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(timestepper, "DENSE_STEP_MAX_DIM", gen.dim - (not dense))
-        return _step(gen, vec, dt)
+def test_the_form_of_a_picks_the_stepping_path(ref_params, ref_grid, ref_data,
+                                               monkeypatch):
+    calls = Counter()
+    for name in ("_propagator", "shifted_lu"):
+        def counted(*args, _name=name, _real=getattr(timestepper, name)):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(timestepper, name, counted)
+    # a dense A up to the crossover, n = 180 included
+    band = Grid(nx=60, nrho=60)
+    assert band.dim == discretization.SPARSE_MIN_DIM - 1
+    simulate(ref_params, band, ref_data, dt=0.1, t_end=1.0)
+    assert calls == {"_propagator": 1}
+    # a CSR A, forced on the reference grid
+    calls.clear()
+    monkeypatch.setattr(discretization, "SPARSE_MIN_DIM", 0)
+    simulate(ref_params, ref_grid, ref_data, dt=0.1, t_end=1.0)
+    assert calls == {"shifted_lu": 1}
 
 
 @pytest.mark.filterwarnings("ignore:Kelvin-Voigt stability condition")
 @settings(max_examples=30, deadline=None)
 @given(offset=st.integers(-6, 6),
-       nx=st.integers(2, (timestepper.DENSE_STEP_MAX_DIM - 8) // 2),
+       nx=st.integers(2, (discretization.SPARSE_MIN_DIM - 9) // 2),
        label=st.sampled_from(SystemLabel), a=st.floats(0.1, 2.0),
        mu=st.floats(0.1, 4.0), tau=st.floats(0.25, 4.0),
        xi_factor=st.floats(1.1, 4.0), dt=st.floats(1e-3, 10.0),
@@ -466,9 +492,11 @@ def _step_by(gen, vec, dt, dense):
 def test_dense_and_sparse_advance_agree_across_the_crossover(
         offset, nx, label, a, mu, tau, xi_factor, dt, seed):
     # state dimensions within 6 of the crossover, on both sides of it
-    grid = Grid(nx=nx, nrho=timestepper.DENSE_STEP_MAX_DIM + offset - 2 * nx)
-    gen = assemble_generator(_params_for(label, a, mu, tau, xi_factor), grid)
-    chosen = grid.dim <= timestepper.DENSE_STEP_MAX_DIM
+    grid = Grid(nx=nx, nrho=discretization.SPARSE_MIN_DIM - 1 + offset - 2 * nx)
+    p = _params_for(label, a, mu, tau, xi_factor)
+    gen = assemble_generator(p, grid)
+    chosen = grid.dim < discretization.SPARSE_MIN_DIM
+    by_form = {dense: _assemble_as(p, grid, dense) for dense in (True, False)}
     # the sparse solve, and the propagator from a LAPACK LU of
     # (I - dt*A)^T, are each accurate to about eps * cond(I - dt*A)
     # relative, so from the same input the two paths agree to that
@@ -478,8 +506,8 @@ def test_dense_and_sparse_advance_agree_across_the_crossover(
     v0 = np.random.default_rng(seed).standard_normal(grid.dim)
     prev = v0
     for vec in _iterates(gen, v0, dt, 20):
-        np.testing.assert_array_equal(vec, _step_by(gen, prev, dt, chosen))
-        by_matvec, by_solve = (_step_by(gen, prev, dt, flag) for flag in (True, False))
+        np.testing.assert_array_equal(vec, _step(by_form[chosen], prev, dt))
+        by_matvec, by_solve = (_step(by_form[flag], prev, dt) for flag in (True, False))
         assert np.linalg.norm(by_matvec - by_solve) <= bound * np.linalg.norm(by_solve)
         prev = vec
 
@@ -501,13 +529,10 @@ def test_power_block_iterates_do_not_depend_on_how_they_are_read(ref_params,
                                                                  monkeypatch):
     v0 = sample_initial_state(builtin_data("paper"), ref_grid)
     threshold = _power_threshold(ref_grid.dim)
-    for dense_max, n_steps in [(ref_grid.dim - 1, threshold + 45),  # sparse
-                               (ref_grid.dim, threshold - 1),       # dense
-                               (ref_grid.dim, threshold + 45)]:     # power blocks
-        monkeypatch.setattr(timestepper, "DENSE_STEP_MAX_DIM", dense_max)
-        # a march that factors with splu needs a CSR A
-        monkeypatch.setattr(discretization, "SPARSE_MIN_DIM", dense_max + 1)
-        gen = assemble_generator(ref_params, ref_grid)
+    for dense, n_steps in [(False, threshold + 45),  # sparse
+                           (True, threshold - 1),    # dense
+                           (True, threshold + 45)]:  # power blocks
+        gen = _assemble_as(ref_params, ref_grid, dense)
         whole = _iterates(gen, v0, 0.1, n_steps)  # in blocks of the default size
         assert len(whole) == n_steps
         for rows in [1, 7, 40, 41, 200]:
@@ -525,10 +550,10 @@ def test_power_block_iterates_do_not_depend_on_how_they_are_read(ref_params,
        data=st.sampled_from(["paper", "ramp"]), length=st.floats(0.02, 3.0))
 def test_power_blocks_match_one_matvec_per_step(nx, nrho, label, a, mu, tau,
                                                 xi_factor, dt, data, length):
-    # state dimensions up to DENSE_STEP_MAX_DIM, runs from 2% to three times
-    # the power-block threshold
+    # state dimensions of a dense A, runs from 2% to three times the
+    # power-block threshold
     grid = Grid(nx=nx, nrho=nrho)
-    assert grid.dim <= timestepper.DENSE_STEP_MAX_DIM
+    assert grid.dim < discretization.SPARSE_MIN_DIM
     p = _params_for(label, a, mu, tau, xi_factor)
     d = builtin_data(data)
     threshold = _power_threshold(grid.dim)
@@ -577,12 +602,11 @@ DENSE_RTOL = 2e-11
 def test_dense_path_energies_match_the_sparse_path(ref_params, kv_params,
                                                    ref_data, n, dt):
     grid = Grid(nx=n, nrho=n)
-    assert grid.dim <= timestepper.DENSE_STEP_MAX_DIM
+    assert grid.dim < discretization.SPARSE_MIN_DIM
     growing = internal_friction(a=0.0, mu=8.0, tau=2.0, shifted=False)
     for p in (ref_params, growing, kv_params):
         trace = simulate(p, grid, ref_data, dt=dt, t_end=50.0)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(timestepper, "DENSE_STEP_MAX_DIM", 0)
             mp.setattr(discretization, "SPARSE_MIN_DIM", 0)
             ref = simulate(p, grid, ref_data, dt=dt, t_end=50.0)
         assert trace.diverged == ref.diverged
