@@ -15,15 +15,16 @@ sparse path from the form of A, so ``_fill`` is the one place that compares
 the state dimension with a constant.  ``scipy.sparse`` is imported only on
 the CSR side, so the commands at the reference grid never load it.
 
-A is built straight from its stencil entries.  A stencil entry names a value
-slot rather than a value, so the positions of A depend only on the law and
-the grid: they are found once per (law, nx, nrho), by one sort of the keys
-row*n + col, and cached (``PATTERN_CACHE_SIZE`` grids).  Every stored
-position has exactly one stencil entry, so every assembly is one gather of
-slot values, into a dense array or into the data of a CSR array.  The dense
-views of ``DiscreteGenerator`` serve the spectral diagnostics: ``matrix`` (A
-itself when A is dense) the full spectrum and, with ``gram`` (G), the
-dissipativity check; ``weighted_matrix`` the resolvent norms of a dense A.
+A is built straight from its stencil, written as diagonal runs
+(row, col, length, value), each meaning A[row + j, col + j] = value for
+j < length.  No two runs share a position, so an assembly writes each run
+once: a strided slice of a dense array, or, for a CSR array, its keys
+row*n + col, all sorted at once.  Nothing is kept between assemblies.
+
+The dense views of ``DiscreteGenerator`` serve the spectral diagnostics:
+``matrix`` (A itself when A is dense) the full spectrum and, with ``gram``
+(G), the dissipativity check; ``weighted_matrix`` the resolvent norms of a
+dense A.
 For a CSR A the resolvent norms use the banded Cholesky factor
 ``gram_factor`` of G and build no dense matrix.  ``shifted_lu`` makes every
 sparse LU of the package, all of a CSR A: the time stepper's I - dt*A (for a
@@ -37,9 +38,9 @@ same way from a CSR A, and from a dense A by subtracting shift from its
 diagonal.
 
 ``assemble_generator(p, g)`` builds the ``system_label(p)`` system and stores
-its whole diagonal: a diagonal slot with a stencil value x holds x - p.shift,
-and the other diagonal positions hold -p.shift.  An unshifted system has
-p.shift = 0.0, and x - 0.0 is x bit for bit, -0.0 included.
+its whole diagonal: a diagonal position with a stencil value x holds
+x - p.shift, and the other diagonal positions hold -p.shift.  An unshifted
+system has p.shift = 0.0, and x - 0.0 is x bit for bit, -0.0 included.
 
 The stencils are matched so that the continuous energy computation survives
 discretization *exactly*:
@@ -59,7 +60,7 @@ whenever mu <= a, are negative semidefinite up to roundoff, for every grid.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -92,10 +93,6 @@ class DiscreteGenerator:
     ``gram_factor`` holds the banded Cholesky factor of G and
     ``generator_norm`` an upper bound on the energy norm of A, at most
     sqrt(1.01) times it, both made by the sparse resolvent norm.
-    The positions A is filled into outlive it: a module-level cache keeps,
-    for each of the last ``PATTERN_CACHE_SIZE`` grids and laws, the
-    read-only key and slot arrays, never a matrix value; a CSR A has index
-    arrays of its own.
     """
 
     operator: np.ndarray | sparray
@@ -174,49 +171,40 @@ class DiscreteGenerator:
 # steps, 3.5 against 3.6 over 400 and 1.25 against 0.49 over 10; the 7-beta
 # resolvent scan took 47 ms by the dense SVD against 27 by the sparse path
 SPARSE_MIN_DIM = 181
-PATTERN_CACHE_SIZE = 8  # grids whose A pattern (per law) is kept
 
 
-def _pattern(n: int, entries) -> tuple[np.ndarray, ...]:
-    """The stored positions of the n x n matrix of (rows, cols, slot)
-    entries, where rows and cols are index arrays of one length, or two
-    indices, and slot numbers the entry's value in the array ``_fill`` is
-    given.
-
-    Returns read-only (keys, slots): the sorted keys row*n + col of the
-    stored positions, and slots[k], the slot whose value position k takes.
-    Each position has one entry; a second entry at a position raises
-    ``ValueError``.
-    """
-    rows, cols, slots = zip(*entries)
-    rows = list(map(np.atleast_1d, rows))
-    slots = np.repeat(np.array(slots, dtype=np.intp), list(map(len, rows)))
-    keys, first = np.unique(np.concatenate(rows) * n + np.hstack(cols),
-                            return_index=True)
-    if len(keys) < len(slots):
-        raise ValueError("two stencil entries share a matrix position")
-    pattern = (keys, slots[first])
-    for array in pattern:
-        array.flags.writeable = False
-    return pattern
-
-
-def _fill(pattern: tuple[np.ndarray, ...], values: np.ndarray,
-          n: int) -> np.ndarray | sparray:
-    """The n x n matrix of ``pattern`` with the slot values ``values``: dense
-    below ``SPARSE_MIN_DIM``, CSR with index arrays of its own at and above
-    it.  A dense matrix holds 0.0 where a slot value is -0.0, as ``toarray``
-    of the CSR form does, so both forms give the same dense matrix."""
-    keys, slots = pattern
+def _fill(runs: list[tuple[int, int, int, float]], n: int) -> np.ndarray | sparray:
+    """The n x n matrix with A[row + j, col + j] = value for j < length, for
+    each diagonal run (row, col, length, value), and no other stored
+    position: dense below ``SPARSE_MIN_DIM``, CSR at and above it.  Two runs
+    that share a position raise ``ValueError``.  A dense matrix holds 0.0
+    where a run's value is -0.0, as ``toarray`` of the CSR form does, so both
+    forms give the same dense matrix."""
+    # sorted by diagonal and first row, a run overlaps another on its
+    # diagonal only if it overlaps the next one
+    spans = sorted([(col - row, row, row + length) for row, col, length, _ in runs if length])
+    for (diag, _, end), (next_diag, next_row, _) in zip(spans, spans[1:]):
+        if diag == next_diag and end > next_row:
+            raise ValueError("two stencil entries share a matrix position")
+    # a run's flat positions row*n + col step by n + 1 up to those of
+    # (row + length, col + length)
     if n < SPARSE_MIN_DIM:
         a = np.zeros(n * n)
-        a[keys] = (values + 0.0)[slots]  # -0.0 + 0.0 is 0.0
+        step = n + 1
+        for row, col, length, value in runs:
+            start = row * n + col
+            a[start:start + length * step:step] = value + 0.0  # -0.0 + 0.0 is 0.0
         return a.reshape(n, n)
     import scipy.sparse as sp
 
+    keys = np.concatenate([np.arange(row * n + col, (row + length) * n + col + length, n + 1)
+                           for row, col, length, _ in runs])
+    order = np.argsort(keys, kind="stable")  # a merge of the sorted runs
+    keys = keys[order]
+    values = np.repeat([run[3] for run in runs], [run[2] for run in runs])[order]
     # the constructor picks the smallest index dtype that holds n
-    return sp.csr_array((values[slots], keys % n,
-                         np.searchsorted(keys, np.arange(n + 1) * n)), shape=(n, n))
+    return sp.csr_array((values, keys % n, np.searchsorted(keys, np.arange(n + 1) * n)),
+                        shape=(n, n))
 
 
 def _shifted(a: sparray, z: complex, c: float) -> sparray:
@@ -292,70 +280,43 @@ def assemble_gram(p: Params, g: Grid) -> tuple[np.ndarray, np.ndarray]:
     return d, np.full(nx - 1, -1.0 / dx)
 
 
-@lru_cache(maxsize=PATTERN_CACHE_SIZE)
-def _generator_pattern(law: DampingLaw, nx: int, nrho: int) -> tuple[np.ndarray, ...]:
-    """A's stencil, with the value slots of ``_generator_values``.  Every
-    diagonal position is stored: slot 13 (-shift) fills those of the rows
-    whose stencil has no diagonal value.
+def _generator_runs(p: Params, g: Grid) -> list[tuple[int, int, int, float]]:
+    """A's stencil as the diagonal runs ``_fill`` takes.  Every diagonal
+    position is stored: the rows whose stencil has no diagonal value hold
+    -shift.
 
     Row layout follows the state (u_1..u_nx, v_1..v_{nx-1}, w, z_1..z_nrho)
-    with the eliminated values u_0 = 0, v_0 = 0, v_nx := w and z_0 := w.
+    with the eliminated values u_0 = 0, v_0 = 0, v_nx := w and z_0 := w: u_i
+    is row i - 1, v_i row nx + i - 1, w row iw and z_j row iw + j.
     """
-    n = 2 * nx + nrho
+    nx, dx, drho, shift = g.nx, g.dx, g.drho, p.shift
     iw = 2 * nx - 1
-    i = np.arange(1, nx)           # interior nodes
-    iu = i - 1                     # rows of u_1..u_{nx-1}
-    iv = nx + i - 1                # rows of v_1..v_{nx-1}; iv + 1 is v_{i+1}, or w
-    iz = np.arange(iw + 1, n)      # rows of z_1..z_nrho; iz - 1 is z_{j-1}, or w
-
-    entries = [
+    runs = [
         # u rows: u_i' = v_i, with the boundary velocity closing the last row
-        (iu, iv, 0),
-        (nx - 1, iw, 0),
-        (np.arange(nx), np.arange(nx), 13),
+        (0, nx, nx, 1.0),
+        (0, 0, nx, -shift),
         # v rows at interior nodes: D^2 u with u_0 = 0
-        (iv, iu, 1),
-        (iv[1:], iu[1:] - 1, 2),
-        (iv, iu + 1, 2),
+        (nx, 0, nx - 1, -2.0 / dx**2),
+        (nx + 1, 0, nx - 2, 1.0 / dx**2),
+        (nx, 1, nx - 1, 1.0 / dx**2),
         # w row: one-sided normal derivative plus the delayed feedback
-        (iw, nx - 1, 3),
-        (iw, nx - 2, 4),
-        (iw, n - 1, 5),
+        (iw, nx - 1, 1, -1.0 / dx),
+        (iw, nx - 2, 1, 1.0 / dx),
+        (iw, iw + g.nrho, 1, -p.mu),
         # z rows: upwind transport with inflow z_0 = w
-        (iz, iz, 6),
-        (iz, iz - 1, 7),
+        (iw + 1, iw + 1, g.nrho, -1.0 / (p.tau * drho) - shift),
+        (iw + 1, iw, g.nrho, 1.0 / (p.tau * drho)),
     ]
-    if law is DampingLaw.INTERNAL_FRICTION:
-        entries += [(iv, iv, 8), (iw, iw, 13)]
+    if p.law is DampingLaw.INTERNAL_FRICTION:
+        runs += [(nx, nx, nx - 1, -p.a - shift), (iw, iw, 1, -shift)]
     else:
         # Kelvin-Voigt: + a * D^2 v, the boundary value v_nx is w
-        entries += [(iv, iv, 9),
-                    (iv[1:], iv[1:] - 1, 10),
-                    (iv, iv + 1, 10),
-                    (iw, iw, 11),
-                    (iw, iv[-1], 12)]
-    return _pattern(n, entries)
-
-
-def _generator_values(p: Params, g: Grid) -> np.ndarray:
-    """The value of each slot of ``_generator_pattern``, in slot order."""
-    dx, drho = g.dx, g.drho
-    return np.array([
-        1.0,                               # 0: u_i' = v_i
-        -2.0 / dx**2,                      # 1, 2: D^2 u
-        1.0 / dx**2,
-        -1.0 / dx,                         # 3, 4: one-sided normal derivative
-        1.0 / dx,
-        -p.mu,                             # 5: delayed feedback
-        -1.0 / (p.tau * drho) - p.shift,   # 6, 7: upwind transport
-        1.0 / (p.tau * drho),
-        -p.a - p.shift,                    # 8: internal friction
-        -2.0 * p.a / dx**2 - p.shift,      # 9, 10: Kelvin-Voigt a * D^2 v
-        p.a / dx**2,
-        -p.a / dx - p.shift,               # 11, 12: Kelvin-Voigt boundary term
-        p.a / dx,
-        -p.shift,                          # 13: a diagonal with no stencil value
-    ], dtype=float)
+        runs += [(nx, nx, nx - 1, -2.0 * p.a / dx**2 - shift),
+                 (nx + 1, nx, nx - 2, p.a / dx**2),
+                 (nx, nx + 1, nx - 1, p.a / dx**2),
+                 (iw, iw, 1, -p.a / dx - shift),
+                 (iw, iw - 1, 1, p.a / dx)]
+    return runs
 
 
 def assemble_generator(p: Params, g: Grid,
@@ -367,7 +328,7 @@ def assemble_generator(p: Params, g: Grid,
     """
     if label not in (None, system_label(p)):
         raise ValueError(f"label {label} does not match the params")
-    a = _fill(_generator_pattern(p.law, g.nx, g.nrho), _generator_values(p, g), g.dim)
+    a = _fill(_generator_runs(p, g), g.dim)
     return DiscreteGenerator(operator=a, gram_band=assemble_gram(p, g), params=p)
 
 

@@ -105,6 +105,15 @@ def test_diverged_trace_classifies_growth():
     assert fit_decay(truncated).classification is Classification.GROWTH
 
 
+def test_a_diverged_trace_is_growth_whatever_its_fit():
+    # a decaying tail with 251 samples in its window: the fit runs, and the
+    # divergence flag still decides the classification
+    fit = fit_decay(replace(_exp_trace(0.5), diverged=True))
+    assert fit.classification is Classification.GROWTH
+    assert fit.note == "trace diverged"
+    assert fit.rate == pytest.approx(0.5, abs=1e-10)
+
+
 def test_window_fraction_validated():
     with pytest.raises(ValueError, match="window_fraction"):
         fit_decay(_exp_trace(0.1), window_fraction=1.5)
@@ -125,6 +134,16 @@ def test_power_law_exact():
     fit = polynomial_fit_decay(_trace(t, t ** -0.5))
     assert fit.exponent == pytest.approx(0.5, abs=1e-10)
     assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
+
+
+def test_power_law_fit_needs_ten_usable_samples():
+    # the tail half of 0..1.8 holds the 10 samples 0.9..1.8, that of 0..1.7
+    # only 9
+    for t_end, usable in ((1.8, 10), (1.7, 9)):
+        t = np.arange(0.0, t_end + 0.05, 0.1)
+        fit = polynomial_fit_decay(_trace(t, np.exp(-t)))
+        assert math.isnan(fit.exponent) is (usable < 10)
+        assert math.isnan(fit.r_squared) is (usable < 10)
 
 
 def test_power_law_exponent_grows_for_exponential_decay():

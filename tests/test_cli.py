@@ -290,6 +290,50 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert "config error" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--law", "kelvin_voigt", "--xi", "5"],
+     "Kelvin-Voigt runs fix xi = mu*tau = 2.0; remove the xi key or set it to "
+     "that value"),
+    (["--law", "foo"], "unknown law 'foo'; choose internal_friction or kelvin_voigt"),
+    (["--shifted", "maybe"],
+     "bad value for 'shifted': expected true or false, got 'maybe'"),
+    (["--mu"], "overrides must come in --key value pairs, got ['--mu']"),
+    (["mu", "2"], "expected an option like --mu, got 'mu'"),
+])
+def test_config_errors_exit_2_with_their_message(capsys, argv, message):
+    code, out, err = _run(capsys, ["simulate", *argv])
+    assert code == 2 and not out
+    assert err.startswith("config error: ") and err.endswith(f"{message}\n")
+    assert err.count("\n") == 1
+
+
+def test_a_config_line_without_equals_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("mu = 2\nmu 2\n")
+    code, out, err = _run(capsys, ["simulate", "--config", str(cfg_path)])
+    assert code == 2 and not out
+    assert err == "config error: line 2: expected 'key = value', got 'mu 2'\n"
+
+
+def test_an_unknown_command_is_a_config_error(capsys, monkeypatch):
+    with pytest.raises(ConfigError, match="unknown command 'nope'"):
+        cli.run("nope", parse_config(""))
+    # a command the parser accepts but run does not know exits 2 as well
+    monkeypatch.setattr(cli, "COMMANDS", (*cli.COMMANDS, "nope"))
+    code, out, err = _run(capsys, ["nope"])
+    assert code == 2 and not out
+    assert err == "config error: unknown command 'nope'\n"
+
+
+def test_a_diverged_simulate_says_where_and_exits_0(capsys):
+    code, out, err = _run(capsys, ["simulate", "--shifted", "false", "--a", "0",
+                                   "--mu", "8", "--t_end", "2000"])
+    assert code == 0
+    last = out.strip().split("\n")[-1].split(",")
+    assert err == f"diverged: trace truncated at t = {float(last[0])}\n"
+    assert float(last[1]) > 1e150
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("key", ["mu", "tau", "a", "xi", "dt", "t_end",
                                  "betas", "values"])

@@ -42,6 +42,7 @@ def test_shifted_run_rejects_xi_at_or_below_threshold():
     ("shift must be finite", dict(a=1.0, mu=1.0, tau=1e-310, xi=1.0, shifted=True)),
     ("never shifted", dict(a=1.0, mu=0.5, tau=2.0, xi=1.0,
                            law=DampingLaw.KELVIN_VOIGT, shifted=True)),
+    ("a must be nonnegative", dict(a=-1.0, mu=1.0, tau=2.0, xi=1.0)),
 ])
 def test_hard_invariants_are_rejected(bad, kwargs):
     with pytest.raises(ParamsError, match=bad):

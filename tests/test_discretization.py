@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -194,8 +196,8 @@ def _assert_same_arrays(fast, slow):
 
 def _reference_entries(p, g):
     """A's and G's stencils as numeric (rows, cols, value) entries, written
-    apart from the cached slot patterns and from ``assemble_gram``; summed by
-    ``_coo_csr`` they are the assembly's oracle."""
+    apart from the diagonal runs of the assembly and from ``assemble_gram``;
+    summed by ``_coo_csr`` they are the assembly's oracle."""
     nx, n = g.nx, g.dim
     dx, drho = g.dx, g.drho
     iw = 2 * nx - 1
@@ -261,7 +263,8 @@ def test_direct_sparse_builds_equal_the_scipy_reference_bitwise(
     p = Params(a=a, mu=mu, tau=tau, xi=tau * xi_factor, law=law,
                shifted=label is SystemLabel.SHIFTED)
     g = Grid(nx=nx, nrho=nrho)
-    # a second parameter set on the same grid and law fills the cached pattern
+    # a second parameter set on the same grid and law: nothing of the first
+    # assembly carries over
     a2, mu2, tau2, xi_factor2, shifted2 = again
     p2 = Params(a=a2, mu=mu2, tau=tau2, xi=tau2 * xi_factor2, law=law,
                 shifted=shifted2 and law is DampingLaw.INTERNAL_FRICTION)
@@ -292,22 +295,18 @@ def test_direct_sparse_builds_equal_the_scipy_reference_bitwise(
             assert shift_deviation(gen, original, shift) == expected
 
 
-def test_cached_patterns_are_bounded_and_read_only():
-    cached = discretization._generator_pattern
-    assert cached.cache_info().maxsize == discretization.PATTERN_CACHE_SIZE < 100
-    keys, slots = pattern = cached(DampingLaw.KELVIN_VOIGT, 5, 3)
-    assert len(keys) == len(slots) and np.all(np.diff(keys) > 0)
-    for array in pattern:
-        assert not array.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            array[0] = 0
-
-
 def test_a_position_with_two_stencil_entries_is_refused():
-    with pytest.raises(ValueError, match="share a matrix position"):
-        discretization._pattern(3, [(0, 0, 0), (0, 0, 1)])
-    with pytest.raises(ValueError, match="share a matrix position"):
-        discretization._pattern(3, [(np.arange(3), np.arange(3), 0), (2, 2, 1)])
+    for n in (4, discretization.SPARSE_MIN_DIM):  # a dense and a CSR A
+        for runs in ([(0, 0, 1, 1.0), (0, 0, 1, 2.0)],
+                     [(0, 0, 3, 1.0), (2, 2, 1, 2.0)],
+                     # the overlapping runs are not neighbours in the list
+                     [(1, 0, 2, 1.0), (0, 1, 2, 1.0), (2, 1, 1, 2.0)]):
+            with pytest.raises(ValueError, match="share a matrix position"):
+                discretization._fill(runs, n)
+        # runs that meet end to end on a diagonal, and an empty run inside one
+        a = discretization._fill([(0, 0, 2, 1.0), (2, 2, 1, 2.0), (1, 1, 0, 3.0)], n)
+        a = a if isinstance(a, np.ndarray) else a.toarray()
+        np.testing.assert_array_equal(np.diag(a)[:4], [1.0, 1.0, 2.0, 0.0])
 
 
 def _zero_data(m):
@@ -350,15 +349,25 @@ def test_changing_a_generator_leaves_the_next_assembly_unchanged(
         _assert_same_bits(got, band)
 
 
-def test_a_sweep_finds_the_generator_pattern_once(ref_params, ref_data):
-    from delay_wave_lab.analysis import sweep
-
-    discretization._generator_pattern.cache_clear()
-    table = sweep(ref_params, Grid(nx=7, nrho=5), ref_data, dt=0.1, t_end=20.0,
-                  vary="mu", values=[0.5, 1.0, 1.5])
-    assert [row.error for row in table.rows] == ["", "", ""]
-    info = discretization._generator_pattern.cache_info()
-    assert (info.misses, info.hits) == (1, 2)
+def test_assemblies_keep_no_memory(ref_params, kv_params):
+    # 20 (law, grid) pairs, 10 with a dense A and 10 with a CSR A; nothing
+    # outlives the generators
+    grids = [Grid(nx=nx, nrho=nx + 1) for nx in (3, 8, 15, 24, 33, 61, 70, 82, 95, 110)]
+    for p in (ref_params, kv_params):  # warm imports and first-call caches
+        assemble_generator(p, Grid(nx=2, nrho=1))
+        assemble_generator(p, CSR_GRID)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        for p in (ref_params, kv_params):
+            for g in grids:
+                assemble_generator(p, g)
+        gc.collect()
+        end, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert end - start <= 16 * 2**10
 
 
 def test_sparse_builds_make_no_coo_array(ref_params, monkeypatch):

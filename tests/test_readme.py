@@ -38,8 +38,8 @@ def test_readme_module_names_resolve():
 def test_readme_quoted_values_equal_the_code():
     quoted = [m for m in _quoted_names() if m[3]]
     assert {f"{m[1]}.{m[2]}" for m in quoted} >= {
-        "timestepper.ENERGY_BLOCK_ENTRIES", "discretization.PATTERN_CACHE_SIZE",
-        "discretization.SPARSE_MIN_DIM"}
+        "timestepper.ENERGY_BLOCK_ENTRIES", "timestepper.POWER_BLOCK",
+        "timestepper.POWER_STEPS_PER_DIM", "discretization.SPARSE_MIN_DIM"}
     for m in quoted:
         base, _, exponent = m[3].partition("^")
         value = float(base) ** int(exponent or 1)

@@ -736,6 +736,20 @@ def test_newton_runs_stop_together_on_small_steps_and_the_cap(monkeypatch):
     assert [len(size) for size in sizes] == [4, 4, 4, 4, 4, 1]
 
 
+@pytest.mark.parametrize("f", [
+    lambda z: np.where(z.real > 5.0, np.nan, z - 1.0),  # F not finite
+    lambda z: np.where(z.real > 5.0, 1.0, z - 1.0),     # zero derivative
+])
+def test_newton_drops_a_run_it_cannot_step(f):
+    # the run from 10 stops at its first point with no root; the run from
+    # 0.5 goes on to the root at 1
+    counter = _SizeCounter(f)
+    got = spectral._newton(counter, [10.0 + 0.0j, 0.5 + 0.0j],
+                           [Rectangle(0.0, 20.0, -1.0, 1.0)] * 2)
+    assert got[0] is None and abs(got[1][0] - 1.0) <= spectral.ROOT_RESIDUAL_TOL
+    assert counter.sizes[0] == 6 and set(counter.sizes[1:]) <= {1, 3}
+
+
 def _search_calls(p, region, monkeypatch):
     counters = []
 
