@@ -9,12 +9,17 @@ factored out so that large |kappa| cannot overflow.  The scale factor is
 positive, so zeros, residual thresholds and winding numbers are unaffected.
 
 The characteristic roots are enumerated by the argument principle, one
-subdivision level at a time: the winding walks, split lines and Newton
+subdivision level at a time: the winding walks, cut lines and Newton
 iterations of all rectangles of a level share each call of the
 characteristic function, whose fixed cost per call is that of about a
 hundred points.  Every rectangle keeps its own stop rules and errors, so the
 roots equal, bit for bit, those of a search that takes the rectangles one at
-a time.
+a time.  The search reuses its samples: boundary points are recursive
+midpoints of the corners, a rectangle is cut through the midpoints of its
+longer sides, its children's walks start from its samples and the cut
+line's, and Newton starts from the first moment of the one root in a
+rectangle, taken over its walk's last ring (Delves and Lyness, Math. Comp.
+21 (1967)).
 
 The Robin solver works on the analytic transcendental equation directly; it
 is deliberately independent of the matrix discretization so it can act as an
@@ -330,40 +335,152 @@ def characteristic_function(p: Params) -> Callable:
     return f
 
 
-def _winding_number(f, rects: list[Rectangle]) -> list[int]:
+def _side_points(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """n + 1 points from a to b, n a power of two, along the last axis: each
+    inner point is the midpoint 0.5*p + 0.5*q of two points placed before
+    it, which keeps exactly a coordinate that p and q share.
+
+    A half of the side, or the side walked backwards, holds the same floats
+    as the side itself.
+    """
+    pts = np.empty(np.shape(a) + (n + 1,), dtype=complex)
+    pts[..., 0], pts[..., n] = a, b
+    h = n
+    while h > 1:
+        pts[..., h // 2::h] = 0.5 * pts[..., :-1:h] + 0.5 * pts[..., h::h]
+        h //= 2
+    return pts
+
+
+class _Boundary:
+    """The samples of F on the walked boundaries of one root search.
+
+    Side k (bottom, right, top, left) of walk w holds its d + 1 samples,
+    d = ``dens[w, k]`` a power of two and 0 before its first round, as the
+    entries ``start[w, k] + step[w, k]*j``, j = 0..d, of the flat buffers
+    ``z`` (points) and ``v`` (values of F); ``step`` is -1 where the walk
+    runs against the order the entries were stored in.  A child's side on
+    its parent's boundary or on the cut line points into those entries, so a
+    child walk evaluates only the points its parent and the cut lack.
+    ``final[w]`` is the samples per side of walk w's last ring.
+    """
+
+    def __init__(self):
+        self.z = np.empty(1 << 15, dtype=complex)  # a reference-region search fits unresized
+        self.v = np.empty(1 << 15, dtype=complex)
+        self.used = 0
+        self.start = np.empty((0, 4), dtype=np.intp)
+        self.step = np.empty((0, 4), dtype=np.intp)
+        self.dens = np.empty((0, 4), dtype=np.intp)
+        self.final = np.empty(0, dtype=np.intp)
+
+    def walks(self, start, step, dens) -> np.ndarray:
+        """Ids of new walks whose sides have the records (start, step, dens)."""
+        first = len(self.final)
+        self.start = np.concatenate([self.start, start])
+        self.step = np.concatenate([self.step, step])
+        self.dens = np.concatenate([self.dens, dens])
+        self.final = np.concatenate([self.final, np.zeros(len(start), dtype=np.intp)])
+        return np.arange(first, len(self.final))
+
+    def fresh(self, count: int) -> np.ndarray:
+        """Ids of ``count`` new walks that hold no samples yet."""
+        zero = np.zeros((count, 4), dtype=np.intp)
+        return self.walks(zero, zero + 1, zero)
+
+    def append(self, z: np.ndarray, v: np.ndarray) -> int:
+        """Stores the points z and values v; returns the entry of the first."""
+        first, end = self.used, self.used + z.size
+        if end > self.z.size:
+            size = max(2 * self.z.size, end)
+            self.z = np.concatenate([self.z[:first], np.empty(size - first, dtype=complex)])
+            self.v = np.concatenate([self.v[:first], np.empty(size - first, dtype=complex)])
+        self.z[first:end], self.v[first:end] = z, v
+        self.used = end
+        return first
+
+    def fill(self, f, ids: np.ndarray, corners: np.ndarray, n: int) -> None:
+        """Brings every side of the walks ``ids``, with corners ``corners``,
+        to at least n samples, in at most one call of f.  In the first
+        round, n = WINDING_MIN_SAMPLES, only the sides of a fresh walk lack
+        them, and are placed from its corners, each corner evaluated once;
+        after it a side that lacks them holds n/2, since a child inherits at
+        least WINDING_MIN_SAMPLES, and gets the n/2 midpoints."""
+        w, k = np.nonzero(self.dens[ids] < n)
+        if not w.size:
+            return
+        rows = ids[w]
+        if n == WINDING_MIN_SAMPLES:
+            z = _side_points(corners[w, k], corners[w, (k + 1) % 4], n).reshape(-1, 4, n + 1)
+            v = np.empty_like(z)
+            v[..., :n] = f(z[..., :n])
+            v[..., n] = np.roll(v[..., 0], -1, axis=1)
+        else:
+            z = np.empty((w.size, n + 1), dtype=complex)
+            v = np.empty_like(z)
+            at = (self.start[rows, k][:, None]
+                  + self.step[rows, k][:, None] * np.arange(n // 2 + 1))
+            z[:, ::2], v[:, ::2] = self.z[at], self.v[at]
+            z[:, 1::2] = 0.5 * z[:, :-1:2] + 0.5 * z[:, 2::2]
+            v[:, 1::2] = f(z[:, 1::2])
+        first = self.append(z.ravel(), v.ravel())
+        self.start[rows, k] = first + (n + 1) * np.arange(w.size)
+        self.step[rows, k] = 1
+        self.dens[rows, k] = n
+
+    def index(self, ids: np.ndarray, n: int) -> np.ndarray:
+        """Entries of the rings of walks ``ids`` at n samples per side, shape
+        (len(ids), 4*n), each ring from its lower left corner on."""
+        stride = self.step[ids] * (self.dens[ids] // n)
+        at = self.start[ids][..., None] + stride[..., None] * np.arange(n)
+        return at.reshape(len(ids), 4 * n)
+
+
+def _corners(rects: list[Rectangle]) -> np.ndarray:
+    return np.array([[complex(r.re_min, r.im_min), complex(r.re_max, r.im_min),
+                      complex(r.re_max, r.im_max), complex(r.re_min, r.im_max)]
+                     for r in rects]).reshape(len(rects), 4)
+
+
+def _winding_number(f, rects: list[Rectangle], boundary: _Boundary | None = None,
+                    ids: np.ndarray | None = None) -> list[int]:
     """Winding numbers of f along the boundaries of ``rects``.
 
     Each boundary gets a trapezoid walk, refined until every phase increment
     is below pi/2 and the total stabilizes at an integer within 1e-3.  A root
     on (or next to) a boundary never satisfies the phase criterion, so the
     per-side sample count is capped at WINDING_MAX_SAMPLES rather than
-    refined indefinitely.  Each refinement halves the step, a power of two,
-    so the previous samples are reused exactly and only the midpoints are
-    evaluated.  The walks advance together: their first samples are one call
-    of f, and each refinement round is one call for the midpoints of every
-    walk still open.  A round takes the phase steps, their largest size and
-    their total for all its walks in a few whole-array calls; each walk
-    then keeps its own stop rule, cap and errors, and the first round in
-    which a walk fails raises, for the first such rectangle in list order.
+    refined indefinitely.  The samples of a side are its recursive midpoints
+    (``_side_points``), and each refinement doubles them, so only the new
+    midpoints are evaluated.  Walks ``ids`` of ``boundary`` start from the
+    samples their sides already hold, their parent's and their cut line's;
+    without a boundary the walks start afresh.  The walks advance together:
+    each round is at most one call of f, for the points the walks still open
+    lack, and none where they hold them all.  A round takes the phase steps,
+    their largest size and their total for all its walks in a few
+    whole-array calls; each walk then keeps its own stop rule, cap and
+    errors, and the first round in which a walk fails raises, for the first
+    such rectangle in list order.
     """
-    corners = np.array([[complex(r.re_min, r.im_min), complex(r.re_max, r.im_min),
-                         complex(r.re_max, r.im_max), complex(r.re_min, r.im_max)]
-                        for r in rects])
-    start, side = corners[..., None], (corners[:, [1, 2, 3, 0]] - corners)[..., None]
+    if boundary is None:
+        boundary = _Boundary()
+        ids = boundary.fresh(len(rects))
+    corners = _corners(rects)
     n = WINDING_MIN_SAMPLES
-    vals = f(start + np.arange(n) * (side / n))  # (walk, side, sample)
     counts: list[int] = [0] * len(rects)
     prev: list[float | None] = [None] * len(rects)
-    walks = list(range(len(rects)))  # rectangle of each row of vals
+    walks = list(range(len(rects)))  # rectangle of each open walk
     while True:
-        rings = vals.reshape(len(walks), -1)
+        boundary.fill(f, ids[walks], corners[walks], n)
+        rings = boundary.v[boundary.index(ids[walks], n)]
         usable = rings.all(axis=1) & np.isfinite(rings).all(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):  # unusable rows raise
+        # unusable rows raise; a ratio that overflows or underflows shows in the total
+        with np.errstate(all="ignore"):
             dargs = np.angle(np.roll(rings, -1, axis=1) / rings)
         steep = np.abs(dargs).max(axis=1) > 0.5 * math.pi
         totals = dargs.sum(axis=1) / (2.0 * math.pi)
-        del dargs  # not held through the next call of f
-        going = []  # rows of vals whose walk refines again
+        del dargs, rings  # not held through the next call of f
+        going = []  # open walks that refine again
         for row, i in enumerate(walks):
             if not usable[row]:
                 raise RootEnumerationError(
@@ -379,9 +496,10 @@ def _winding_number(f, rects: list[Rectangle]) -> list[int]:
                             f"winding number {total:.6f} along the region boundary is "
                             f"not integral; the boundary is too close to a root")
                     counts[i] = int(round(total))
+                    boundary.final[ids[i]] = n
                     continue
                 prev[i] = total
-            going.append(row)
+            going.append(i)
         if not going:
             return counts
         n *= 2
@@ -389,11 +507,7 @@ def _winding_number(f, rects: list[Rectangle]) -> list[int]:
             raise RootEnumerationError(
                 "winding number did not stabilize; the region boundary is too "
                 "close to a root")
-        walks = [walks[row] for row in going]
-        refined = np.empty((len(walks), 4, n), dtype=complex)
-        refined[..., 0::2] = vals[going]
-        refined[..., 1::2] = f(start[walks] + np.arange(1, n, 2) * (side[walks] / n))
-        vals = refined
+        walks = going
 
 
 def _newton(f, seeds: list[complex],
@@ -455,79 +569,203 @@ def _seeds(rect: Rectangle) -> list[complex]:
     return seeds
 
 
-def _split(f, rects: list[Rectangle]) -> list[tuple[Rectangle, Rectangle]]:
-    """Each rectangle cut in two across its longer side (the real one on a
-    tie), along the candidate line that keeps |f| largest.
+# The sides of the two children of a cut, in ring order, for a cut across the
+# imaginary side (left to right, row 0) and one across the real side (bottom
+# to top, row 1): side k of the parent whole (_WHOLE + k), its first half
+# (_FIRST + k) or second half (_SECOND + k), or the cut line forwards (_FWD) or
+# backwards (_BACK).
+_WHOLE, _FIRST, _SECOND, _FWD, _BACK = 0, 4, 8, 12, 13
+_CHILD_SIDES = np.array([
+    [[_WHOLE + 0, _FIRST + 1, _BACK, _SECOND + 3], [_FWD, _SECOND + 1, _WHOLE + 2, _FIRST + 3]],
+    [[_FIRST + 0, _FWD, _SECOND + 2, _WHOLE + 3], [_SECOND + 0, _WHOLE + 1, _FIRST + 2, _BACK]],
+])
 
-    Avoids cutting through a root, which would make the sub-contours
-    unusable.  The candidate lines of all rectangles are evaluated in one
-    call; ties go to the earlier candidate, the centre first.
+
+def _split(f, rects: list[Rectangle], boundary: _Boundary,
+           ids: np.ndarray) -> tuple[list[Rectangle], np.ndarray]:
+    """Each rectangle, walked as walk ``ids`` of ``boundary``, cut in two
+    across its longer side (the real one on a tie).
+
+    The cut runs through the midpoints of the two opposite sides, which the
+    walk holds.  Its inner samples at 2*WINDING_MIN_SAMPLES = 64 intervals,
+    63 points, are evaluated in one call of f for all rectangles: both
+    children need the cut at that density in their second round, and this
+    way they do not evaluate it twice.  The children's sides then point at
+    their parent's samples and the cut's.  Where one of the cut's 33 values
+    at WINDING_MIN_SAMPLES intervals is zero or not finite, or a phase step
+    between them exceeds pi/2, the cut would pass too close to a root: that
+    rectangle is cut instead along the candidate line that keeps |f|
+    largest, the centre first on a tie, all such rectangles' candidates in
+    one more call, and its children start fresh walks.  Returns the
+    children, two per rectangle in order, and their walk ids.
     """
-    cuts, grids = [], []
+    vertical = np.array([(r.re_max - r.re_min) >= (r.im_max - r.im_min) for r in rects])
+    st, sp, dn = boundary.start[ids], boundary.step[ids], boundary.dens[ids]
+    rows = np.arange(len(rects))
+    mid = st + sp * (dn // 2)
+    ends = mid[rows, np.where(vertical, 0, 3)], mid[rows, np.where(vertical, 2, 1)]
+    n = 2 * WINDING_MIN_SAMPLES
+    line = _side_points(boundary.z[ends[0]], boundary.z[ends[1]], n)
+    vals = np.empty_like(line)
+    vals[:, 0], vals[:, n] = boundary.v[ends[0]], boundary.v[ends[1]]
+    vals[:, 1:n] = f(line[:, 1:n])
+    first = vals[:, ::2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        clear = (np.isfinite(first).all(axis=1) & first.all(axis=1)
+                 & (np.abs(np.angle(first[:, 1:] / first[:, :-1])).max(axis=1) <= 0.5 * math.pi))
+    cut = boundary.append(line.ravel(), vals.ravel()) + (n + 1) * rows
+    # the children's side records, (rect, child, side)
+    code = _CHILD_SIDES[vertical.astype(int)]
+    side = code % 4
+    r3 = rows[:, None, None]
+    whole = dn[r3, side]
+    half = code >= _FIRST
+    dens = np.where(half, whole // 2, whole)
+    step = sp[r3, side]
+    start = st[r3, side] + (code >= _SECOND) * step * dens
+    on_cut = code >= _FWD
+    start = np.where(on_cut, cut[:, None, None] + (code == _BACK) * n, start)
+    step = np.where(on_cut, np.where(code == _BACK, -1, 1), step)
+    dens = np.where(on_cut, n, dens)
+    fallback = np.flatnonzero(~clear)
+    start[fallback], step[fallback], dens[fallback] = 0, 1, 0  # fresh walks
+    lines = dict(zip(fallback.tolist(),
+                     _clearest_lines(f, [rects[i] for i in fallback])))
+    children = []
+    for i, (r, vert) in enumerate(zip(rects, vertical.tolist())):
+        m = lines.get(i, 0.5 * r.re_min + 0.5 * r.re_max if vert
+                      else 0.5 * r.im_min + 0.5 * r.im_max)
+        children += ([Rectangle(r.re_min, m, r.im_min, r.im_max),
+                      Rectangle(m, r.re_max, r.im_min, r.im_max)] if vert else
+                     [Rectangle(r.re_min, r.re_max, r.im_min, m),
+                      Rectangle(r.re_min, r.re_max, m, r.im_max)])
+    return children, boundary.walks(start.reshape(-1, 4), step.reshape(-1, 4),
+                                    dens.reshape(-1, 4))
+
+
+def _clearest_lines(f, rects: list[Rectangle]) -> list[float]:
+    """For each rectangle, the coordinate of the candidate line across its
+    longer side that keeps |f| largest; ties go to the earlier candidate,
+    the centre first.  All candidates are sampled in one call of f."""
+    if not rects:
+        return []
+    grids = []
     for r in rects:
         vertical = (r.re_max - r.re_min) >= (r.im_max - r.im_min)
         lo, hi, span = ((r.re_min, r.re_max, (r.im_min, r.im_max)) if vertical
                         else (r.im_min, r.im_max, (r.re_min, r.re_max)))
         ts = np.linspace(span[0], span[1], 33)
         ms = lo + np.array([0.5, 0.46, 0.54, 0.42, 0.58, 0.38, 0.62]) * (hi - lo)
-        grids.append(ms[:, None] + 1j * ts if vertical else ts + 1j * ms[:, None])
-        cuts.append((ms, vertical))
-    clear = np.abs(f(np.array(grids))).min(axis=2)
-    parts = []
-    for r, (ms, vertical), c in zip(rects, cuts, clear):
-        m = float(ms[np.argmax(c)])
-        parts.append((Rectangle(r.re_min, m, r.im_min, r.im_max),
-                      Rectangle(m, r.re_max, r.im_min, r.im_max)) if vertical else
-                     (Rectangle(r.re_min, r.re_max, r.im_min, m),
-                      Rectangle(r.re_min, r.re_max, m, r.im_max)))
-    return parts
+        grids.append((ms, ms[:, None] + 1j * ts if vertical else ts + 1j * ms[:, None]))
+    pts = np.array([g for _, g in grids])
+    clear = np.abs(f(pts)).min(axis=2)
+    return [float(ms[np.argmax(c)]) for (ms, _), c in zip(grids, clear)]
 
 
-def _enumerate(f, region: Rectangle, total: int) -> list[tuple[complex, float]]:
-    """Roots in ``region``, whose winding number ``total`` the caller computed,
-    found one subdivision level at a time.
+def _log_scale(p: Params) -> Callable:
+    """z -> |Re kappa| at lam = z (+ shift): the log of the positive factor
+    that ``characteristic_function(p)`` divides F by."""
+    a, shift = p.a, p.shift
+    is_kv = p.law is DampingLaw.KELVIN_VOIGT
+
+    def scale(z):
+        lam = z + shift
+        with np.errstate(all="ignore"):
+            return np.sqrt(lam * lam / (1.0 + a * lam) if is_kv else lam * (lam + a)).real
+
+    return scale
+
+
+def _moment_seed(z: np.ndarray, v: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """First-moment estimate of the one root inside each ring: row j of
+    ``z`` walks a boundary of winding number 1 from z0 = z[j, 0], with F
+    values ``v`` and |Re kappa| ``scale``.
+
+    The root is z0 - (1/(2 pi i)) oint log F~ dz for the analytic
+    F~ = F*exp(|Re kappa|), with the phase unwrapped from z0, so that it
+    arrives back at z0 one turn up; the integral is the trapezoid rule over
+    the ring.
+    """
+    with np.errstate(all="ignore"):  # a seed that comes out non-finite is not tried
+        steps = np.angle(np.roll(v, -1, axis=-1) / v)
+    phase = np.cumsum(np.concatenate([np.angle(v[:, :1]), steps], axis=1), axis=1)
+    logs = np.log(np.abs(v)) + scale
+    logf = np.concatenate([logs, logs[:, :1]], axis=1) + 1j * phase
+    dz = np.diff(np.concatenate([z, z[:, :1]], axis=1), axis=1)
+    integral = 0.5 * ((logf[:, 1:] + logf[:, :-1]) * dz).sum(axis=1)
+    return z[:, 0] - integral / (2j * math.pi)
+
+
+def _moment_seeds(boundary: _Boundary, ids: np.ndarray, scale: Callable) -> list[complex]:
+    """``_moment_seed`` over the last ring of each walk ``ids``, the walks
+    whose rings have one size together."""
+    seeds = np.empty(len(ids), dtype=complex)
+    final = boundary.final[ids]
+    for n in np.unique(final).tolist():
+        rows = np.flatnonzero(final == n)
+        at = boundary.index(ids[rows], n)
+        z = boundary.z[at]
+        seeds[rows] = _moment_seed(z, boundary.v[at], scale(z))
+    return seeds.tolist()
+
+
+def _enumerate(f, region: Rectangle, scale: Callable) -> tuple[int, list[tuple[complex, float]]]:
+    """The winding number of ``region`` and its roots, found one subdivision
+    level at a time; ``scale`` is ``_log_scale`` of F's parameters.
 
     A rectangle of count 0 is dropped.  One of count 1, or one below 1e-6 on
     both sides, is refined by Newton from its seeds in turn, all runs of the
     level in lockstep, a further seed only where the one before failed or
-    left the rectangle; a tiny rectangle reports its refined point ``count``
-    times, and raises if no seed converges.  Every other rectangle is split,
-    all of the level together, and the walks of all children give the next
-    level.  Reaching level 81 raises.
+    left the rectangle: first, for count 1, the first-moment seed of its
+    walk's last ring, then the five of ``_seeds``.  A tiny rectangle reports
+    its refined point ``count`` times, and raises if no seed converges.
+    Every other rectangle is split, all of the level together, and the walks
+    of all children give the next level.  Reaching level 81 raises.
     """
+    boundary = _Boundary()
+    ids = boundary.fresh(1)
+    (total,) = _winding_number(f, [region], boundary, ids)
     found: list[tuple[complex, float]] = []
-    level, depth = [(region, total)], 0
+    level, depth = [(region, total, ids[0])], 0
     while True:
         if depth > 80:
             raise RootEnumerationError("subdivision depth exhausted during root search")
         split, refine = [], []
-        for rect, count in level:
+        for rect, count, walk in level:
             tiny = (rect.re_max - rect.re_min) < 1e-6 and (rect.im_max - rect.im_min) < 1e-6
             if count == 1 or (tiny and count != 0):
-                refine.append((rect, count, tiny, _seeds(rect)))
+                refine.append((rect, count, tiny, walk, _seeds(rect)))
             elif count != 0:
-                split.append(rect)
-        for k in range(5):  # the seeds in turn
-            if not refine:
+                split.append((rect, walk))
+        ones = [item for item in refine if item[1] == 1]
+        if ones:
+            walks = np.array([item[3] for item in ones], dtype=np.intp)
+            for item, seed in zip(ones, _moment_seeds(boundary, walks, scale)):
+                if cmath.isfinite(seed):
+                    item[4].insert(0, seed)
+        k = 0
+        while True:  # the seeds in turn
+            trying = [item for item in refine if k < len(item[4])]
+            if not trying:
                 break
-            got = _newton(f, [seeds[k] for *_, seeds in refine], [rect for rect, *_ in refine])
-            failed = []
-            for item, g in zip(refine, got):
-                if g is not None and item[0].contains(g[0]):
-                    found += [g] * item[1]
-                else:
-                    failed.append(item)
-            refine = failed
-        for rect, count, tiny, seeds in refine:
+            got = _newton(f, [item[4][k] for item in trying], [item[0] for item in trying])
+            hits = {id(item): g for item, g in zip(trying, got)
+                    if g is not None and item[0].contains(g[0])}
+            found += [hits[id(item)] for item in trying if id(item) in hits
+                      for _ in range(item[1])]
+            refine = [item for item in refine if id(item) not in hits]
+            k += 1
+        for rect, count, tiny, walk, seeds in refine:
             if tiny:
                 raise RootEnumerationError(
                     f"could not refine a root cluster of winding count {count} "
-                    f"near {seeds[0]}")
-            split.append(rect)
+                    f"near {_seeds(rect)[0]}")
+            split.append((rect, walk))
         if not split:
-            return found
-        children = [part for pair in _split(f, split) for part in pair]
-        level = list(zip(children, _winding_number(f, children)))
+            return total, found
+        children, ids = _split(f, [rect for rect, _ in split], boundary,
+                               np.array([walk for _, walk in split], dtype=np.intp))
+        level = list(zip(children, _winding_number(f, children, boundary, ids), ids))
         depth += 1
 
 
@@ -551,9 +789,7 @@ def characteristic_roots(p: Params, region: Rectangle) -> list[CharacteristicRoo
             raise SingularRegionError(
                 f"Kelvin-Voigt characteristic function is singular at "
                 f"lam = -1/a = {pole}; choose a region excluding that point")
-    f = characteristic_function(p)
-    (total,) = _winding_number(f, [region])
-    raw = _enumerate(f, region, total)
+    total, raw = _enumerate(characteristic_function(p), region, _log_scale(p))
 
     merged: list[list] = []  # [lam, residual, multiplicity]
     for z, r in sorted(raw, key=lambda t: (t[0].real, t[0].imag)):

@@ -43,7 +43,9 @@ def test_shifted_run_rejects_xi_at_or_below_threshold():
     ("never shifted", dict(a=1.0, mu=0.5, tau=2.0, xi=1.0,
                            law=DampingLaw.KELVIN_VOIGT, shifted=True)),
     ("a must be nonnegative", dict(a=-1.0, mu=1.0, tau=2.0, xi=1.0)),
-])
+], ids=["tau-kwargs0", "mu-kwargs1", "xi-kwargs2", "tau-kwargs3",
+        "tau must be positive-kwargs4", "shift must be finite-kwargs5",
+        "never shifted-kwargs6", "a must be nonnegative-kwargs7"])  # the ids the cases first had
 def test_hard_invariants_are_rejected(bad, kwargs):
     with pytest.raises(ParamsError, match=bad):
         validate_params(Params(**kwargs))

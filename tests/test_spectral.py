@@ -646,6 +646,24 @@ class _SizeCounter:
         return self.f(z)
 
 
+def _corners(rect):
+    return [complex(rect.re_min, rect.im_min), complex(rect.re_max, rect.im_min),
+            complex(rect.re_max, rect.im_max), complex(rect.re_min, rect.im_max)]
+
+
+def _recursive_midpoints(a, b, n):
+    """The n + 1 points from a to b, n a power of two, each inner one the
+    midpoint 0.5*p + 0.5*q, coordinate by coordinate, of two placed before."""
+    pts = [a] + [None] * (n - 1) + [b]
+    h = n
+    while h > 1:
+        for j in range(h // 2, n, h):
+            p, q = pts[j - h // 2], pts[j + h // 2]
+            pts[j] = complex(0.5 * p.real + 0.5 * q.real, 0.5 * p.imag + 0.5 * q.imag)
+        h //= 2
+    return np.array(pts)
+
+
 def test_winding_walk_evaluates_each_boundary_point_once(ref_params):
     # two walks together: one call per refinement round, of the midpoints of
     # the walks still open, and the counts of the walks taken alone
@@ -667,26 +685,105 @@ def test_winding_walk_evaluates_each_boundary_point_once(ref_params):
     points = np.concatenate(f.points)
     finals = [spectral.WINDING_MIN_SAMPLES * 2 ** (r - 1) for r in rounds]
     assert np.unique(points).size == points.size == 4 * sum(finals)
-    # the reused samples are those of a fresh walk at each final density
+    # the samples are the recursive midpoints of each side at its final density
     for region, n in zip(regions, finals):
-        corners = [complex(region.re_min, region.im_min), complex(region.re_max, region.im_min),
-                   complex(region.re_max, region.im_max), complex(region.re_min, region.im_max)]
+        corners = _corners(region)
         for k, (z0, z1) in enumerate(zip(corners, corners[1:] + corners[:1])):
-            seg = (z1 - z0) / n
-            fresh = np.array([z0 + j * seg for j in range(n)])
-            assert np.all(np.isin(fresh, points)), (region, k)
+            assert np.all(np.isin(_recursive_midpoints(z0, z1, n), points)), (region, k)
 
 
-def test_clearest_split_makes_one_call(ref_params):
-    rects = [Rectangle(-5.0, 0.5, -20.0, 20.0), Rectangle(-20.0, 20.0, -5.0, 0.5),
+def _walked(f, rects):
+    """A fresh boundary with one finished walk per rectangle."""
+    boundary = spectral._Boundary()
+    ids = boundary.fresh(len(rects))
+    spectral._winding_number(f, rects, boundary, ids)
+    return boundary, ids
+
+
+def _ring(boundary, walk, n):
+    at = boundary.index(np.array([walk]), n)
+    return boundary.z[at], boundary.v[at]
+
+
+def _clearest_line(f, rect):
+    """The candidate line across the longer side that keeps |f| largest,
+    one candidate at a time, the earlier one on a tie."""
+    vertical = rect.re_max - rect.re_min >= rect.im_max - rect.im_min
+    lo, hi, span = ((rect.re_min, rect.re_max, (rect.im_min, rect.im_max)) if vertical
+                    else (rect.im_min, rect.im_max, (rect.re_min, rect.re_max)))
+    best = None
+    for frac in (0.5, 0.46, 0.54, 0.42, 0.58, 0.38, 0.62):
+        m = lo + frac * (hi - lo)
+        ts = np.linspace(span[0], span[1], 33)
+        clear = np.abs(f(m + 1j * ts if vertical else ts + 1j * m)).min()
+        if best is None or clear > best[0]:
+            best = (clear, m)
+    return best[1]
+
+
+def _halves(rect, m):
+    if rect.re_max - rect.re_min >= rect.im_max - rect.im_min:
+        return [Rectangle(rect.re_min, m, rect.im_min, rect.im_max),
+                Rectangle(m, rect.re_max, rect.im_min, rect.im_max)]
+    return [Rectangle(rect.re_min, rect.re_max, rect.im_min, m),
+            Rectangle(rect.re_min, rect.re_max, m, rect.im_max)]
+
+
+def test_centre_split_makes_one_call_and_the_fallback_one_more(ref_params):
+    # centre cuts, across the real side and across the imaginary one: one
+    # call of the 63 inner points of each cut line, and the children start
+    # from their parent's samples and the cut's, the very points and values
+    # of a fresh walk of the child, so their first round takes no call
+    f = characteristic_function(ref_params)
+    rects = [Rectangle(-20.0, 20.0, -5.0, 0.5), Rectangle(-6.0, 0.5, -5.0, 0.5),
+             Rectangle(-5.0, 0.5, 0.05, 8.0)]
+    boundary, ids = _walked(f, rects)
+    counter = _SizeCounter(f)
+    children, child_ids = spectral._split(counter, rects, boundary, ids)
+    assert counter.sizes == [len(rects) * (2 * spectral.WINDING_MIN_SAMPLES - 1)]
+    assert children == [part for r in rects for part in _halves(
+        r, 0.5 * r.re_min + 0.5 * r.re_max if r.re_max - r.re_min >= r.im_max - r.im_min
+        else 0.5 * r.im_min + 0.5 * r.im_max)]
+    counter.sizes.clear()
+    counts = spectral._winding_number(counter, children, boundary, child_ids)
+    assert counts == spectral._winding_number(f, children)
+    # the first call is the second round's: the midpoints of the two half
+    # sides of each child whose parent's walk ended at 64 samples a side; the
+    # children of the walk that ended at 128 hold their whole second ring
+    n = spectral.WINDING_MIN_SAMPLES
+    assert boundary.final[ids].tolist() == [2 * n, 2 * n, 4 * n]
+    assert counter.sizes[0] == 2 * n * 4
+    fresh, fresh_ids = _walked(f, children)
+    for walk, fresh_walk in zip(child_ids, fresh_ids):
+        for got, want in zip(_ring(boundary, walk, spectral.WINDING_MIN_SAMPLES),
+                             _ring(fresh, fresh_walk, spectral.WINDING_MIN_SAMPLES)):
+            assert np.array_equal(got, want)
+
+    # the centre cut of the reference region passes next to the real root
+    # -1.953, a phase step above pi/2, and that of Im [0.05, 4] next to
+    # another root; both are cut along the clearest candidate line instead:
+    # 7 lines of 33 points each in a second call, and their children walk
+    # afresh
+    rects = [Rectangle(-5.0, 0.5, -20.0, 20.0), Rectangle(-6.0, 0.5, -5.0, 0.5),
              Rectangle(-5.0, 0.5, 0.05, 4.0)]
-    f = _SizeCounter(characteristic_function(ref_params))
-    parts = spectral._split(f, rects)
-    assert f.sizes == [len(rects) * 7 * 33]
-    assert parts == [spectral._split(f, [r])[0] for r in rects]
-    for rect, (lo, hi) in zip(rects, parts):
-        vertical = rect.re_max - rect.re_min >= rect.im_max - rect.im_min
-        assert (lo.re_max == hi.re_min) if vertical else (lo.im_max == hi.im_min)
+    boundary, ids = _walked(f, rects)
+    counter = _SizeCounter(f)
+    children, child_ids = spectral._split(counter, rects, boundary, ids)
+    assert counter.sizes == [3 * (2 * spectral.WINDING_MIN_SAMPLES - 1), 2 * 7 * 33]
+    assert children == (_halves(rects[0], _clearest_line(f, rects[0]))
+                        + _halves(rects[1], -2.75)
+                        + _halves(rects[2], _clearest_line(f, rects[2])))
+    dens = boundary.dens[child_ids]
+    assert (dens[[0, 1, 4, 5]] == 0).all() and (dens[[2, 3]] > 0).all()
+
+    # an exact zero of f on the cut line sends it to the fallback as well
+    toy = lambda z: np.where(np.asarray(z) == 0.5j, 0.0, 1.0) * (np.asarray(z) - (0.3 + 0.2j))
+    rect = Rectangle(-1.0, 1.0, -1.0, 1.0)
+    boundary, ids = _walked(toy, [rect])
+    counter = _SizeCounter(toy)
+    children, _ = spectral._split(counter, [rect], boundary, ids)
+    assert counter.sizes == [2 * spectral.WINDING_MIN_SAMPLES - 1, 7 * 33]
+    assert children == _halves(rect, _clearest_line(toy, rect)) != _halves(rect, 0.0)
 
 
 def _newton_alone_and_together(f, seeds, rects):
@@ -760,21 +857,35 @@ def _search_calls(p, region, monkeypatch):
     monkeypatch.setattr(spectral, "characteristic_function", counting)
     characteristic_roots(p, region)
     (f,) = counters
-    return len(f.sizes), sum(f.sizes)
+    return len(f.sizes), sum(f.sizes), np.unique(np.concatenate(f.points)).size
 
 
-def test_search_batches_the_calls_of_each_level(monkeypatch):
-    # the depth-first search made 536 calls on the reference region and
-    # 1,432 on the spectral one, for the same points
-    calls, points = _search_calls(*REFERENCE_CASE, monkeypatch)
-    assert points == 55289 and calls <= 89
-    calls, points = _search_calls(*SPECTRAL_CASE, monkeypatch)
-    assert points == 97786 and calls <= 218
+@pytest.mark.parametrize("case, counts", [
+    (REFERENCE_CASE, (44, 9373, 8001)),
+    (SPECTRAL_CASE, (50, 23804, 19737)),
+    # the spectral workload's Kelvin-Voigt search and verify's oracle search
+    ((kelvin_voigt(a=1.0, mu=0.5, tau=2.0), Rectangle(-0.9, 0.5, -60.0, 60.0)),
+     (35, 14200, 12993)),
+    ((Params(a=0.0, mu=0.0, tau=2.0, xi=1.0), Rectangle(-0.5, 0.5, 0.05, 2.0)),
+     (5, 265, 265)),
+], ids=["reference", "spectral", "kelvin_voigt", "oracle"])
+def test_search_batches_the_calls_of_each_level(case, counts, monkeypatch):
+    # calls of F, points and distinct points.  Fresh walks for every child,
+    # seven candidate lines for every split and Newton from the centre took
+    # 89 calls of 55,289 points on the reference region and 218 of 97,786 on
+    # the spectral one.  The repeats are points two walks share that neither
+    # inherits from the other: a half cut line that two cousins refine in
+    # one round, a line that a neighbour refined further at an earlier
+    # level, and the samples a fallback split and its fresh walks take again
+    assert _search_calls(*case, monkeypatch) == counts
 
 
-def _depth_first(f, rect, count, depth=0):
+def _depth_first(f, rect, count, boundary, walk, scale, depth=0):
     """The search one rectangle at a time, in the depth-first order of the
-    recursion the level-by-level search replaced."""
+    recursion the level-by-level search replaced: the rectangle's own split,
+    the walks of its children one at a time, each from the samples its
+    parent and its cut line hold, and Newton from the first-moment seed of
+    its last ring before the five of ``_seeds``."""
     if depth > 80:
         raise RootEnumerationError("subdivision depth exhausted during root search")
     if count == 0:
@@ -782,27 +893,37 @@ def _depth_first(f, rect, count, depth=0):
     tiny = (rect.re_max - rect.re_min) < 1e-6 and (rect.im_max - rect.im_min) < 1e-6
     if count == 1 or tiny:
         seeds = spectral._seeds(rect)
+        if count == 1:
+            (moment,) = spectral._moment_seeds(boundary, np.array([walk]), scale)
+            seeds = [moment] * cmath.isfinite(moment) + seeds
         for z0 in seeds:
             (got,) = spectral._newton(f, [z0], [rect])
             if got is not None and rect.contains(got[0]):
                 return [got] * count
         if tiny:
             raise RootEnumerationError(f"could not refine a root cluster of "
-                                       f"winding count {count} near {seeds[0]}")
+                                       f"winding count {count} near {seeds[-5]}")
     found = []
-    for part in spectral._split(f, [rect])[0]:
-        (part_count,) = spectral._winding_number(f, [part])
-        found += _depth_first(f, part, part_count, depth + 1)
+    parts, walks = spectral._split(f, [rect], boundary, np.array([walk]))
+    for part, part_walk in zip(parts, walks):
+        (part_count,) = spectral._winding_number(f, [part], boundary, np.array([part_walk]))
+        found += _depth_first(f, part, part_count, boundary, part_walk, scale, depth + 1)
     return found
 
 
-def _raw_roots(search, p, region):
-    """Counter of the raw (lam, residual) pairs as exact float bits, or the
-    type of the error the search raised."""
-    f = characteristic_function(p)
+def _raw_roots(p, region, level=True):
+    """Counter of the raw (lam, residual) pairs of the level-by-level search,
+    or of the depth-first one, as exact float bits, or the type of the error
+    the search raised."""
+    f, scale = characteristic_function(p), spectral._log_scale(p)
     try:
-        (total,) = spectral._winding_number(f, [region])
-        raw = search(f, region, total)
+        if level:
+            _, raw = spectral._enumerate(f, region, scale)
+        else:
+            boundary = spectral._Boundary()
+            walks = boundary.fresh(1)
+            (total,) = spectral._winding_number(f, [region], boundary, walks)
+            raw = _depth_first(f, region, total, boundary, walks[0], scale)
     except RootEnumerationError as exc:
         return type(exc)
     return Counter((z.real.hex(), z.imag.hex(), r.hex()) for z, r in raw)
@@ -826,30 +947,31 @@ def _workload_case(seed):
                          ids=["reference", "spectral", "kelvin_voigt"]
                          + [f"workload_seed_{seed}" for seed in range(1, 9)])
 def test_level_search_finds_the_depth_first_roots_bitwise(case):
-    level = _raw_roots(spectral._enumerate, *case)
+    level = _raw_roots(*case)
     assert isinstance(level, Counter) and level
-    assert level == _raw_roots(_depth_first, *case)
+    assert level == _raw_roots(*case, level=False)
 
 
 def test_child_boundary_failure_inside_a_batch_is_reported(ref_params):
-    # F is NaN on the interior of the region's first split line, in winding
-    # walks only: the region's own walk succeeds and a child's walk fails
-    region = REFERENCE_CASE[1]
+    # F is NaN on the region's first cut line, Im = 4.025, between the 33 points
+    # the split checks: the region's own walk and the split succeed, the
+    # children's first rounds take their samples from them, and their
+    # second round, in which both walk the NaNs, fails
+    region = Rectangle(-5.0, 0.5, 0.05, 8.0)
     f = characteristic_function(ref_params)
-    (low, high), = spectral._split(f, [region])
-    assert low.im_max == high.im_min
-    line = low.im_max
+    line = 0.5 * region.im_min + 0.5 * region.im_max
+    checked = _recursive_midpoints(complex(region.re_min, line), complex(region.re_max, line), 32)
 
     def broken(z):
-        out = f(z)
-        if np.ndim(z) == 3 and np.shape(z)[1] == 4:
-            on_line = (z.imag == line) & (region.re_min < z.real) & (z.real < region.re_max)
-            out = np.where(on_line, np.nan, out)
-        return out
+        z = np.asarray(z)
+        inner = (z.imag == line) & (region.re_min < z.real) & (z.real < region.re_max)
+        return np.where(inner & ~np.isin(z, checked), np.nan, f(z))
 
-    assert spectral._winding_number(broken, [region]) == [27]
+    boundary, walks = _walked(broken, [region])
+    children, child_walks = spectral._split(broken, [region], boundary, walks)
+    assert children[0].im_max == line and boundary.dens[child_walks].min() > 0
     with pytest.raises(RootEnumerationError, match="vanishes or overflows"):
-        spectral._enumerate(broken, region, 27)
+        spectral._enumerate(broken, region, spectral._log_scale(ref_params))
 
 
 def test_unrefinable_tiny_cluster_is_reported(ref_params, monkeypatch):
@@ -862,20 +984,84 @@ def test_unrefinable_tiny_cluster_is_reported(ref_params, monkeypatch):
 
 
 def test_subdivision_stops_at_level_81(monkeypatch):
-    # each level keeps one rectangle of count 2 and one of count 0, so no
-    # Newton run starts; level 81 holds two rectangles of count 0 and raises
+    # the region and each level keep one rectangle of count 2 and one of
+    # count 0, so no Newton run starts; level 81 holds two rectangles of
+    # count 0 and raises
     splits = []
 
-    def split(f, rects):
+    def split(f, rects, boundary, walks):
         splits.append(len(rects))
-        return [(r, r) for r in rects]
+        return [r for r in rects for _ in range(2)], boundary.fresh(2 * len(rects))
+
+    def walk(f, rects, boundary=None, walks=None):
+        return [2] if len(rects) == 1 else [0, 0] if len(splits) == 81 else [2, 0]
 
     monkeypatch.setattr(spectral, "_split", split)
-    monkeypatch.setattr(spectral, "_winding_number",
-                        lambda f, rects: [0, 0] if len(splits) == 81 else [2, 0])
+    monkeypatch.setattr(spectral, "_winding_number", walk)
     with pytest.raises(RootEnumerationError, match="depth exhausted"):
-        spectral._enumerate(None, REFERENCE_CASE[1], 2)
+        spectral._enumerate(None, REFERENCE_CASE[1], None)
     assert splits == [1] * 81
+
+
+def test_moment_seed_lands_next_to_the_root(monkeypatch):
+    # every count-1 rectangle of the reference search: the seed from the
+    # walk's last ring lies within 1e-3 of the root Newton returns there,
+    # 3.1e-4 at worst; without the |Re kappa| correction, F's scale factor
+    # moves every seed by 1.4e-2 or more
+    p, region = REFERENCE_CASE
+    walked = []
+    real = spectral._moment_seeds
+    monkeypatch.setattr(spectral, "_moment_seeds", lambda boundary, walks, scale: walked.append(
+        (boundary, walks)) or real(boundary, walks, scale))
+    roots = [r.lam for r in characteristic_roots(p, region)]
+    scale = spectral._log_scale(p)
+    seeds = 0
+    for boundary, walks in walked:
+        for walk in walks:
+            z, v = _ring(boundary, walk, boundary.final[walk])
+            seed = spectral._moment_seed(z, v, scale(z))[0]
+            root = min(roots, key=lambda lam: abs(lam - seed))
+            assert abs(seed - root) < 1e-3
+            bare = spectral._moment_seed(z, v, 0.0 * z.real)[0]
+            assert min(abs(bare - lam) for lam in roots) > 1e-3
+            seeds += 1
+    assert seeds == 27
+
+
+def _toy_search(monkeypatch, toy, region):
+    monkeypatch.setattr(spectral, "characteristic_function", lambda p: toy)
+    return characteristic_roots(Params(a=0.0, mu=0.0, tau=2.0, xi=1.0), region)
+
+
+def test_double_root_is_one_row_of_multiplicity_two(monkeypatch):
+    # the winding count stays 2 down to a rectangle below 1e-6 a side, whose
+    # refined point is reported twice and merged into one row
+    root = 0.3 + 0.2j
+    roots = _toy_search(monkeypatch, lambda z: (np.asarray(z) - root) ** 2,
+                        Rectangle(-1.0, 1.0, -1.0, 1.0))
+    assert len(roots) == 1 and roots[0].multiplicity_hint == 2
+    assert abs(roots[0].lam - root) < 1e-6 and roots[0].residual < 1e-10
+
+
+def test_roots_that_do_not_add_up_to_the_winding_count_are_reported(monkeypatch):
+    # (z - c)^2 conj(z - c)^3 winds -1 times around its one zero, where
+    # |F| = |z - c|^5 accepts the centre of the tiny rectangle at once: the
+    # search reports it -1 times, that is none, against a count of -1
+    c = 0.3 + 0.2j
+    toy = lambda z: (np.asarray(z) - c) ** 2 * np.conj(np.asarray(z) - c) ** 3
+    with pytest.raises(RootEnumerationError, match="winding count -1 of the region "
+                                                   "disagrees with the 0 refined roots"):
+        _toy_search(monkeypatch, toy, Rectangle(-1.0, 1.0, -1.0, 1.0))
+
+
+def test_walk_that_settles_off_an_integer_is_reported(monkeypatch):
+    # |F| jumps from 1e-300 to 1e300 across Re = 0: the ratio of the two
+    # samples overflows to inf + inf*i one way, phase pi/4, and underflows to
+    # 0 the other way, phase 0, so the walk settles at 1/8 of a turn
+    toy = lambda z: np.where(np.asarray(z).real < 0.0, 1e-300,
+                             1e300 * cmath.exp(1j * math.pi / 3))
+    with pytest.raises(RootEnumerationError, match="winding number 0.125000 .* not integral"):
+        _toy_search(monkeypatch, toy, Rectangle(-1.0, 1.0, -1.0, 1.0))
 
 
 def test_kelvin_voigt_region_must_avoid_the_pole():
@@ -893,16 +1079,18 @@ def test_region_boundary_through_root_is_reported():
 
 
 def test_root_just_outside_an_edge_is_found_once_the_edge_clears_it():
-    # a real Kelvin-Voigt root lies 2.7e-3 left of Re = -0.9; along that
-    # edge |F| falls to 1.6e-3 near Im = 0 and the walk of a child region
-    # cannot settle.  With the edge at -0.95 the root is inside and found
+    # a real Kelvin-Voigt root lies 2.7e-3 left of Re = -0.9, where |F| falls
+    # to 1.6e-3 near Im = 0.  The region's walks settle and leave it out;
+    # with the edge at -0.95 the root is inside and found
     p = kelvin_voigt(a=1.0, mu=0.2, tau=2.0)
-    with pytest.raises(RootEnumerationError, match="did not stabilize"):
-        characteristic_roots(p, Rectangle(-0.9, 0.5, -60.0, 60.0))
-    roots = characteristic_roots(p, Rectangle(-0.95, 0.5, -60.0, 60.0))
-    assert [r.lam for r in roots] == pytest.approx(
-        [-0.902721324202, -0.374946159446 - 0.959361699507j,
-         -0.374946159446 + 0.959361699507j], abs=1e-11)
+    pair = [-0.374946159446 - 0.959361699507j, -0.374946159446 + 0.959361699507j]
+    roots = characteristic_roots(p, Rectangle(-0.9, 0.5, -60.0, 60.0))
+    assert [r.lam for r in roots] == pytest.approx(pair, abs=1e-11)
+    # Newton from the first-moment seed accepts the real root at |F| = 5.4e-11,
+    # 1.1e-10 from where the run from the centre stopped, -0.902721324202
+    roots += characteristic_roots(p, Rectangle(-0.95, 0.5, -60.0, 60.0))
+    assert [r.lam for r in roots[2:]] == pytest.approx(
+        [-0.902721324134 + 8.8356e-11j] + pair, abs=1e-11)
     assert all(r.residual < 1e-10 for r in roots)
 
 
