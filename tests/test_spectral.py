@@ -860,16 +860,7 @@ def _search_calls(p, region, monkeypatch):
     return len(f.sizes), sum(f.sizes), np.unique(np.concatenate(f.points)).size
 
 
-@pytest.mark.parametrize("case, counts", [
-    (REFERENCE_CASE, (44, 9373, 8001)),
-    (SPECTRAL_CASE, (50, 23804, 19737)),
-    # the spectral workload's Kelvin-Voigt search and verify's oracle search
-    ((kelvin_voigt(a=1.0, mu=0.5, tau=2.0), Rectangle(-0.9, 0.5, -60.0, 60.0)),
-     (35, 14200, 12993)),
-    ((Params(a=0.0, mu=0.0, tau=2.0, xi=1.0), Rectangle(-0.5, 0.5, 0.05, 2.0)),
-     (5, 265, 265)),
-], ids=["reference", "spectral", "kelvin_voigt", "oracle"])
-def test_search_batches_the_calls_of_each_level(case, counts, monkeypatch):
+def test_search_batches_the_calls_of_each_level(monkeypatch):
     # calls of F, points and distinct points.  Fresh walks for every child,
     # seven candidate lines for every split and Newton from the centre took
     # 89 calls of 55,289 points on the reference region and 218 of 97,786 on
@@ -877,7 +868,13 @@ def test_search_batches_the_calls_of_each_level(case, counts, monkeypatch):
     # inherits from the other: a half cut line that two cousins refine in
     # one round, a line that a neighbour refined further at an earlier
     # level, and the samples a fallback split and its fresh walks take again
-    assert _search_calls(*case, monkeypatch) == counts
+    assert _search_calls(*REFERENCE_CASE, monkeypatch) == (44, 9373, 8001)
+    assert _search_calls(*SPECTRAL_CASE, monkeypatch) == (50, 23804, 19737)
+    # the spectral workload's Kelvin-Voigt search and verify's oracle search
+    assert _search_calls(kelvin_voigt(a=1.0, mu=0.5, tau=2.0),
+                         Rectangle(-0.9, 0.5, -60.0, 60.0), monkeypatch) == (35, 14200, 12993)
+    assert _search_calls(Params(a=0.0, mu=0.0, tau=2.0, xi=1.0),
+                         Rectangle(-0.5, 0.5, 0.05, 2.0), monkeypatch) == (5, 265, 265)
 
 
 def _depth_first(f, rect, count, boundary, walk, scale, depth=0):
@@ -902,7 +899,8 @@ def _depth_first(f, rect, count, boundary, walk, scale, depth=0):
                 return [got] * count
         if tiny:
             raise RootEnumerationError(f"could not refine a root cluster of "
-                                       f"winding count {count} near {seeds[-5]}")
+                                       f"winding count {count} near "
+                                       f"{spectral._seeds(rect)[0]}")
     found = []
     parts, walks = spectral._split(f, [rect], boundary, np.array([walk]))
     for part, part_walk in zip(parts, walks):
@@ -1011,8 +1009,12 @@ def test_moment_seed_lands_next_to_the_root(monkeypatch):
     p, region = REFERENCE_CASE
     walked = []
     real = spectral._moment_seeds
-    monkeypatch.setattr(spectral, "_moment_seeds", lambda boundary, walks, scale: walked.append(
-        (boundary, walks)) or real(boundary, walks, scale))
+
+    def recording(boundary, walks, scale):
+        walked.append((boundary, walks))
+        return real(boundary, walks, scale)
+
+    monkeypatch.setattr(spectral, "_moment_seeds", recording)
     roots = [r.lam for r in characteristic_roots(p, region)]
     scale = spectral._log_scale(p)
     seeds = 0
