@@ -759,11 +759,11 @@ def test_centre_split_makes_one_call_and_the_fallback_one_more(ref_params):
                              _ring(fresh, fresh_walk, spectral.WINDING_MIN_SAMPLES)):
             assert np.array_equal(got, want)
 
-    # the centre cut of the reference region passes next to the real root
-    # -1.953, a phase step above pi/2, and that of Im [0.05, 4] next to
-    # another root; both are cut along the clearest candidate line instead:
-    # 7 lines of 33 points each in a second call, and their children walk
-    # afresh
+    # the centre cut of the reference region runs along the real axis
+    # through the real root -1.953, where F changes sign, a phase step of pi,
+    # and that of Im [0.05, 4] passes 0.06 from another root, a step of 1.7;
+    # both are cut along the clearest candidate line instead: 7 lines of 33
+    # points each in a second call, and their children walk afresh
     rects = [Rectangle(-5.0, 0.5, -20.0, 20.0), Rectangle(-6.0, 0.5, -5.0, 0.5),
              Rectangle(-5.0, 0.5, 0.05, 4.0)]
     boundary, ids = _walked(f, rects)
