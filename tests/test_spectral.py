@@ -1082,7 +1082,7 @@ def test_region_boundary_through_root_is_reported():
 
 def test_root_just_outside_an_edge_is_found_once_the_edge_clears_it():
     # a real Kelvin-Voigt root lies 2.7e-3 left of Re = -0.9, where |F| falls
-    # to 1.6e-3 near Im = 0.  The region's walks settle and leave it out;
+    # to 1.3e-3 at Im = 0.  The region's walks settle and leave it out;
     # with the edge at -0.95 the root is inside and found
     p = kelvin_voigt(a=1.0, mu=0.2, tau=2.0)
     pair = [-0.374946159446 - 0.959361699507j, -0.374946159446 + 0.959361699507j]
