@@ -14,7 +14,8 @@ from .spectral import (BetaNearSpectrumError, CharacteristicRoot,
                        EigensolverError, Rectangle, ResolventScan,
                        RobinOverflowError, RootEnumerationError,
                        SpectrumReport, characteristic_function,
-                       characteristic_roots, eigenvalues, find_c_star,
+                       characteristic_roots, discrete_characteristic_function,
+                       eigenvalues, find_c_star,
                        resolvent_norm, resolvent_scan, robin_eigenvalue)
 from .analysis import (Classification, DecayFit, PowerLawFit, SweepRow,
                        SweepTable, fit_decay, polynomial_fit_decay, sweep)
@@ -31,7 +32,7 @@ __all__ = [
     "BetaNearSpectrumError", "CharacteristicRoot", "EigensolverError",
     "Rectangle", "ResolventScan", "RobinOverflowError", "RootEnumerationError",
     "SpectrumReport", "characteristic_function", "characteristic_roots",
-    "eigenvalues",
+    "discrete_characteristic_function", "eigenvalues",
     "find_c_star", "resolvent_norm", "resolvent_scan", "robin_eigenvalue",
     "Classification", "DecayFit", "PowerLawFit", "SweepRow", "SweepTable",
     "fit_decay", "polynomial_fit_decay", "sweep",

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import sys
 import typing
@@ -275,17 +276,25 @@ def _apply_overrides(text: str, extras: list[str]) -> str:
     return "\n".join(lines)
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.lru_cache(maxsize=1)
+def _parser(commands: tuple) -> argparse.ArgumentParser:
+    """The argument parser for the subcommands ``commands``, built once per
+    process: building one costs more than parsing with it."""
     parser = argparse.ArgumentParser(
         prog="delay-wave-lab", allow_abbrev=False,
         description="Simulation and spectral diagnostics for a 1D wave "
                     "equation with delayed dynamic boundary feedback.")
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=commands)
     parser.add_argument("--config", help="path to a key = value config file")
     parser.add_argument("--out", help="output CSV path (default: stdout)")
     parser.add_argument("--c-star", action="store_true",
                         help="robin: solve for the critical constant instead "
                              "of evaluating at robin_c")
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = _parser(COMMANDS)
     args, extras = parser.parse_known_args(argv)
 
     # advisory warnings (e.g. the Kelvin-Voigt stability condition) as plain

@@ -2,6 +2,13 @@
 imaginary axis, transcendental characteristic roots of the continuous
 problems, and the Dirichlet-Robin eigenvalue curve with its critical constant.
 
+The discrete spectrum has a scalar oracle as well: the delay line couples to
+the wave block through one entry each way, so det(lam*I - A) has a closed
+form, ``discrete_characteristic_function``, which costs O(1) per point
+where the dense ``eig`` costs O(n^3).  Newton on it finds single
+eigenvalues without an eigensolve, as ``verify``'s first-order ladder does,
+and its value and derivative at an ``eig`` eigenvalue check that eigenvalue.
+
 The characteristic function is evaluated through the entire functions
 sinh(sqrt(y))/sqrt(y) and cosh(sqrt(y)) of y = kappa^2, which removes the
 square-root branch ambiguity, and in a scaled form with exp(-|Re kappa|)
@@ -38,7 +45,7 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.linalg import lapack  # perfbench's tracer also wraps this attribute by name
 
-from .core import DampingLaw, Params
+from .core import DampingLaw, Grid, Params
 from .discretization import DiscreteGenerator, shifted_lu
 
 
@@ -335,6 +342,75 @@ def characteristic_function(p: Params) -> Callable:
     return f
 
 
+def discrete_characteristic_function(p: Params, g: Grid) -> Callable:
+    """Scalar function whose zeros are the eigenvalues of
+    ``assemble_generator(p, g)``: det(lam*I - A) in closed form.
+
+    An eigenvector has u_i = sinh(i*theta)/sinh(theta), v = lam*u,
+    w = lam*u_nx and z_j = w*q^-j, so only the w row is left.  Internal
+    friction, evaluated at lam + shift:
+        F_h(lam) = q^nrho (lam^2 U + C/dx) + mu*lam*U,
+    with q = 1 + lam*tau*drho, U = sinh(nx*theta)/sinh(theta),
+    C = cosh((nx - 1/2)*theta)/cosh(theta/2) and
+    4 sinh^2(theta/2) = dx^2*y, y = lam*(lam + a); F_h is det(lam*I - A)
+    times a nonzero constant.  Kelvin-Voigt: y = lam^2/(1 + a*lam) and the
+    boundary term is (1 + a*lam)*C/dx; det(lam*I - A) is F_h times the
+    factor (1 + a*lam)^(nx - 1), which is dropped, so lam = -1/a is a pole,
+    where F_h is not finite, and no root.
+
+    The returned function takes a complex number or an array and returns F_h
+    with the same shape, times the positive factor
+    exp(-(nx - 1)|Re theta|) max(1, |q|)^-nrho, so that no value overflows
+    (q^nrho reaches 1e787 at n = 720 for Kelvin-Voigt).  Zeros are unchanged
+    by it.  With ``derivative=True`` it returns F_h and dF_h/dlam, both times
+    that factor, so their ratio is the exact Newton step; a difference
+    quotient is not, where roots lie closer than its step, as the
+    Kelvin-Voigt ones do near -1/a.  theta comes from sinh(theta/2), which
+    keeps it accurate near theta = 0, and U and C are even in theta, so its
+    branch does not matter; the derivative is not finite at theta = 0.
+    """
+    nx, nrho, dx, td = g.nx, g.nrho, g.dx, p.tau * g.drho
+    a, mu, shift = p.a, p.mu, p.shift
+    is_kv = p.law is DampingLaw.KELVIN_VOIGT
+    db = a if is_kv else 0.0  # the derivative of the boundary term's factor
+    ks = np.array([0.5, nx, nx - 0.5])  # the multiples of theta needed
+
+    def f(lam, derivative: bool = False):
+        lam = np.asarray(lam, dtype=complex) + shift
+        with np.errstate(all="ignore"):
+            b = 1.0 + a * lam if is_kv else 1.0  # the boundary term's factor
+            y = lam * lam / b if is_kv else lam * (lam + a)
+            theta = 2.0 * np.arcsinh(0.5 * dx * np.sqrt(y))
+            theta = np.where(theta.real < 0.0, -theta, theta)
+            # sinh(k*theta) and cosh(k*theta), times exp(-k*Re theta), for each k
+            k = ks.reshape((3,) + (1,) * lam.ndim)
+            odd = -0.5 * np.expm1(-2.0 * k * theta.real)
+            even = 1.0 - odd
+            cos, sin = np.cos(k * theta.imag), np.sin(k * theta.imag)
+            sinh_h, sinh_n, sinh_c = odd * cos + 1j * (even * sin)
+            cosh_h, cosh_n, cosh_c = even * cos + 1j * (odd * sin)
+            sinh_t = 2.0 * sinh_h * cosh_h  # sinh(theta)*exp(-Re theta)
+            u = np.where(sinh_t == 0.0, nx, sinh_n / sinh_t)  # U = nx at theta = 0
+            c = cosh_c / cosh_h
+            top = lam * lam * u + b * c / dx
+            q = 1.0 + lam * td
+            m = np.maximum(1.0, np.abs(q))
+            q_low, low = (q / m) ** (nrho - 1) / m, (1.0 / m) ** nrho  # q^(nrho-1), 1
+            out = q_low * q * top + mu * lam * u * low
+            if not derivative:
+                return out[()]
+            # dtheta/dlam = dx^2 y'/(2 sinh(theta))
+            dy = lam * (2.0 + a * lam) / (b * b) if is_kv else 2.0 * lam + a
+            dtheta = dx * dx * dy / (2.0 * sinh_t * np.exp(theta.real))
+            du = (nx * cosh_n - u * (cosh_h * cosh_h + sinh_h * sinh_h)) / sinh_t * dtheta
+            dc = ((nx - 0.5) * sinh_c - 0.5 * c * sinh_h) / cosh_h * dtheta
+            dtop = 2.0 * lam * u + lam * lam * du + (db * c + b * dc) / dx
+            dout = q_low * (nrho * td * top + q * dtop) + mu * (u + lam * du) * low
+        return out[()], dout[()]
+
+    return f
+
+
 def _side_points(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     """n + 1 points from a to b, n a power of two, along the last axis: each
     inner point is the midpoint 0.5*p + 0.5*q of two points placed before
@@ -516,10 +592,14 @@ def _newton(f, seeds: list[complex],
     confined near its rectangle.
 
     A run stops at |f| below ROOT_RESIDUAL_TOL, at a negligible step or after
-    NEWTON_MAX_ITER steps; the last two accept the final point only if |f| is
-    that small there.  The runs step in lockstep: each iteration is one call
-    of f at z and z +- h of every open run and at the final point of every
-    run that stopped in the iteration before.
+    NEWTON_MAX_ITER steps.  Stopped at a small |f|, it takes one more step,
+    since |f| < ROOT_RESIDUAL_TOL leaves a point up to about
+    ROOT_RESIDUAL_TOL/|f'| from the root; it returns the point that step
+    reaches if |f| is that small there too, else the point it stopped at.
+    Stopped on a step or at the cap, it returns the final point only if |f|
+    is that small there.  The runs step in lockstep: each iteration is one
+    call of f at z and z +- h of every open run and at the final point of
+    every run that stopped in the iteration before.
     """
     z = list(seeds)
     bound = [4.0 * max(r.re_max - r.re_min, r.im_max - r.im_min) for r in rects]
@@ -533,15 +613,16 @@ def _newton(f, seeds: list[complex],
         pts = [w for i, h in zip(runs, hs) for w in (z[i], z[i] + h, z[i] - h)]
         vals = f(np.array(pts + [z[i] for i in last])).tolist()
         for i, fz in zip(last, vals[len(pts):]):
-            out[i] = (z[i], abs(fz)) if abs(fz) < ROOT_RESIDUAL_TOL else None
+            if abs(fz) < ROOT_RESIDUAL_TOL:
+                out[i] = (z[i], abs(fz))
         going, last = [], []
         for j, (i, h) in enumerate(zip(runs, hs)):
             fz, fp, fm = vals[3 * j:3 * j + 3]
             if not cmath.isfinite(fz):
                 continue
-            if abs(fz) < ROOT_RESIDUAL_TOL:
+            small = abs(fz) < ROOT_RESIDUAL_TOL
+            if small:
                 out[i] = (z[i], abs(fz))
-                continue
             df = (fp - fm) / (2.0 * h)
             if df == 0.0 or not cmath.isfinite(df):
                 continue
@@ -550,7 +631,7 @@ def _newton(f, seeds: list[complex],
             if abs(z[i] - center[i]) > bound[i]:
                 continue
             steps[i] += 1
-            if abs(dz) < 5e-16 * (1.0 + abs(z[i])) or steps[i] == NEWTON_MAX_ITER:
+            if small or abs(dz) < 5e-16 * (1.0 + abs(z[i])) or steps[i] == NEWTON_MAX_ITER:
                 last.append(i)
             else:
                 going.append(i)

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import dataclasses
 import io
@@ -323,6 +324,31 @@ def test_an_unknown_command_is_a_config_error(capsys, monkeypatch):
     code, out, err = _run(capsys, ["nope"])
     assert code == 2 and not out
     assert err == "config error: unknown command 'nope'\n"
+
+
+def test_the_parser_is_built_once_per_process(capsys, monkeypatch):
+    parsers = []
+    parse = argparse.ArgumentParser.parse_known_args
+
+    def recording(self, *args, **kwargs):
+        parsers.append(self)
+        return parse(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", recording)
+    results = [_run(capsys, ["robin"]) for _ in range(3)]
+    usage = [_run_exit(capsys, ["nope"]) for _ in range(2)]
+    assert len(parsers) == 5 and all(parser is parsers[0] for parser in parsers)
+    assert results == [(0, "2.4674011002725473\n", "")] * 3
+    assert usage[0] == usage[1] and usage[0][0] == 2
+    assert "invalid choice: 'nope'" in usage[0][2]
+
+
+def _run_exit(capsys, argv):
+    """An argv the parser itself rejects: its exit code and output."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
 
 
 def test_a_diverged_simulate_says_where_and_exits_0(capsys):

@@ -34,7 +34,7 @@ GOLDEN = {
     "resolvent --nx 160 --nrho 160":
         "ddc60f94613cd35c91cd5a578e660a31bb51b8cb36bb184333f9f4475e8c11d2",
     "charroots":
-        "46520ec6062863c431942e4e7ca81a066d57ee54300469b59229e280e3ef38a0",
+        "6bab93723706592f690dc450187c91e43964562fc6485e6ae1862bbe05082e12",
     "robin --c-star":
         "8d80dd54cefccd97dd4a137fda2a610a4f72f6c7aa1445fbbf470f5be6cce2fa",
     "robin --robin_c -2":

@@ -103,6 +103,64 @@ def test_undamped_eigenvalues_sit_on_axis_at_theta(ref_grid):
     assert abs(abs(smallest.imag) - theta1) <= 5.0 * ref_grid.dx
 
 
+# (params, grid) of the F_h oracle: both laws, shifted and not, n = 4 to
+# n = 720, nx equal to nrho and not
+F_H_CASES = [
+    (internal_friction(a=1.0, mu=1.0, tau=2.0), Grid(nx=240, nrho=240)),
+    (kelvin_voigt(a=1.0, mu=0.5, tau=2.0), Grid(nx=240, nrho=240)),
+    (internal_friction(a=0.3, mu=2.5, tau=0.7, shifted=False), Grid(nx=33, nrho=50)),
+    (internal_friction(a=2.0, mu=0.5, tau=1.0), Grid(nx=2, nrho=1)),
+    (kelvin_voigt(a=2.0, mu=1.5, tau=0.5), Grid(nx=12, nrho=40)),
+    (kelvin_voigt(a=0.5, mu=0.9, tau=3.0), Grid(nx=60, nrho=7)),
+]
+# largest relative Newton step |F_h/F_h'|/(1 + |lambda|) at a dense eigenvalue
+F_H_STEP_BOUND = {DampingLaw.INTERNAL_FRICTION: 1e-11, DampingLaw.KELVIN_VOIGT: 1e-9}
+
+
+def _relative_newton_steps(p, g, lams):
+    f, df = spectral.discrete_characteristic_function(p, g)(lams, derivative=True)
+    return np.abs(f / df) / (1.0 + np.abs(lams))
+
+
+@pytest.mark.parametrize("p, g", F_H_CASES,
+                         ids=[f"{p.law.value}-shifted{p.shifted}-{g.nx}x{g.nrho}"
+                              for p, g in F_H_CASES])
+def test_every_eigenvalue_is_a_root_of_the_discrete_characteristic_function(p, g):
+    # F_h is det(lam*I - A) in closed form, so each eigenvalue `spectrum`
+    # lists, the `resolvent` cutoff among them, is within a tiny Newton step
+    # of one of its roots.  Seen at n = 720 with one BLAS thread: 1.1e-12
+    # (internal friction) and 5.1e-11 (Kelvin-Voigt, at -1.14, an eigenvalue
+    # that eig places only to about 1e-10)
+    vals = eigenvalues(assemble_generator(p, g)).eigenvalues
+    assert vals.size == g.dim
+    cutoff = vals[np.argmax(np.abs(vals.imag))]
+    steps = _relative_newton_steps(p, g, np.append(vals, cutoff))
+    assert np.all(steps <= F_H_STEP_BOUND[p.law]), (vals[np.argmax(steps[:-1])], steps.max())
+
+
+@pytest.mark.parametrize("nx", [20, 40])
+def test_discrete_characteristic_function_on_the_oracle_grids(nx):
+    # verify's undamped p0: the delay block is decoupled, so -nrho/tau is an
+    # nrho-fold root, which eig finds as it is and F_h gives exactly 0; the
+    # 2*nx wave eigenvalues are simple roots
+    p0 = Params(a=0.0, mu=0.0, tau=2.0, xi=1.0)
+    g = Grid(nx=nx, nrho=nx)
+    vals = eigenvalues(assemble_generator(p0, g)).eigenvalues
+    delay = -1.0 / (p0.tau * g.drho)
+    on_delay = np.isclose(vals, delay, rtol=1e-12, atol=0.0)
+    assert np.count_nonzero(on_delay) == g.nrho
+    assert spectral.discrete_characteristic_function(p0, g)(delay) == 0.0
+    assert np.all(_relative_newton_steps(p0, g, vals[~on_delay]) <= 1e-11)
+
+
+def test_discrete_characteristic_function_keeps_the_shape_of_its_argument(ref_params, ref_grid):
+    f = spectral.discrete_characteristic_function(ref_params, ref_grid)
+    z = np.array([[0.5j, -1.0 + 2.0j, 3.0]])
+    value, slope = f(z, derivative=True)
+    assert value.shape == slope.shape == z.shape
+    assert [f(x) for x in z.ravel()] == pytest.approx(value.ravel().tolist(), rel=1e-14)
+
+
 # ---------------------------------------------------------------------------
 # resolvent norms
 
@@ -817,14 +875,15 @@ def test_newton_step_makes_one_three_point_call(ref_params):
 
 
 def test_newton_runs_stop_together_on_small_steps_and_the_cap(monkeypatch):
-    # steep roots at 1/3 and 2: some runs stop on a negligible step and owe a
-    # final value, which shares the next iteration's call; the seed at 100
-    # leaves the rectangle's bound after one step
+    # steep roots at 1/3 and 2: every run that stops, on a negligible step or
+    # on a small |F| after which it takes one more step, owes a final value,
+    # which shares the next iteration's call; the seed at 100 leaves the
+    # rectangle's bound after one step
     toy = lambda z: 1e9 * (np.asarray(z) - 1.0 / 3.0) * (np.asarray(z) - 2.0)
     seeds = [0.3 + 0.01j, 1.9 + 0.1j, 2.5 - 0.2j, 0.5j, 10.0 + 0.0j, 100.0 + 0.0j]
     rects = [Rectangle(0.0, 3.0, -1.0, 1.0)] * len(seeds)
     got, sizes = _newton_alone_and_together(toy, seeds, rects)
-    assert [size[-1] for size in sizes] == [3, 1, 1, 1, 3, 3]
+    assert [size[-1] for size in sizes] == [1, 1, 1, 1, 1, 3]
     assert got[-1] is None and all(g is not None for g in got[:-1])
     assert {round(g[0].real, 12) for g in got[:-1]} == {round(1.0 / 3.0, 12), 2.0}
     monkeypatch.setattr(spectral, "NEWTON_MAX_ITER", 3)
@@ -867,14 +926,17 @@ def test_search_batches_the_calls_of_each_level(monkeypatch):
     # the spectral one.  The repeats are points two walks share that neither
     # inherits from the other: a half cut line that two cousins refine in
     # one round, a line that a neighbour refined further at an earlier
-    # level, and the samples a fallback split and its fresh walks take again
-    assert _search_calls(*REFERENCE_CASE, monkeypatch) == (44, 9373, 8001)
-    assert _search_calls(*SPECTRAL_CASE, monkeypatch) == (50, 23804, 19737)
+    # level, and the samples a fallback split and its fresh walks take again.
+    # Newton's one more step after a small |F| adds one point per root (27
+    # on the reference region), and one call to a Newton pass whose runs all
+    # stopped on a small |F|
+    assert _search_calls(*REFERENCE_CASE, monkeypatch) == (49, 9400, 8017)
+    assert _search_calls(*SPECTRAL_CASE, monkeypatch) == (54, 23881, 19770)
     # the spectral workload's Kelvin-Voigt search and verify's oracle search
     assert _search_calls(kelvin_voigt(a=1.0, mu=0.5, tau=2.0),
-                         Rectangle(-0.9, 0.5, -60.0, 60.0), monkeypatch) == (35, 14200, 12993)
+                         Rectangle(-0.9, 0.5, -60.0, 60.0), monkeypatch) == (37, 14203, 12996)
     assert _search_calls(Params(a=0.0, mu=0.0, tau=2.0, xi=1.0),
-                         Rectangle(-0.5, 0.5, 0.05, 2.0), monkeypatch) == (5, 265, 265)
+                         Rectangle(-0.5, 0.5, 0.05, 2.0), monkeypatch) == (6, 266, 266)
 
 
 def _depth_first(f, rect, count, boundary, walk, scale, depth=0):
@@ -1088,11 +1150,12 @@ def test_root_just_outside_an_edge_is_found_once_the_edge_clears_it():
     pair = [-0.374946159446 - 0.959361699507j, -0.374946159446 + 0.959361699507j]
     roots = characteristic_roots(p, Rectangle(-0.9, 0.5, -60.0, 60.0))
     assert [r.lam for r in roots] == pytest.approx(pair, abs=1e-11)
-    # Newton from the first-moment seed accepts the real root at |F| = 5.4e-11,
-    # 1.1e-10 from where the run from the centre stopped, -0.902721324202
+    # Newton from the first-moment seed reaches |F| = 5.4e-11 at a point
+    # 1.1e-10 from the root; its one more step lands where the run from the
+    # centre stops, -0.9027213242021
     roots += characteristic_roots(p, Rectangle(-0.95, 0.5, -60.0, 60.0))
-    assert [r.lam for r in roots[2:]] == pytest.approx(
-        [-0.902721324134 + 8.8356e-11j] + pair, abs=1e-11)
+    assert roots[2].lam == pytest.approx(-0.9027213242021, abs=1e-12)
+    assert [r.lam for r in roots[3:]] == pytest.approx(pair, abs=1e-11)
     assert all(r.residual < 1e-10 for r in roots)
 
 

@@ -1,6 +1,9 @@
-"""Every ``verify`` check fails when the number it decides on is NaN."""
+"""Every ``verify`` check fails when the number it decides on is NaN, and
+each failure message names what failed."""
 
 import math
+import traceback
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -85,3 +88,72 @@ def test_a_nonincreasing_trace_through_zero_passes_monotonicity(monkeypatch):
     monkeypatch.setattr(verification, "simulate", lambda *args, **kwargs: _trace(
         [1.0, 1.0 + 1e-13, 0.5, 0.0, 0.0]))
     assert verification.check_energy_monotonicity().passed
+
+
+def _one_root_at_theta_1(p, region):
+    return [CharacteristicRoot(lam=1j * 0.8603335890193798, residual=0.0)]
+
+
+def test_a_window_with_two_roots_fails_the_characteristic_oracle(monkeypatch):
+    monkeypatch.setattr(spectral, "characteristic_roots",
+                        lambda p, region: _one_root_at_theta_1(p, region) * 2)
+    result = verification.check_characteristic_oracle()
+    assert not result.passed
+    assert result.detail == "expected 1 root in the window, got 2"
+
+
+def test_newton_on_f_h_that_does_not_converge_fails_the_oracle(monkeypatch):
+    # no |F_h| is below a zero tolerance, so neither Newton run on F_h
+    # converges; the window's own root search is stood in for, since it uses
+    # the same tolerance
+    monkeypatch.setattr(spectral, "characteristic_roots", _one_root_at_theta_1)
+    monkeypatch.setattr(spectral, "ROOT_RESIDUAL_TOL", 0.0)
+    result = verification.check_characteristic_oracle()
+    assert not result.passed
+    assert result.detail == (
+        "Newton on F_h did not converge at nx=20; Newton on F_h did not converge "
+        "at nx=40; eigenvalue error nan above 5*dx; error halving factor nan "
+        "outside [1.7, 2.3]")
+
+
+def test_an_inexact_generator_identity_fails_shift_consistency(monkeypatch):
+    residuals = iter([1.0, 0.5])
+    monkeypatch.setattr(verification, "shift_consistency",
+                        lambda *args, **kwargs: ShiftConsistencyReport(
+                            identity_exact=False, max_relative_residual=next(residuals),
+                            n_compared=1, diverged=False))
+    result = verification.check_shift_consistency()
+    assert not result.passed
+    assert result.detail == "generator identity not exact"
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, NAN])
+def test_a_nonpositive_or_non_finite_norm_fails_the_resolvent_scan(monkeypatch, bad):
+    def scan(gen, betas):
+        betas = np.asarray(betas, dtype=float)
+        norms = np.full(len(betas), 1e3)
+        norms[3] = bad
+        return ResolventScan(betas=betas, norms=norms, fitted_loglog_slope=0.0,
+                             presaturation_cutoff=40.0, spectrum=np.array([-1.0 + 0.0j]))
+
+    monkeypatch.setattr(spectral, "resolvent_scan", scan)
+    result = verification.check_resolvent_scan()
+    assert not result.passed
+    assert result.detail.startswith("non-finite or nonpositive resolvent norm")
+
+
+def test_verify_makes_three_eigensolves_none_for_the_eigenvalue_ladder(monkeypatch):
+    # an operation count, not a time: the eigenvalues of the first-order
+    # ladder come from Newton on F_h, and a change that brings an eigensolve
+    # back into verify fails here (it made 5, 2 of them for the ladder)
+    real = spectral.eigenvalues
+    callers = []
+
+    def counting(gen):
+        callers.append(next(frame.name for frame in reversed(traceback.extract_stack())
+                            if frame.name.startswith("check_")))
+        return real(gen)
+
+    monkeypatch.setattr(spectral, "eigenvalues", counting)
+    assert all(result.passed for result in verification.run_all())
+    assert Counter(callers) == {"check_spectrum_location": 2, "check_resolvent_scan": 1}
