@@ -366,8 +366,9 @@ def discrete_characteristic_function(p: Params, g: Grid) -> Callable:
     that factor, so their ratio is the exact Newton step; a difference
     quotient is not, where roots lie closer than its step, as the
     Kelvin-Voigt ones do near -1/a.  theta comes from sinh(theta/2), which
-    keeps it accurate near theta = 0, and U and C are even in theta, so its
-    branch does not matter; the derivative is not finite at theta = 0.
+    keeps it accurate near theta = 0; the principal square root and arcsinh
+    give it Re theta >= 0, and U and C are even in theta, so which root of
+    y it takes does not matter.  The derivative is not finite at theta = 0.
     """
     nx, nrho, dx, td = g.nx, g.nrho, g.dx, p.tau * g.drho
     a, mu, shift = p.a, p.mu, p.shift
@@ -380,8 +381,7 @@ def discrete_characteristic_function(p: Params, g: Grid) -> Callable:
         with np.errstate(all="ignore"):
             b = 1.0 + a * lam if is_kv else 1.0  # the boundary term's factor
             y = lam * lam / b if is_kv else lam * (lam + a)
-            theta = 2.0 * np.arcsinh(0.5 * dx * np.sqrt(y))
-            theta = np.where(theta.real < 0.0, -theta, theta)
+            theta = 2.0 * np.arcsinh(0.5 * dx * np.sqrt(y))  # Re theta >= 0
             # sinh(k*theta) and cosh(k*theta), times exp(-k*Re theta), for each k
             k = ks.reshape((3,) + (1,) * lam.ndim)
             odd = -0.5 * np.expm1(-2.0 * k * theta.real)
