@@ -145,7 +145,7 @@ def test_a_nonpositive_or_non_finite_norm_fails_the_resolvent_scan(monkeypatch, 
 def test_verify_makes_three_eigensolves_none_for_the_eigenvalue_ladder(monkeypatch):
     # an operation count, not a time: the eigenvalues of the first-order
     # ladder come from Newton on F_h, and a change that brings an eigensolve
-    # back into verify fails here (it made 5, 2 of them for the ladder)
+    # back into verify fails here
     real = spectral.eigenvalues
     callers = []
 
