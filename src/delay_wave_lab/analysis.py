@@ -75,13 +75,17 @@ def _window_samples(trace: SimulationTrace, window_fraction: float):
 
 
 def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
-    """Least-squares line y = slope*x + intercept with its r^2."""
-    slope, intercept = np.polyfit(x, y, 1)
-    pred = slope * x + intercept
-    ss_res = float(np.sum((y - pred) ** 2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    """Least-squares line y = slope*x + intercept with its r^2, in closed
+    form from the centred sums; x must not be constant."""
+    x_mean, y_mean = x.mean(), y.mean()
+    dx = x - x_mean
+    dy = y - y_mean
+    slope = float(dx @ dy / (dx @ dx))
+    residual = dy - slope * dx  # y - (slope*x + intercept)
+    ss_res = float(residual @ residual)
+    ss_tot = float(dy @ dy)
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return float(slope), float(intercept), r2
+    return slope, float(y_mean - slope * x_mean), r2
 
 
 def fit_decay(trace: SimulationTrace, window_fraction: float = 0.5,

@@ -152,8 +152,10 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
-    text = "\n".join([",".join(header)] + [",".join(row) for row in rows]) + "\n"
+def _write_csv(path: str, header: list[str], lines) -> None:
+    """Write the header and the rows, each row one string of its fields
+    formatted as ``_fmt`` does and joined by ','."""
+    text = "\n".join([",".join(header), *lines]) + "\n"
     if path:
         with open(path, "w", newline="\n") as fh:
             fh.write(text)
@@ -164,9 +166,9 @@ def _write_csv(path: str, header: list[str], rows) -> None:
 def _cmd_simulate(cfg: RunConfig) -> int:
     trace = simulate(cfg.params(), cfg.grid(), cfg.initial_data(),
                      dt=cfg.dt, t_end=cfg.t_end)
-    rows = ([_fmt(t), _fmt(e), _fmt(-math.log10(e)) if e > 0 else "inf"]
-            for t, e in zip(trace.times, trace.energies))
-    _write_csv(cfg.out, ["t", "E", "neg_log10_E"], rows)
+    lines = (f"{t:.17g},{e:.17g},{-math.log10(e):.17g}" if e > 0 else f"{t:.17g},{e:.17g},inf"
+             for t, e in zip(trace.times.tolist(), trace.energies.tolist()))
+    _write_csv(cfg.out, ["t", "E", "neg_log10_E"], lines)
     if trace.diverged:
         print(f"diverged: trace truncated at t = {trace.times[-1]}", file=sys.stderr)
     return 0
@@ -175,8 +177,8 @@ def _cmd_simulate(cfg: RunConfig) -> int:
 def _cmd_spectrum(cfg: RunConfig) -> int:
     gen = assemble_generator(cfg.params(), cfg.grid())
     rep = spectral.eigenvalues(gen)
-    rows = ([_fmt(v.real), _fmt(v.imag)] for v in rep.eigenvalues)
-    _write_csv(cfg.out, ["re", "im"], rows)
+    lines = (f"{v.real:.17g},{v.imag:.17g}" for v in rep.eigenvalues.tolist())
+    _write_csv(cfg.out, ["re", "im"], lines)
     print(f"spectral_abscissa = {_fmt(rep.spectral_abscissa)}")
     print(f"min_distance_to_imaginary_axis = "
           f"{_fmt(rep.min_distance_to_imaginary_axis)}")
@@ -186,8 +188,8 @@ def _cmd_spectrum(cfg: RunConfig) -> int:
 def _cmd_resolvent(cfg: RunConfig) -> int:
     gen = assemble_generator(cfg.params(), cfg.grid())
     scan = spectral.resolvent_scan(gen, cfg.betas)
-    rows = ([_fmt(b), _fmt(n)] for b, n in zip(scan.betas, scan.norms))
-    _write_csv(cfg.out, ["beta", "norm"], rows)
+    lines = (f"{b:.17g},{n:.17g}" for b, n in zip(scan.betas.tolist(), scan.norms.tolist()))
+    _write_csv(cfg.out, ["beta", "norm"], lines)
     print(f"fitted_loglog_slope = {_fmt(scan.fitted_loglog_slope)}")
     print(f"presaturation_cutoff = {_fmt(scan.presaturation_cutoff)}")
     return 0
@@ -199,9 +201,9 @@ def _cmd_charroots(cfg: RunConfig) -> int:
     except SingularRegionError as exc:
         # a config error for this command only: simulate ignores the region
         raise ConfigError(str(exc)) from exc
-    rows = ([_fmt(r.lam.real), _fmt(r.lam.imag), _fmt(r.residual),
-             str(r.multiplicity_hint)] for r in roots)
-    _write_csv(cfg.out, ["re", "im", "residual", "multiplicity"], rows)
+    lines = (f"{r.lam.real:.17g},{r.lam.imag:.17g},{r.residual:.17g},{r.multiplicity_hint}"
+             for r in roots)
+    _write_csv(cfg.out, ["re", "im", "residual", "multiplicity"], lines)
     return 0
 
 
@@ -219,19 +221,18 @@ def _cmd_sweep(cfg: RunConfig) -> int:
                            window_fraction=cfg.window_fraction,
                            rate_threshold=cfg.rate_threshold,
                            fit_threshold=cfg.fit_threshold)
-    rows = []
+    lines = []
     for row in table.rows:
         if row.fit is None:
-            rows.append([table.vary, _fmt(row.value), "nan", "nan", "nan",
-                         "Error", "nan", "nan", "false"])
+            lines.append(f"{table.vary},{row.value:.17g},nan,nan,nan,Error,nan,nan,false")
             continue
-        rows.append([table.vary, _fmt(row.value), _fmt(row.fit.rate),
-                     _fmt(row.fit.amplitude), _fmt(row.fit.r_squared),
-                     row.fit.classification.value, _fmt(row.trace.energies[0]),
-                     _fmt(row.trace.energies[-1]),
-                     "true" if row.trace.diverged else "false"])
+        fit, trace = row.fit, row.trace
+        lines.append(f"{table.vary},{row.value:.17g},{fit.rate:.17g},"
+                     f"{fit.amplitude:.17g},{fit.r_squared:.17g},"
+                     f"{fit.classification.value},{trace.energies[0]:.17g},"
+                     f"{trace.energies[-1]:.17g},{'true' if trace.diverged else 'false'}")
     _write_csv(cfg.out, ["param", "value", "rate", "amplitude", "r_squared",
-                         "classification", "E0", "E_end", "diverged"], rows)
+                         "classification", "E0", "E_end", "diverged"], lines)
     for row in table.rows:
         if row.error:
             print(f"{table.vary} = {row.value}: {row.error}", file=sys.stderr)

@@ -4,8 +4,10 @@ Each operator is stored in the form its consumers use.  G is tridiagonal in
 the state order, with off-diagonal entries only in the u block, and is kept
 at every grid as its two diagonals (``gram_band``).
 ``DiscreteGenerator.gram_product`` applies it to a flat state or to a block
-of them, real or complex, entry for entry as a CSR product with G does, and
-the energy is taken from it.  A has a handful of nonzeros per row.  Below
+of them, real or complex, entry for entry as a CSR product with G does; the
+sparse resolvent norm's Lanczos uses it.  The energy is not taken from it
+but from the sum of squares that defines it (``assemble_gram``), with no
+product by G.  A has a handful of nonzeros per row.  Below
 ``SPARSE_MIN_DIM`` it is a dense array, the form all its consumers there
 take: the time stepper's dense propagator, the full spectrum's ``eig``, the
 resolvent's SVD and the dissipativity ``eigh``.  At and above it A is a
@@ -90,7 +92,8 @@ class DiscreteGenerator:
     ``spectral.eigenvalues`` and ``symmetrized_max_eigenvalue``,
     ``weighted_matrix`` for ``spectral.resolvent_norm`` of a dense A.
     These caches are freed together with the generator:
-    ``gram_factor`` holds the banded Cholesky factor of G and
+    ``_root_weights`` the square roots of the energy's weights,
+    ``gram_factor`` the banded Cholesky factor of G and
     ``generator_norm`` an upper bound on the energy norm of A, at most
     sqrt(1.01) times it, both made by the sparse resolvent norm.
     """
@@ -142,13 +145,28 @@ class DiscreteGenerator:
         band[1, :len(e)] = e
         return sla.cholesky_banded(band, lower=True)
 
+    @cached_property
+    def _root_weights(self) -> np.ndarray:
+        """The square roots of the energy's weights w, read off ``gram_band``.
+        G's u block, its first k = len(e) + 1 states, is D^T diag(w[:k]) D,
+        with D the backward difference and u_0 = 0: w[i] weighs
+        u_{i+1} - u_i, so e = -w[1:k] and d[0] = w[0] + w[1].  Past the u
+        block G is diagonal and w is d."""
+        d, e = self.gram_band
+        root = np.sqrt(d)
+        if len(e):
+            root[0] = np.sqrt(d[0] + e[0])
+            root[1:len(e) + 1] = np.sqrt(-e)
+        return root
+
     def gram_product(self, vec: np.ndarray) -> np.ndarray:
         """G V for a flat state V, real or complex, or for each row of a block
-        of them.  Each entry is summed in column order onto the diagonal
-        term, as a CSR product sums it; the off-diagonal terms are taken only
-        inside the u block, so an infinite entry outside it meets no zero of
-        G.  A row's value equals that of the same state on its own bit for
-        bit, which a BLAS product with a dense G does not promise."""
+        of them, as the sparse resolvent norm's Lanczos applies it.  Each
+        entry is summed in column order onto the diagonal term, as a CSR
+        product sums it; the off-diagonal terms are taken only inside the u
+        block, so an infinite entry outside it meets no zero of G.  A row's
+        value equals that of the same state on its own bit for bit, which a
+        BLAS product with a dense G does not promise."""
         d, e = self.gram_band
         k = len(e) + 1
         out = vec * d
@@ -158,10 +176,21 @@ class DiscreteGenerator:
         return out
 
     def energy(self, vec: np.ndarray) -> float | np.ndarray:
-        """Energy norm ||V||_G = sqrt(V^T G V) of a flat state, as a float, or
-        of each row of a block of states.  A row's value equals that of the
-        same state on its own bit for bit."""
-        norm = np.sqrt(np.sum(vec * self.gram_product(vec), axis=-1))
+        """Energy norm ||V||_G of a real flat state, as a float, or of each
+        row of a block of them, taken as the sum of squares in
+        ``assemble_gram``'s docstring rather than as sqrt(V^T G V).  The u
+        differences come first, exact for neighbours within a factor 2
+        (Sterbenz); each term is scaled by the square root of its weight and
+        squared, and each row is summed by numpy's pairwise sum.  The terms
+        are nonnegative, so no cancellation enters.  With no product by G
+        and no BLAS call, a row's value equals that of the same state on its
+        own bit for bit."""
+        k = len(self.gram_band[1]) + 1
+        terms = vec.copy()  # C order, so each row is summed as a flat state
+        np.subtract(vec[..., 1:k], vec[..., :k - 1], out=terms[..., 1:k])
+        terms *= self._root_weights
+        terms *= terms
+        norm = np.sqrt(terms.sum(axis=-1))
         return float(norm) if vec.ndim == 1 else norm
 
 

@@ -2,6 +2,7 @@ import gc
 import math
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -568,11 +569,25 @@ def test_reference_initial_energy_scale(ref_params, ref_grid, ref_data):
 SPECIAL_ENTRIES = np.array([math.inf, -math.inf, math.nan, 1e308, -1e308, 0.0, -0.0])
 
 
+def _sum_of_squares_energy(block, p, g):
+    """The energy of each row of a real block as assemble_gram defines it,
+    from np.diff with u_0 = 0, each term scaled by the square root of its
+    weight and squared, the weights taken from p and g, not from G."""
+    nx = g.nx
+    terms = np.concatenate([np.diff(block[:, :nx], prepend=0.0) * math.sqrt(1.0 / g.dx),
+                            block[:, nx:2 * nx - 1] * math.sqrt(g.dx),
+                            block[:, 2 * nx - 1:2 * nx],
+                            block[:, 2 * nx:] * math.sqrt(p.xi * g.drho)], axis=1)
+    return np.sqrt(np.sum(terms ** 2, axis=-1))
+
+
 @pytest.mark.parametrize("nx, nrho", [(2, 1), (3, 2), (20, 22), (50, 50), (320, 322)])
 def test_gram_band_products_equal_a_csr_gram_bitwise(nx, nrho):
-    # the CSR G the band replaced, from the loop assembly: G x, the block
-    # product, and the energies, real and complex, below and above the
-    # crossover, with infinite, NaN, huge and signed-zero entries
+    # the CSR G the band replaced, from the loop assembly: G x and the block
+    # product, real and complex, below and above the crossover, with
+    # infinite, NaN, huge and signed-zero entries.  The energies are the sum
+    # of squares, bit for bit, and agree with the CSR quadratic form, finite
+    # or not, wherever it has no infinite or NaN entry to meet
     g = Grid(nx=nx, nrho=nrho)
     p = internal_friction(a=1.0, mu=1.0, tau=2.0)
     gen = assemble_generator(p, g)
@@ -592,9 +607,32 @@ def test_gram_band_products_equal_a_csr_gram_bitwise(nx, nrho):
                 _assert_same_bits(gen.gram_product(x), (csr @ x.T).T, loose)
                 for row in x[:17]:
                     _assert_same_bits(gen.gram_product(row), csr @ row, loose)
-            want = np.sqrt(np.sum(block * (csr @ block.T).T, axis=-1))
+            want = _sum_of_squares_energy(block, p, g)
             _assert_same_bits(gen.energy(block), want)
             _assert_same_bits(np.array([gen.energy(row) for row in block]), want)
+            quadratic = np.sqrt(np.sum(block * (csr @ block.T).T, axis=-1))
+            finite = np.isfinite(quadratic)
+            np.testing.assert_array_equal(np.isfinite(want), finite)
+            np.testing.assert_allclose(want[finite], quadratic[finite], rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("nx", [20, 320, 1280])
+def test_energy_is_within_ulps_of_the_exact_value_of_its_inputs(nx):
+    # a low-frequency u with v = w = z = 0, against V^T G V in exact
+    # rational arithmetic on the band's floats.  The quadratic form
+    # V^T (G V) rounds the second differences in G V, and was 1.2e-14 off
+    # at nx = 320
+    g = Grid(nx=nx, nrho=nx)
+    gen = assemble_generator(internal_friction(a=1.0, mu=1.0, tau=2.0), g)
+    vec = np.zeros(g.dim)
+    vec[:nx] = np.sin(0.5 * math.pi * g.x_nodes)
+    d, e = gen.gram_band
+    u = [Fraction(x) for x in vec[:nx]]
+    exact = (sum(Fraction(di) * ui * ui for di, ui in zip(d, u))
+             + 2 * sum(Fraction(ei) * ui * uj for ei, ui, uj in zip(e, u, u[1:])))
+    # E within 4 ulps, so E^2 within about 8
+    error = abs(Fraction(gen.energy(vec)) ** 2 - exact) / exact
+    assert error <= 8 * np.finfo(float).eps, float(error)
 
 
 def _position(a, row, col):

@@ -18,15 +18,15 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 GOLDEN = {
     "simulate":
-        "cf918745713b0a646033fe23ce263914a8ffc0da3e5cc8e6f4890399dadfb796",
+        "f0f647dd6b0ae321fbef11b249ec0c0813f1a42ac259b5ecc7c44b6b0949f04d",
     "simulate --law kelvin_voigt --mu 0.5":
-        "1d444413c4d6019e3ed75a133a80bfd34dcf35598834bae789ae8129c54b8b82",
+        "26a4e3616a60ae8df55039680eca65d21964883c06490484f8a960fc652a5504",
     "simulate --law kelvin_voigt --mu 0.5 --nx 60 --nrho 60 --dt 0.01":
-        "5573843c8e1ad269c90a0d244e85667af50bbd45f25140a3d4c0982ffb6057e2",
+        "dd1db93a787c8dbb406f4afff85c2086232b883b1acd3b91ee10e65576b0bb88",
     "sweep":
-        "b7524ba0fac83b994d3402f8a23175da0082e76fce39268a08831f9a6e5cddca",
+        "98c929ff1abd536fb7f19f23654a634c557be8c8cd9a90519db968d61c330f70",
     "sweep --shifted false --values 1,2,4,8":
-        "661b75502066255d54dc45cb226125f60c841b021fe121f7eb099a8b43f50123",
+        "8d39d2305c403c784bb0de203b5006159e6968f87d60872983e8e931ff801038",
     "spectrum":
         "5d6c912c6bbef134f8beadf875503a17525943d1a46ec46ea0f936fc58d91e08",
     "resolvent":

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.linalg import lapack
@@ -263,6 +264,31 @@ def test_sparse_resolvent_norm_near_eigenvalue_errors():
         resolvent_norm(gen, beta)
 
 
+def test_an_exactly_singular_sparse_lu_is_near_the_spectrum(monkeypatch):
+    # a CSR toy at the crossover with the rotation block [[0, 1], [-1, 0]],
+    # whose eigenvalues +-i sit on the scan line: the sparse LU of i - A is
+    # exactly singular, so splu raises and shifted_lu returns None
+    n = discretization.SPARSE_MIN_DIM
+    a = sp.csr_array((np.concatenate([[0.0, 1.0, -1.0, 0.0], -np.ones(n - 2)]),
+                      np.concatenate([[0, 1, 0, 1], np.arange(2, n)]),
+                      np.concatenate([[0, 2], np.arange(4, n + 3)])), shape=(n, n))
+    gen = DiscreteGenerator(operator=a, gram_band=(np.ones(n), np.zeros(0)),
+                            params=Params(a=0.0, mu=1.0, tau=1.0, xi=1.0))
+    raised, lu = [], spla.splu
+
+    def splu(*args, **kwargs):
+        try:
+            return lu(*args, **kwargs)
+        except RuntimeError as exc:
+            raised.append(str(exc))
+            raise
+
+    monkeypatch.setattr(spla, "splu", splu)
+    with pytest.raises(BetaNearSpectrumError, match=r"i\*beta - A is exactly singular"):
+        resolvent_norm(gen, 1.0)
+    assert raised == ["Factor is exactly singular"]
+
+
 @pytest.mark.parametrize("beta", [math.inf, -math.inf, math.nan])
 @pytest.mark.parametrize("nx", [DENSE_NX[0], SPARSE_NX[-1]], ids=["dense", "sparse"])
 def test_resolvent_norm_rejects_a_non_finite_beta(ref_params, nx, beta):
@@ -410,15 +436,21 @@ def test_damped_undelayed_roots_match_discrete_spectrum():
 
 
 def test_discrete_eigenvalues_converge_to_characteristic_roots():
+    # the discrete eigenvalues by Newton on F_h from the three lowest roots,
+    # with no eigensolve; the three Newton points must be distinct roots
     p = Params(a=1.0, mu=0.0, tau=2.0, xi=1.0)
-    roots = characteristic_roots(p, Rectangle(-1.0, 0.2, 0.05, 8.0))
+    region = Rectangle(-1.0, 0.2, 0.05, 8.0)
+    roots = characteristic_roots(p, region)
     targets = sorted((r.lam for r in roots), key=abs)[:3]
     assert len(targets) == 3
     errors = {}
     for nx in (20, 40, 80):
-        gen = assemble_generator(p, Grid(nx=nx, nrho=nx))
-        vals = eigenvalues(gen).eigenvalues
-        errors[nx] = max(float(np.min(np.abs(vals - t))) for t in targets)
+        f_h = spectral.discrete_characteristic_function(p, Grid(nx=nx, nrho=nx))
+        got = spectral._newton(f_h, targets, [region] * 3)
+        assert None not in got, nx
+        vals = [z for z, _ in got]
+        assert min(abs(z - w) for i, z in enumerate(vals) for w in vals[:i]) > 0.1, vals
+        errors[nx] = max(abs(z - t) for z, t in zip(vals, targets))
     orders = [math.log2(errors[20] / errors[40]), math.log2(errors[40] / errors[80])]
     assert all(o >= 0.9 for o in orders), (errors, orders)
 

@@ -9,6 +9,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 from hypothesis import given, settings, strategies as st
 
@@ -101,6 +103,31 @@ def test_singular_step_is_reported_by_simulate_and_shift_consistency(ref_data,
     for run in (simulate, shift_consistency):
         with pytest.raises(SingularStepError, match="dt=0.25.*original"):
             run(p, grid, ref_data, dt=0.25, t_end=1.0)
+
+
+def test_an_exactly_singular_sparse_lu_is_a_singular_step(monkeypatch):
+    # a diagonal CSR toy at the crossover whose I - dt*A has one zero row and
+    # column: splu raises, shifted_lu returns None and the step reports it
+    n = discretization.SPARSE_MIN_DIM
+    diag = np.zeros(n)
+    diag[n // 2] = 1.0 / 0.25
+    gen = DiscreteGenerator(
+        operator=sp.csr_array((diag, np.arange(n), np.arange(n + 1)), shape=(n, n)),
+        gram_band=(np.ones(n), np.zeros(0)), params=Params(a=0.0, mu=1.0, tau=1.0, xi=1.0))
+    raised, lu = [], spla.splu
+
+    def splu(*args, **kwargs):
+        try:
+            return lu(*args, **kwargs)
+        except RuntimeError as exc:
+            raised.append(str(exc))
+            raise
+
+    monkeypatch.setattr(spla, "splu", splu)
+    assert discretization.shifted_lu(gen, 1.0, 0.25) is None
+    with pytest.raises(SingularStepError, match="dt=0.25"):
+        _step(gen, np.ones(n), dt=0.25)
+    assert raised == ["Factor is exactly singular"] * 2
 
 
 @pytest.mark.parametrize("dt", [0.01, 0.1, 1.0])
