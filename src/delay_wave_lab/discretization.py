@@ -92,8 +92,8 @@ class DiscreteGenerator:
     ``spectral.eigenvalues`` and ``symmetrized_max_eigenvalue``,
     ``weighted_matrix`` for ``spectral.resolvent_norm`` of a dense A.
     These caches are freed together with the generator:
-    ``_root_weights`` the square roots of the energy's weights,
-    ``gram_factor`` the banded Cholesky factor of G and
+    ``_root_weights`` holds the square roots of the energy's weights, made
+    by the first energy; ``gram_factor`` the banded Cholesky factor of G and
     ``generator_norm`` an upper bound on the energy norm of A, at most
     sqrt(1.01) times it, both made by the sparse resolvent norm.
     """

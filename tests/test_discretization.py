@@ -585,9 +585,10 @@ def _sum_of_squares_energy(block, p, g):
 def test_gram_band_products_equal_a_csr_gram_bitwise(nx, nrho):
     # the CSR G the band replaced, from the loop assembly: G x and the block
     # product, real and complex, below and above the crossover, with
-    # infinite, NaN, huge and signed-zero entries.  The energies are the sum
-    # of squares, bit for bit, and agree with the CSR quadratic form, finite
-    # or not, wherever it has no infinite or NaN entry to meet
+    # infinite, NaN, huge and signed-zero entries.  The energies equal an
+    # independent sum of squares bit for bit, agree with the CSR quadratic
+    # form to 1e-14 wherever that is finite, and are non-finite exactly
+    # where it is not
     g = Grid(nx=nx, nrho=nrho)
     p = internal_friction(a=1.0, mu=1.0, tau=2.0)
     gen = assemble_generator(p, g)
