@@ -24,9 +24,10 @@ once: a strided slice of a dense array, or, for a CSR array, its keys
 row*n + col, all sorted at once.  Nothing is kept between assemblies.
 
 The dense views of ``DiscreteGenerator`` serve the spectral diagnostics:
-``matrix`` (A itself when A is dense) the full spectrum and, with ``gram``
-(G), the dissipativity check; ``weighted_matrix`` the resolvent norms of a
-dense A.
+``matrix`` (A itself when A is dense) the full spectrum's ``eig`` and, with
+``gram`` (G), the dissipativity check; ``weighted_matrix`` the resolvent
+norms of a dense A.  The spectrum of a CSR internal-friction A comes from
+the roots of its characteristic function and builds no dense A.
 For a CSR A the resolvent norms use the banded Cholesky factor
 ``gram_factor`` of G and build no dense matrix.  ``shifted_lu`` makes every
 sparse LU of the package, all of a CSR A: the time stepper's I - dt*A (for a
@@ -84,6 +85,9 @@ class DiscreteGenerator:
     ``shift_deviation`` require.  ``gram_band`` is G as (d, e): its
     diagonal d, and e, its sub- and superdiagonal within the u block (the
     first len(e) + 1 states), where all its off-diagonal entries lie.
+    ``grid`` is the grid ``assemble_generator`` built A on, and None for a
+    matrix given directly; the certified spectrum of a CSR internal-friction
+    A needs it.
 
     Immutable after construction apart from its caches; safe to share between
     threads.  The dense views are made on first use and time stepping never
@@ -101,6 +105,7 @@ class DiscreteGenerator:
     operator: np.ndarray | sparray
     gram_band: tuple[np.ndarray, np.ndarray]
     params: Params
+    grid: Grid | None = None
     generator_norm: float | None = field(default=None, init=False, repr=False)
 
     @property
@@ -113,7 +118,10 @@ class DiscreteGenerator:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """A as a dense array: ``operator`` itself when that is dense."""
+        """A as a dense array: ``operator`` itself when that is dense.  For
+        a CSR A only ``spectral.eigenvalues``' ``eig`` builds it, for
+        Kelvin-Voigt or where the certified roots of F_h fail their
+        certificate, and the dissipativity check."""
         a = self.operator
         return a if isinstance(a, np.ndarray) else a.toarray()
 
@@ -358,7 +366,7 @@ def assemble_generator(p: Params, g: Grid,
     if label not in (None, system_label(p)):
         raise ValueError(f"label {label} does not match the params")
     a = _fill(_generator_runs(p, g), g.dim)
-    return DiscreteGenerator(operator=a, gram_band=assemble_gram(p, g), params=p)
+    return DiscreteGenerator(operator=a, gram_band=assemble_gram(p, g), params=p, grid=g)
 
 
 def symmetrized_max_eigenvalue(gen: DiscreteGenerator) -> float:

@@ -87,12 +87,25 @@ class SpectrumReport:
 
 
 def eigenvalues(gen: DiscreteGenerator) -> SpectrumReport:
-    """Full spectrum of the dense real generator matrix."""
-    try:
-        vals = sla.eig(gen.matrix, right=False)
-    except sla.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
-        raise EigensolverError(f"dense eigensolver failed on the "
-                               f"{gen.label.value} generator: {exc}") from exc
+    """Full spectrum of the real generator matrix, sorted by ``np.sort_complex``.
+
+    The form of A and the damping law pick the path.  A CSR internal-friction
+    A, from ``assemble_generator``, gives the n certified roots of
+    ``discrete_characteristic_function`` (``_certified_roots``), with no
+    dense A built.  A dense A, a Kelvin-Voigt one, and a CSR A whose roots
+    fail their certificate give LAPACK's ``eig`` of the dense A.  Both
+    results are closed under conjugation bit for bit.
+    """
+    vals = None
+    if (gen.grid is not None and not isinstance(gen.operator, np.ndarray)
+            and gen.params.law is DampingLaw.INTERNAL_FRICTION):
+        vals = _certified_roots(gen.params, gen.grid)
+    if vals is None:
+        try:
+            vals = sla.eig(gen.matrix, right=False)
+        except sla.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
+            raise EigensolverError(f"dense eigensolver failed on the "
+                                   f"{gen.label.value} generator: {exc}") from exc
     vals = np.sort_complex(vals)
     return SpectrumReport(
         eigenvalues=vals,
@@ -409,6 +422,97 @@ def discrete_characteristic_function(p: Params, g: Grid) -> Callable:
         return out[()], dout[()]
 
     return f
+
+
+ABERTH_MAX_ITER = 50  # the workload menu at n = 720 takes at most 13 iterations
+ABERTH_BLOCK_ROWS = 64  # rows of each block of pairwise differences
+
+
+def _aberth_start(p: Params, g: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Starting points of ``_certified_roots`` for internal friction: those
+    in the open upper half-plane and the real ones, n in all with the mirror
+    images of the first.
+
+    The 2*nx wave points are (-a +- sqrt(a^2 - 4*kappa))/2 for each
+    eigenvalue kappa of the undelayed, proportionally damped string,
+    M^-1/2 K M^-1/2 with K = tridiag(-1, 2, -1)/dx but 1/dx last on its
+    diagonal and M = diag(dx, ..., dx, 1); where a^2 > 4*kappa they are taken
+    as the pair (-a +- i*sqrt(a^2 - 4*kappa))/2.  The nrho delay points are
+    c*(e^{2 pi i k/nrho} - 1), c = nrho/tau, where q^nrho = 1.  F_h has a
+    real root near q = -1 exactly when nrho is even, and one near q = 1,
+    where F_h' is not finite at lam + shift = 0; that real point starts at
+    -a - 1/tau, where y = lam*(lam + a) > 0.  All are moved by -shift.
+    """
+    nx, nrho, dx = g.nx, g.nrho, g.dx
+    d = np.full(nx, 2.0 / (dx * dx))
+    d[-1] = 1.0 / dx
+    e = np.full(nx - 1, -1.0 / (dx * dx))
+    e[-1] = -1.0 / (dx * math.sqrt(dx))
+    kappa = sla.eigvalsh_tridiagonal(d, e)
+    wave = 0.5 * (-p.a + 1j * np.sqrt(np.abs(4.0 * kappa - p.a * p.a)))
+    c = nrho / p.tau
+    delay = c * np.expm1(2j * math.pi * np.arange(1, (nrho + 1) // 2) / nrho)
+    real = [-p.a - 1.0 / p.tau] + ([-2.0 * c] if nrho % 2 == 0 else [])
+    return (np.concatenate([wave, delay]) - p.shift,
+            np.array(real, dtype=complex) - p.shift)
+
+
+def _differences(z: np.ndarray, m: int, rows: np.ndarray):
+    """Yields (b, z[r] - w) for the row blocks r = rows[b:b + ABERTH_BLOCK_ROWS]
+    against all points w: z, whose first m are mirrored, and those mirror
+    images.  A point's difference with itself is inf."""
+    points = np.concatenate([z[:m], z[:m].conj(), z[m:]])
+    for b in range(0, rows.size, ABERTH_BLOCK_ROWS):
+        r = rows[b:b + ABERTH_BLOCK_ROWS]
+        diff = z[r, None] - points
+        diff[np.arange(r.size), np.where(r < m, r, r + m)] = math.inf
+        yield b, diff
+
+
+def _certified_roots(p: Params, g: Grid) -> np.ndarray | None:
+    """All n roots of ``discrete_characteristic_function(p, g)`` for
+    internal friction, where F_h is det(lam*I - A) times a positive factor,
+    by Aberth-Ehrlich iteration with F_h's exact derivative; None where the
+    certificate fails.
+
+    Only the points in the closed upper half-plane move, with their mirror
+    images in the sums, so the roots come out closed under conjugation bit
+    for bit, and a real point keeps its imaginary part 0.  A point freezes
+    once its step is below 1e-14*(1 + |z|); the iteration stops when all
+    have, or after ABERTH_MAX_ITER rounds.  The certificate: every Newton
+    disk |w - z_i| <= n*|F_h/F_h'(z_i)| is finite and disjoint from the
+    others, so each holds exactly one root of the degree-n polynomial
+    (Aberth, Math. Comp. 27 (1973); Bini and Fiorentino, Numer. Algorithms
+    23 (2000)).  The pairwise sums and the disk test go by row blocks, so no
+    n x n array is made.
+    """
+    f = discrete_characteristic_function(p, g)
+    upper, real = _aberth_start(p, g)
+    z, m, n = np.concatenate([upper, real]), len(upper), g.dim
+    going = np.arange(len(z))
+    with np.errstate(all="ignore"):  # a non-finite point fails the certificate
+        for _ in range(ABERTH_MAX_ITER):
+            if not going.size:
+                break
+            value, slope = f(z[going], derivative=True)
+            newton = value / slope
+            sums = np.empty_like(newton)
+            for b, diff in _differences(z, m, going):
+                sums[b:b + len(diff)] = np.reciprocal(diff, out=diff).sum(axis=1)
+            step = newton / (1.0 - newton * sums)
+            moved = z[going] - step
+            moved[going >= m] = moved[going >= m].real
+            z[going] = moved
+            going = going[~(np.abs(step) < 1e-14 * (1.0 + np.abs(moved)))]
+        value, slope = f(z, derivative=True)
+        radius = n * np.abs(value / slope)
+        if not np.all(np.isfinite(radius)):
+            return None
+        reach = np.concatenate([radius[:m], radius[:m], radius[m:]])
+        for b, diff in _differences(z, m, np.arange(len(z))):
+            if not np.all(np.abs(diff) - reach > radius[b:b + len(diff), None]):
+                return None
+    return np.concatenate([z[:m], z[:m].conj(), z[m:]])
 
 
 def _side_points(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:

@@ -32,7 +32,7 @@ GOLDEN = {
     "resolvent":
         "979bdfaf6372acc332ee001bfd0e6e7b1f2e95a0f662ca6d2f7dfaadbfa87f11",
     "resolvent --nx 160 --nrho 160":
-        "ddc60f94613cd35c91cd5a578e660a31bb51b8cb36bb184333f9f4475e8c11d2",
+        "050630c480b4ab40c92fdb6655ca96bb4148df7e70d6c53c6fb6cc851f36c96d",
     "charroots":
         "6bab93723706592f690dc450187c91e43964562fc6485e6ae1862bbe05082e12",
     "robin --c-star":

@@ -131,8 +131,10 @@ def test_every_eigenvalue_is_a_root_of_the_discrete_characteristic_function(p, g
     # lists, the `resolvent` cutoff (the one of largest |Im|) among them, is
     # within a tiny Newton step of one of its roots.  Seen at n = 720 with
     # one BLAS thread: 1.1e-12 (internal friction) and 5.1e-11 (Kelvin-Voigt,
-    # at -1.14, an eigenvalue that eig places only to about 1e-10)
-    vals = eigenvalues(assemble_generator(p, g)).eigenvalues
+    # at -1.14, an eigenvalue that eig places only to about 1e-10).  The
+    # eigenvalues come from LAPACK, not from `eigenvalues`, whose CSR
+    # internal-friction path returns F_h's own roots
+    vals = sla.eig(assemble_generator(p, g).matrix, right=False)
     assert vals.size == g.dim
     steps = _relative_newton_steps(p, g, vals)
     assert np.all(steps <= F_H_STEP_BOUND[p.law]), (vals[np.argmax(steps)], steps.max())
@@ -145,7 +147,7 @@ def test_discrete_characteristic_function_on_the_oracle_grids(nx):
     # 2*nx wave eigenvalues are simple roots
     p0 = Params(a=0.0, mu=0.0, tau=2.0, xi=1.0)
     g = Grid(nx=nx, nrho=nx)
-    vals = eigenvalues(assemble_generator(p0, g)).eigenvalues
+    vals = sla.eig(assemble_generator(p0, g).matrix, right=False)
     delay = -1.0 / (p0.tau * g.drho)
     on_delay = np.isclose(vals, delay, rtol=1e-12, atol=0.0)
     assert np.count_nonzero(on_delay) == g.nrho
@@ -159,6 +161,91 @@ def test_discrete_characteristic_function_keeps_the_shape_of_its_argument(ref_pa
     value, slope = f(z, derivative=True)
     assert value.shape == slope.shape == z.shape
     assert [f(x) for x in z.ravel()] == pytest.approx(value.ravel().tolist(), rel=1e-14)
+
+
+# (params, grid) of the certified roots of F_h: shifted internal friction
+# with nx = nrho, and unshifted with nx != nrho, nrho even and odd
+CERTIFIED_CASES = [
+    (internal_friction(a=1.0, mu=1.0, tau=2.0), Grid(nx=160, nrho=160)),
+    (internal_friction(a=1.0, mu=1.0, tau=2.0), Grid(nx=240, nrho=240)),
+    (internal_friction(a=0.3, mu=2.5, tau=0.7, shifted=False), Grid(nx=100, nrho=300)),
+    (internal_friction(a=0.3, mu=2.5, tau=0.7, shifted=False), Grid(nx=300, nrho=61)),
+]
+
+
+@pytest.mark.parametrize("p, g", CERTIFIED_CASES,
+                         ids=[f"shifted{p.shifted}-{g.nx}x{g.nrho}" for p, g in CERTIFIED_CASES])
+def test_certified_roots_match_lapack_eig(p, g):
+    from scipy.optimize import linear_sum_assignment
+
+    gen = assemble_generator(p, g)
+    roots = spectral._certified_roots(p, g)
+    assert roots is not None
+    vals = eigenvalues(gen).eigenvalues
+    assert np.array_equal(vals, np.sort_complex(roots))
+    # one to one with LAPACK's eigenvalues
+    ref = sla.eig(gen.matrix, right=False)
+    cost = np.abs(vals[:, None] - ref) / (1.0 + np.abs(ref))
+    rows, cols = linear_sum_assignment(cost)
+    assert cost[rows, cols].max() <= 1e-11
+    assert np.array_equal(np.sort_complex(vals.conj()), vals)
+    # the closed-form trace, as the benchmark's spectrum check takes it
+    trace = -p.a * (g.nx - 1) - g.nrho ** 2 / p.tau - p.shift * g.dim
+    assert abs(vals.real.sum() - trace) <= 1e-12 * abs(trace)
+
+
+def _counted_eig(monkeypatch) -> list:
+    """Counts the calls of ``spectral.sla.eig`` from here on."""
+    calls, eig = [], sla.eig
+    monkeypatch.setattr(spectral.sla, "eig", lambda *args, **kwargs: calls.append(1)
+                        or eig(*args, **kwargs))
+    return calls
+
+
+def test_csr_internal_friction_spectrum_and_resolvent_make_no_eig(ref_params, monkeypatch):
+    gen = assemble_generator(ref_params, Grid(nx=61, nrho=61))
+    calls = _counted_eig(monkeypatch)
+    vals = eigenvalues(gen).eigenvalues
+    scan = resolvent_scan(gen, (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0))
+    assert calls == []
+    assert vals.size == gen.dim and np.array_equal(scan.spectrum, vals)
+    assert gen.__dict__.get("matrix") is None  # no dense A was built
+
+
+def test_csr_kelvin_voigt_spectrum_makes_one_eig(kv_params, monkeypatch):
+    gen = assemble_generator(kv_params, Grid(nx=61, nrho=61))
+    calls = _counted_eig(monkeypatch)
+    eigenvalues(gen)
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("mu, cap", [(0.0, spectral.ABERTH_MAX_ITER), (1.0, 1)],
+                         ids=["nrho_fold_delay_root", "iteration_cap_1"])
+def test_uncertified_roots_fall_back_to_eig_bitwise(mu, cap, monkeypatch):
+    # mu = 0 decouples the delay line: -nrho/tau is an nrho-fold root, so no
+    # set of disjoint Newton disks exists; one iteration leaves the disks
+    # overlapping
+    gen = assemble_generator(internal_friction(a=1.0, mu=mu, tau=2.0, xi=1.0, shifted=False),
+                             Grid(nx=61, nrho=61))
+    expected = np.sort_complex(sla.eig(gen.matrix.copy(), right=False))
+    monkeypatch.setattr(spectral, "ABERTH_MAX_ITER", cap)
+    calls = _counted_eig(monkeypatch)
+    vals = eigenvalues(gen).eigenvalues
+    assert calls == [1]
+    assert vals.tobytes() == expected.tobytes()
+
+
+def test_benchmark_spectral_models_are_certified():
+    # every spectrum model of the benchmark's menus, and its resolvent model
+    menus = runpy.run_path(str(WORKLOADS))
+    jobs = {job.command: job.config for job in menus["build"]("spectral", 0)}
+    models = [(a, mu, jobs["spectrum"]) for a in menus["SPECTRUM_A"]
+              for mu in menus["SPECTRUM_MU"]]
+    models.append((jobs["resolvent"]["a"], jobs["resolvent"]["mu"], jobs["resolvent"]))
+    for a, mu, cfg in models:
+        assert cfg["law"] == "internal_friction"
+        p = internal_friction(a=a, mu=mu, tau=cfg["tau"], shifted=cfg["shifted"])
+        assert spectral._certified_roots(p, Grid(nx=cfg["nx"], nrho=cfg["nrho"])) is not None, (a, mu)
 
 
 # ---------------------------------------------------------------------------
@@ -1220,6 +1307,28 @@ def test_robin_negative_branch_against_tanh_oracle():
     s = _bisect(lambda t: math.tanh(t) - t / 2.0, 1.0, 3.0)
     assert -s * s == pytest.approx(ROBIN_MINUS_2, abs=1e-10)
     assert robin_eigenvalue(-2.0) == pytest.approx(-s * s, abs=1e-9)
+
+
+@pytest.mark.parametrize("c", [-2.0, -10.0, -1000.0])
+def test_robin_bracket_doubling_against_the_tanh_root(c, monkeypatch):
+    # for c < -1 the eigenvalue is -s^2 with tanh(s) = -s/c: s is the fixed
+    # point of s -> -c*tanh(s), a contraction there by |c| - s^2/|c| < 1.
+    # The bracket [-width, 0] doubles from width 1 until h(-width) > 0,
+    # which is where width first exceeds s^2
+    s = -c
+    for _ in range(200):
+        s = -c * math.tanh(s)
+    assert math.tanh(s) == pytest.approx(-s / c, rel=1e-15)
+    calls = []
+    determinant = spectral._robin_determinant
+    monkeypatch.setattr(spectral, "_robin_determinant",
+                        lambda lam, c: calls.append(lam) or determinant(lam, c))
+    assert robin_eigenvalue(c) == pytest.approx(-s * s, rel=1e-12)
+    widths = [1.0]
+    while widths[-1] <= s * s:
+        widths.append(2.0 * widths[-1])
+    assert len(widths) > 1
+    assert calls[:len(widths)] == [-w for w in widths]
 
 
 @pytest.mark.parametrize("c", [-100.0, -1e20, -1e154])
