@@ -119,9 +119,9 @@ class DiscreteGenerator:
     @cached_property
     def matrix(self) -> np.ndarray:
         """A as a dense array: ``operator`` itself when that is dense.  For
-        a CSR A only ``spectral.eigenvalues``' ``eig`` builds it, for
-        Kelvin-Voigt or where the certified roots of F_h fail their
-        certificate, and the dissipativity check."""
+        a CSR A it is built only by the dissipativity check and by
+        ``spectral.eigenvalues`` where ``charpoly.certified_roots`` gives
+        none: for Kelvin-Voigt, mu = 0 or a failed certificate."""
         a = self.operator
         return a if isinstance(a, np.ndarray) else a.toarray()
 
@@ -192,14 +192,28 @@ class DiscreteGenerator:
         squared, and each row is summed by numpy's pairwise sum.  The terms
         are nonnegative, so no cancellation enters.  With no product by G
         and no BLAS call, a row's value equals that of the same state on its
-        own bit for bit."""
+        own bit for bit.  Below 2^-450 the squares would underflow, and a
+        state of norm 2e-162 could read 0.0, so such a row is summed again
+        with its terms times 2^500, which is exact, and the root divided by
+        it."""
+        norm = self._root_sum_of_squares(vec, 1.0)
+        small = norm < 2.0 ** -450
+        if vec.ndim == 1:
+            return float(self._root_sum_of_squares(vec, 2.0 ** 500) / 2.0 ** 500
+                         if small else norm)
+        if small.any():
+            norm[small] = self._root_sum_of_squares(vec[small], 2.0 ** 500) / 2.0 ** 500
+        return norm
+
+    def _root_sum_of_squares(self, vec: np.ndarray, scale: float) -> np.ndarray:
         k = len(self.gram_band[1]) + 1
         terms = vec.copy()  # C order, so each row is summed as a flat state
         np.subtract(vec[..., 1:k], vec[..., :k - 1], out=terms[..., 1:k])
         terms *= self._root_weights
+        if scale != 1.0:
+            terms *= scale
         terms *= terms
-        norm = np.sqrt(terms.sum(axis=-1))
-        return float(norm) if vec.ndim == 1 else norm
+        return np.sqrt(terms.sum(axis=-1))
 
 
 # A is dense below this state dimension and CSR at and above it, and its form

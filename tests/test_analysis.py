@@ -89,13 +89,15 @@ def test_decay_that_underflows_to_zero_is_fitted_before_it_does():
 
 def test_underflowing_reference_run_fits_as_before_the_underflow(ref_params,
                                                                  ref_grid, ref_data):
-    # the shifted reference run underflows to E = 0 after t = 274.2, so these
-    # two runs have the same last positive energy and the same fit
+    # the shifted reference run underflows to E = 0 after t = 521.8, where
+    # the state itself underflows, so these two runs have the same last
+    # positive energy and the same fit
     fits = [fit_decay(simulate(ref_params, ref_grid, ref_data, dt=0.1, t_end=t_end))
-            for t_end in (500.0, 800.0)]
+            for t_end in (600.0, 800.0)]
     assert fits[1] == fits[0]
+    assert fits[1].window[1] == pytest.approx(521.8)
     assert fits[1].classification is Classification.EXPONENTIAL_DECAY
-    assert fits[1].rate == pytest.approx(1.39687, abs=1e-5)
+    assert fits[1].rate == pytest.approx(1.39674, abs=1e-5)
 
 
 def test_diverged_trace_classifies_growth():

@@ -636,6 +636,20 @@ def test_energy_is_within_ulps_of_the_exact_value_of_its_inputs(nx):
     assert error <= 8 * np.finfo(float).eps, float(error)
 
 
+def test_energy_of_a_tiny_state_does_not_underflow(ref_params, ref_grid, ref_data):
+    # squares of terms below about 1e-154 underflow: a shifted power-block
+    # run (nx = 53, nrho = 48, dt = 1/3) read E = 0.0 and then 2.2e-162.
+    # Scaling by a power of two is exact, so E scales with it bit for bit,
+    # alone and as a row of a block
+    gen = assemble_generator(ref_params, ref_grid)
+    v = sample_initial_state(ref_data, ref_grid)
+    scale = 2.0 ** -560
+    expected = gen.energy(v) * scale
+    assert 0.0 < expected < 1e-150
+    assert gen.energy(v * scale) == expected
+    assert np.array_equal(gen.energy(np.array([v, v * scale])), [gen.energy(v), expected])
+
+
 def _position(a, row, col):
     """Where A's entry (row, col) is stored: an index pair of a dense A, an
     index into the data of a CSR A."""

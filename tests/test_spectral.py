@@ -26,7 +26,7 @@ from delay_wave_lab import (BetaNearSpectrumError, DampingLaw,
                             eigenvalues, find_c_star, internal_friction,
                             kelvin_voigt, resolvent_norm, resolvent_scan,
                             robin_eigenvalue, spectral)
-from delay_wave_lab import discretization
+from delay_wave_lab import charpoly, discretization
 
 
 def _bisect(f, lo, hi, tol=1e-14):
@@ -179,7 +179,7 @@ def test_certified_roots_match_lapack_eig(p, g):
     from scipy.optimize import linear_sum_assignment
 
     gen = assemble_generator(p, g)
-    roots = spectral._certified_roots(p, g)
+    roots = charpoly.certified_roots(p, g)
     assert roots is not None
     vals = eigenvalues(gen).eigenvalues
     assert np.array_equal(vals, np.sort_complex(roots))
@@ -219,16 +219,16 @@ def test_csr_kelvin_voigt_spectrum_makes_one_eig(kv_params, monkeypatch):
     assert calls == [1]
 
 
-@pytest.mark.parametrize("mu, cap", [(0.0, spectral.ABERTH_MAX_ITER), (1.0, 1)],
+@pytest.mark.parametrize("mu, cap", [(0.0, charpoly.ABERTH_MAX_ITER), (1.0, 1)],
                          ids=["nrho_fold_delay_root", "iteration_cap_1"])
 def test_uncertified_roots_fall_back_to_eig_bitwise(mu, cap, monkeypatch):
-    # mu = 0 decouples the delay line: -nrho/tau is an nrho-fold root, so no
-    # set of disjoint Newton disks exists; one iteration leaves the disks
-    # overlapping
+    # mu = 0 decouples the delay line: -nrho/tau is an nrho-fold root, which
+    # no disjoint Newton disks can hold, so none are tried; one iteration
+    # leaves the disks overlapping
     gen = assemble_generator(internal_friction(a=1.0, mu=mu, tau=2.0, xi=1.0, shifted=False),
                              Grid(nx=61, nrho=61))
     expected = np.sort_complex(sla.eig(gen.matrix.copy(), right=False))
-    monkeypatch.setattr(spectral, "ABERTH_MAX_ITER", cap)
+    monkeypatch.setattr(charpoly, "ABERTH_MAX_ITER", cap)
     calls = _counted_eig(monkeypatch)
     vals = eigenvalues(gen).eigenvalues
     assert calls == [1]
@@ -245,7 +245,7 @@ def test_benchmark_spectral_models_are_certified():
     for a, mu, cfg in models:
         assert cfg["law"] == "internal_friction"
         p = internal_friction(a=a, mu=mu, tau=cfg["tau"], shifted=cfg["shifted"])
-        assert spectral._certified_roots(p, Grid(nx=cfg["nx"], nrho=cfg["nrho"])) is not None, (a, mu)
+        assert charpoly.certified_roots(p, Grid(nx=cfg["nx"], nrho=cfg["nrho"])) is not None, (a, mu)
 
 
 # ---------------------------------------------------------------------------
