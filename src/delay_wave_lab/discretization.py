@@ -197,11 +197,12 @@ class DiscreteGenerator:
         with its terms times 2^500, which is exact, and the root divided by
         it."""
         norm = self._root_sum_of_squares(vec, 1.0)
-        small = norm < 2.0 ** -450
         if vec.ndim == 1:
-            return float(self._root_sum_of_squares(vec, 2.0 ** 500) / 2.0 ** 500
-                         if small else norm)
-        if small.any():
+            if norm < 2.0 ** -450:
+                norm = self._root_sum_of_squares(vec, 2.0 ** 500) / 2.0 ** 500
+            return float(norm)
+        if np.fmin.reduce(norm) < 2.0 ** -450:  # fmin passes over NaN rows
+            small = norm < 2.0 ** -450
             norm[small] = self._root_sum_of_squares(vec[small], 2.0 ** 500) / 2.0 ** 500
         return norm
 

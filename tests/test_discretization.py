@@ -648,6 +648,8 @@ def test_energy_of_a_tiny_state_does_not_underflow(ref_params, ref_grid, ref_dat
     assert 0.0 < expected < 1e-150
     assert gen.energy(v * scale) == expected
     assert np.array_equal(gen.energy(np.array([v, v * scale])), [gen.energy(v), expected])
+    assert np.array_equal(gen.energy(np.array([v + np.nan, v * scale])), [np.nan, expected],
+                          equal_nan=True)
 
 
 def _position(a, row, col):
