@@ -222,7 +222,8 @@ class ResolventScan:
     unbounded resolvent growth, so beyond that point the norms merely decay.
     ``spectrum`` holds the generator's eigenvalues the cutoff was taken from,
     as ``eigenvalues`` gives them: for a CSR internal-friction A the
-    certified roots of F_h, with no dense A built, else LAPACK's ``eig``.
+    certified roots of F_h, with no dense A built, where they pass their
+    certificate, else LAPACK's ``eig``.
     """
 
     betas: np.ndarray
