@@ -2,12 +2,13 @@
 
 Each operator is stored in the form its consumers use.  G is tridiagonal in
 the state order, with off-diagonal entries only in the u block, and is kept
-at every grid as its two diagonals (``gram_band``).
-``DiscreteGenerator.gram_product`` applies it to a flat state or to a block
-of them, real or complex, entry for entry as a CSR product with G does; the
-sparse resolvent norm's Lanczos uses it.  The energy is not taken from it
-but from the sum of squares that defines it (``assemble_gram``), with no
-product by G.  A has a handful of nonzeros per row.  Below
+at every grid as its two diagonals (``gram_band``).  Every energy norm goes
+through the factor J = diag(sqrt w) D that defines the energy, G = J^T J:
+D takes the backward differences of the u block and w holds the energy's
+weights (``assemble_gram``).  ``DiscreteGenerator.factor_product`` applies J
+or J^T and ``factor_solve`` solves with them, each O(n), so no Cholesky
+factor of G is formed.  The energy is ||J V||_2, with no product by G.
+A has a handful of nonzeros per row.  Below
 ``SPARSE_MIN_DIM`` it is a dense array, the form all its consumers there
 take: the time stepper's dense propagator, the full spectrum's ``eig``, the
 resolvent's SVD and the dissipativity ``eigh``.  At and above it A is a
@@ -25,11 +26,11 @@ row*n + col, all sorted at once.  Nothing is kept between assemblies.
 
 The dense views of ``DiscreteGenerator`` serve the spectral diagnostics:
 ``matrix`` (A itself when A is dense) the full spectrum's ``eig`` and, with
-``gram`` (G), the dissipativity check; ``weighted_matrix`` the resolvent
-norms of a dense A.  The spectrum of a CSR internal-friction A comes from
-the roots of its characteristic function and builds no dense A.
-For a CSR A the resolvent norms use the banded Cholesky factor
-``gram_factor`` of G and build no dense matrix.  ``shifted_lu`` makes every
+``gram`` (G), the dissipativity check; ``weighted_matrix``, J A J^{-1}, the
+resolvent norms of a dense A.  The spectrum of a CSR internal-friction A
+comes from the roots of its characteristic function and builds no dense A.
+For a CSR A the resolvent norms apply J and its solves to vectors and
+build no dense matrix.  ``shifted_lu`` makes every
 sparse LU of the package, all of a CSR A: the time stepper's I - dt*A (for a
 dense A the stepper factors a dense I - dt*A with LAPACK) and the
 resolvent's i*beta*I - A.  A CSR A stores its
@@ -84,7 +85,9 @@ class DiscreteGenerator:
     explicit zeros included, at and above it, as ``shifted_lu`` and
     ``shift_deviation`` require.  ``gram_band`` is G as (d, e): its
     diagonal d, and e, its sub- and superdiagonal within the u block (the
-    first len(e) + 1 states), where all its off-diagonal entries lie.
+    first len(e) + 1 states), where all its off-diagonal entries lie.  G
+    must be J^T J for the energy's factor J (``factor_product``), as
+    ``assemble_gram`` makes it; a diagonal G, with e empty, is one.
     ``grid`` is the grid ``assemble_generator`` built A on, and None for a
     matrix given directly; the certified spectrum of a CSR internal-friction
     A needs it.
@@ -97,9 +100,9 @@ class DiscreteGenerator:
     ``weighted_matrix`` for ``spectral.resolvent_norm`` of a dense A.
     These caches are freed together with the generator:
     ``_root_weights`` holds the square roots of the energy's weights, made
-    by the first energy; ``gram_factor`` the banded Cholesky factor of G and
-    ``generator_norm`` an upper bound on the energy norm of A, at most
-    sqrt(1.01) times it, both made by the sparse resolvent norm.
+    by the first use of J; ``generator_norm`` an upper bound on the energy
+    norm of A, at most sqrt(1.01) times it, made by the sparse resolvent
+    norm.
     """
 
     operator: np.ndarray | sparray
@@ -136,22 +139,10 @@ class DiscreteGenerator:
 
     @cached_property
     def weighted_matrix(self) -> np.ndarray:
-        """Dense B = L^T A L^{-T}, where G = L L^T: A in a G-orthonormal basis,
-        so that ||f(A)||_G = ||f(B)||_2 for every rational function f."""
-        chol = sla.cholesky(self.gram, lower=True)
-        # (L^T A) L^{-T} = (L^{-1} (L^T A)^T)^T
-        return sla.solve_triangular(chol, (chol.T @ self.matrix).T, lower=True).T
-
-    @cached_property
-    def gram_factor(self) -> np.ndarray:
-        """Lower bidiagonal L with G = L L^T, in ``cholesky_banded`` storage:
-        the diagonal in row 0 and the subdiagonal in row 1.  G is tridiagonal
-        in the state order, so L has no other nonzeros."""
-        d, e = self.gram_band
-        band = np.zeros((2, self.dim))
-        band[0] = d
-        band[1, :len(e)] = e
-        return sla.cholesky_banded(band, lower=True)
+        """Dense B = J A J^{-1}, with J the energy's factor (``factor_product``):
+        A in a G-orthonormal basis, so that ||f(A)||_G = ||f(B)||_2 for every
+        rational function f.  Row j of B is J^{-T} applied to row j of J A."""
+        return self.factor_solve(self.factor_product(self.matrix.T).T, transpose=True)
 
     @cached_property
     def _root_weights(self) -> np.ndarray:
@@ -159,34 +150,53 @@ class DiscreteGenerator:
         G's u block, its first k = len(e) + 1 states, is D^T diag(w[:k]) D,
         with D the backward difference and u_0 = 0: w[i] weighs
         u_{i+1} - u_i, so e = -w[1:k] and d[0] = w[0] + w[1].  Past the u
-        block G is diagonal and w is d."""
+        block G is diagonal and w is d.  A band with d[i] != w[i] + w[i+1]
+        for some 0 < i < k, w[k] = 0, whose J^T J would not be G, raises
+        ``ValueError``."""
         d, e = self.gram_band
         root = np.sqrt(d)
         if len(e):
+            if not (np.array_equal(d[1:len(e)], -e[:-1] - e[1:]) and d[len(e)] == -e[-1]):
+                raise ValueError("gram_band is not D^T diag(w) D for the backward difference D")
             root[0] = np.sqrt(d[0] + e[0])
             root[1:len(e) + 1] = np.sqrt(-e)
         return root
 
-    def gram_product(self, vec: np.ndarray) -> np.ndarray:
-        """G V for a flat state V, real or complex, or for each row of a block
-        of them, as the sparse resolvent norm's Lanczos applies it.  Each
-        entry is summed in column order onto the diagonal term, as a CSR
-        product sums it; the off-diagonal terms are taken only inside the u
-        block, so an infinite entry outside it meets no zero of G.  A row's
-        value equals that of the same state on its own bit for bit, which a
-        BLAS product with a dense G does not promise."""
-        d, e = self.gram_band
-        k = len(e) + 1
-        out = vec * d
-        out[..., 1:k] = vec[..., :k - 1] * e + out[..., 1:k]
-        out[..., :k - 1] += vec[..., 1:k] * e
-        out += 0.0  # a CSR sum starts at 0.0, so no entry of it is -0.0
+    def factor_product(self, vec: np.ndarray, transpose: bool = False) -> np.ndarray:
+        """J V, or J^T V with ``transpose``, for a flat state V, real or
+        complex, or for each row of a block of them, as a new array, C-ordered
+        for J V.  J = diag(sqrt w) D is the factor whose sum of squares is the
+        energy, G = J^T J: D takes the backward differences of the u block,
+        the first len(e) + 1 states, with u_0 = 0, and is the identity past
+        it."""
+        k = len(self.gram_band[1]) + 1
+        if transpose:
+            out = vec * self._root_weights
+            out[..., :k - 1] = out[..., :k - 1] - out[..., 1:k]
+            return out
+        out = vec.copy()  # C order, so each row is summed as a flat state
+        np.subtract(vec[..., 1:k], vec[..., :k - 1], out=out[..., 1:k])
+        out *= self._root_weights
+        return out
+
+    def factor_solve(self, vec: np.ndarray, transpose: bool = False) -> np.ndarray:
+        """J^{-1} V, or J^{-T} V with ``transpose``, for what
+        ``factor_product`` takes: a division by sqrt(w) and a running sum
+        over the u block, forwards for D^{-1}, backwards for D^{-T}."""
+        k = len(self.gram_band[1]) + 1
+        if transpose:
+            out = vec.copy()
+            out[..., :k] = np.cumsum(vec[..., k - 1::-1], axis=-1)[..., ::-1]
+            out /= self._root_weights
+            return out
+        out = vec / self._root_weights
+        out[..., :k] = np.cumsum(out[..., :k], axis=-1)
         return out
 
     def energy(self, vec: np.ndarray) -> float | np.ndarray:
-        """Energy norm ||V||_G of a real flat state, as a float, or of each
-        row of a block of them, taken as the sum of squares in
-        ``assemble_gram``'s docstring rather than as sqrt(V^T G V).  The u
+        """Energy norm ||V||_G = ||J V||_2 of a real flat state, as a float,
+        or of each row of a block of them: the sum of squares in
+        ``assemble_gram``'s docstring rather than sqrt(V^T G V).  The u
         differences come first, exact for neighbours within a factor 2
         (Sterbenz); each term is scaled by the square root of its weight and
         squared, and each row is summed by numpy's pairwise sum.  The terms
@@ -196,25 +206,14 @@ class DiscreteGenerator:
         state of norm 2e-162 could read 0.0, so such a row is summed again
         with its terms times 2^500, which is exact, and the root divided by
         it."""
-        norm = self._root_sum_of_squares(vec, 1.0)
-        if vec.ndim == 1:
-            if norm < 2.0 ** -450:
-                norm = self._root_sum_of_squares(vec, 2.0 ** 500) / 2.0 ** 500
-            return float(norm)
+        rows = vec.reshape(-1, vec.shape[-1])
+        terms = self.factor_product(rows)
+        norm = np.sqrt(np.square(terms, out=terms).sum(axis=-1))
         if np.fmin.reduce(norm) < 2.0 ** -450:  # fmin passes over NaN rows
             small = norm < 2.0 ** -450
-            norm[small] = self._root_sum_of_squares(vec[small], 2.0 ** 500) / 2.0 ** 500
-        return norm
-
-    def _root_sum_of_squares(self, vec: np.ndarray, scale: float) -> np.ndarray:
-        k = len(self.gram_band[1]) + 1
-        terms = vec.copy()  # C order, so each row is summed as a flat state
-        np.subtract(vec[..., 1:k], vec[..., :k - 1], out=terms[..., 1:k])
-        terms *= self._root_weights
-        if scale != 1.0:
-            terms *= scale
-        terms *= terms
-        return np.sqrt(terms.sum(axis=-1))
+            terms = self.factor_product(rows[small]) * 2.0 ** 500
+            norm[small] = np.sqrt(np.square(terms, out=terms).sum(axis=-1)) / 2.0 ** 500
+        return float(norm[0]) if vec.ndim == 1 else norm
 
 
 # A is dense below this state dimension and CSR at and above it, and its form

@@ -27,8 +27,9 @@ def _blocks(vec, g):
 
 
 def _rayleigh(gen, vec):
-    """The quadratic form <A V, V>_G = V^T G A V of the dissipativity checks."""
-    return float(vec @ gen.gram_product(gen.operator @ vec))
+    """The quadratic form <A V, V>_G = (J A V) . (J V) of the dissipativity
+    checks, with G = J^T J."""
+    return float(gen.factor_product(gen.operator @ vec) @ gen.factor_product(vec))
 
 
 # a grid of the smallest state dimension whose A is a CSR array
@@ -583,12 +584,12 @@ def _sum_of_squares_energy(block, p, g):
 
 @pytest.mark.parametrize("nx, nrho", [(2, 1), (3, 2), (20, 22), (50, 50), (320, 322)])
 def test_gram_band_products_equal_a_csr_gram_bitwise(nx, nrho):
-    # the CSR G the band replaced, from the loop assembly: G x and the block
-    # product, real and complex, below and above the crossover, with
-    # infinite, NaN, huge and signed-zero entries.  The energies equal an
-    # independent sum of squares bit for bit, agree with the CSR quadratic
-    # form to 1e-14 wherever that is finite, and are non-finite exactly
-    # where it is not
+    # the band's energies against the CSR G the band replaced, from the loop
+    # assembly, below and above the crossover, with infinite, NaN, huge and
+    # signed-zero entries.  They equal an independent sum of squares bit for
+    # bit, for a block and row by row, agree with the CSR quadratic form to
+    # 1e-14 wherever that is finite, and are non-finite exactly where it is
+    # not
     g = Grid(nx=nx, nrho=nrho)
     p = internal_friction(a=1.0, mu=1.0, tau=2.0)
     gen = assemble_generator(p, g)
@@ -601,13 +602,6 @@ def test_gram_band_products_equal_a_csr_gram_bitwise(nx, nrho):
             hit = rng.random(block.shape) < 2.0 / g.dim
             block[hit] = rng.choice(SPECIAL_ENTRIES, np.count_nonzero(hit))
             block[0, :] = -0.0 if rows == 17 else block[0]
-            # numpy's and scipy's complex products sum two NaN terms in their
-            # own order, so a complex NaN may come out with the other sign
-            for x in (block, block - 1j * block[::-1]):
-                loose = x.dtype == complex
-                _assert_same_bits(gen.gram_product(x), (csr @ x.T).T, loose)
-                for row in x[:17]:
-                    _assert_same_bits(gen.gram_product(row), csr @ row, loose)
             want = _sum_of_squares_energy(block, p, g)
             _assert_same_bits(gen.energy(block), want)
             _assert_same_bits(np.array([gen.energy(row) for row in block]), want)
@@ -615,6 +609,46 @@ def test_gram_band_products_equal_a_csr_gram_bitwise(nx, nrho):
             finite = np.isfinite(quadratic)
             np.testing.assert_array_equal(np.isfinite(want), finite)
             np.testing.assert_allclose(want[finite], quadratic[finite], rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("nx, nrho", [(2, 1), (20, 22), (320, 322)])
+def test_energy_factor_squares_to_the_gram_band_and_round_trips(nx, nrho):
+    # J^T J, applied to the unit vectors, is G's band within 2 ulps of each
+    # entry, and J and J^T undo their solves, for real and complex rows, to
+    # the bound of a running sum of nx terms; a row alone gives the bits it
+    # gives in a block
+    g = Grid(nx=nx, nrho=nrho)
+    gen = assemble_generator(internal_friction(a=1.0, mu=1.0, tau=2.0), g)
+    gram = gen.factor_product(gen.factor_product(np.eye(g.dim)), transpose=True)
+    d, e = gen.gram_band
+    k = np.arange(len(e))
+    eps = np.finfo(float).eps
+    np.testing.assert_allclose(np.diag(gram), d, rtol=2 * eps, atol=0.0)
+    np.testing.assert_allclose(gram[k, k + 1], e, rtol=2 * eps, atol=0.0)
+    np.testing.assert_allclose(gram[k + 1, k], e, rtol=2 * eps, atol=0.0)
+    gram[k, k + 1] = gram[k + 1, k] = 0.0
+    np.fill_diagonal(gram, 0.0)
+    assert not gram.any()
+    rng = np.random.default_rng(nx)
+    block = rng.standard_normal((5, g.dim))
+    for x in (block, block + 1j * rng.standard_normal(block.shape)):
+        for transpose in (False, True):
+            for there, back in ((gen.factor_product, gen.factor_solve),
+                                (gen.factor_solve, gen.factor_product)):
+                y = back(there(x, transpose), transpose)
+                assert y.dtype == x.dtype
+                np.testing.assert_allclose(y, x, rtol=0.0, atol=2 * eps * g.nx * np.abs(x).max())
+                np.testing.assert_allclose(np.array([back(there(row, transpose), transpose)
+                                                     for row in x]), y, rtol=0.0, atol=0.0)
+
+
+def test_a_gram_band_that_is_no_energy_factor_square_is_rejected(ref_params):
+    # d[1] = 3 is not w[1] = -e[0] = 1: J would square to another G, and the
+    # energy of (0, 1) read 1.0 where sqrt(V^T G V) is sqrt(3)
+    gen = DiscreteGenerator(operator=-np.eye(2), params=ref_params,
+                            gram_band=(np.array([3.0, 3.0]), np.array([-1.0])))
+    with pytest.raises(ValueError, match="not D\\^T diag\\(w\\) D"):
+        gen.energy(np.array([0.0, 1.0]))
 
 
 @pytest.mark.parametrize("nx", [20, 320, 1280])

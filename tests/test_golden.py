@@ -30,9 +30,9 @@ GOLDEN = {
     "spectrum":
         "5d6c912c6bbef134f8beadf875503a17525943d1a46ec46ea0f936fc58d91e08",
     "resolvent":
-        "979bdfaf6372acc332ee001bfd0e6e7b1f2e95a0f662ca6d2f7dfaadbfa87f11",
+        "c373e9f7ff4894d96bd9200f3ee25f46a6a326cf0d3cc980614911621806bbcb",
     "resolvent --nx 160 --nrho 160":
-        "050630c480b4ab40c92fdb6655ca96bb4148df7e70d6c53c6fb6cc851f36c96d",
+        "2396546254761402fdd95800bef73c85fa01741aa66cf4224c1ab5f0e86e94f8",
     "charroots":
         "6bab93723706592f690dc450187c91e43964562fc6485e6ae1862bbe05082e12",
     "robin --c-star":

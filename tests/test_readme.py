@@ -35,6 +35,18 @@ def test_readme_module_names_resolve():
         assert hasattr(module, m[2]), f"README quotes {m[1]}.{m[2]}, which is gone"
 
 
+def test_readme_class_attributes_resolve():
+    # `Class.attr` quotes of the classes the package exports; a dataclass
+    # field without a default is no class attribute
+    quoted = [m for m in QUOTED.finditer(README.read_text())
+              if m[1] in delay_wave_lab.__all__ and isinstance(getattr(delay_wave_lab, m[1]), type)]
+    assert {f"{m[1]}.{m[2]}" for m in quoted} >= {"DiscreteGenerator.energy", "Params.shift"}
+    for m in quoted:
+        cls = getattr(delay_wave_lab, m[1])
+        assert hasattr(cls, m[2]) or m[2] in getattr(cls, "__dataclass_fields__", {}), \
+            f"README quotes {m[1]}.{m[2]}, which is gone"
+
+
 def test_readme_quoted_values_equal_the_code():
     quoted = [m for m in _quoted_names() if m[3]]
     assert {f"{m[1]}.{m[2]}" for m in quoted} >= {

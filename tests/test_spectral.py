@@ -235,6 +235,27 @@ def test_uncertified_roots_fall_back_to_eig_bitwise(mu, cap, monkeypatch):
     assert vals.tobytes() == expected.tobytes()
 
 
+def test_a_non_finite_newton_disk_fails_the_certificate(monkeypatch):
+    # with no Aberth round, a real starting point at lam + shift = 0, where
+    # F_h' is not finite, leaves a non-finite disk radius: certified_roots
+    # returns None before it tests the disks for overlap
+    p = internal_friction(a=1.0, mu=1.0, tau=2.0)
+    g = Grid(nx=60, nrho=61)
+    upper, real = charpoly._aberth_start(p, g)
+    real[0] = -p.shift
+    with np.errstate(invalid="ignore"):
+        value, slope = charpoly.discrete_characteristic_function(p, g)(real[:1], derivative=True)
+    assert np.isfinite(value).all() and not np.isfinite(slope).any()
+
+    def differences(*args):
+        raise AssertionError("the disks were tested for overlap")
+
+    monkeypatch.setattr(charpoly, "ABERTH_MAX_ITER", 0)
+    monkeypatch.setattr(charpoly, "_aberth_start", lambda *args: (upper, real))
+    monkeypatch.setattr(charpoly, "_differences", differences)
+    assert charpoly.certified_roots(p, g) is None
+
+
 def test_benchmark_spectral_models_are_certified():
     # every spectrum model of the benchmark's menus, and its resolvent model
     menus = runpy.run_path(str(WORKLOADS))
@@ -439,7 +460,7 @@ print(sorted(m for m in sys.modules if m.startswith("scipy.sparse")))
     assert out.strip() == "[]"
 
 
-def test_resolvent_scan_factors_the_gram_once(ref_params, ref_grid, monkeypatch):
+def test_resolvent_scan_takes_one_svd_per_beta_and_no_cholesky(ref_params, ref_grid, monkeypatch):
     calls = Counter()
 
     def counted(name, fn):
@@ -453,7 +474,7 @@ def test_resolvent_scan_factors_the_gram_once(ref_params, ref_grid, monkeypatch)
         monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
     gen = assemble_generator(ref_params, ref_grid)
     resolvent_scan(gen, (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0))
-    assert calls == {"svdvals": 7, "cholesky": 1}
+    assert calls == {"svdvals": 7}
 
 
 def test_resolvent_scan_lower_bound_and_slope(ref_params, ref_grid):

@@ -130,6 +130,20 @@ def test_an_exactly_singular_sparse_lu_is_a_singular_step(monkeypatch):
     assert raised == ["Factor is exactly singular"] * 2
 
 
+def test_an_overflowing_sparse_step_matrix_is_a_singular_step(ref_params, ref_data,
+                                                              monkeypatch):
+    # dt*A overflows on a CSR grid: shifted_lu finds I - dt*A not finite and
+    # returns None before splu sees it, and simulate reports the step
+    def splu(*args, **kwargs):
+        raise AssertionError("splu was called on a non-finite matrix")
+
+    monkeypatch.setattr(spla, "splu", splu)
+    grid = Grid(nx=60, nrho=61)
+    assert grid.dim == discretization.SPARSE_MIN_DIM
+    with pytest.raises(SingularStepError, match="dt=1e"):
+        simulate(ref_params, grid, ref_data, dt=1e306, t_end=1e306)
+
+
 @pytest.mark.parametrize("dt", [0.01, 0.1, 1.0])
 @pytest.mark.parametrize("label", [SystemLabel.SHIFTED, SystemLabel.KELVIN_VOIGT])
 def test_step_contracts_dissipative_states(ref_params, kv_params, ref_grid,
