@@ -1,19 +1,17 @@
 """Generator matrices and the energy Gram matrix.
 
-Each operator is stored in the form its consumers use.  G is tridiagonal in
-the state order, with off-diagonal entries only in the u block, and is kept
-at every grid as its two diagonals (``gram_band``).  Every energy norm goes
-through the factor J = diag(sqrt w) D that defines the energy, G = J^T J:
-D takes the backward differences of the u block and w holds the energy's
-weights (``assemble_gram``).  ``DiscreteGenerator.factor_product`` applies J
-or J^T and ``factor_solve`` solves with them, each O(n), so no Cholesky
-factor of G is formed.  The energy is ||J V||_2, with no product by G.
-A has a handful of nonzeros per row.  Below
-``SPARSE_MIN_DIM`` it is a dense array, the form all its consumers there
-take: the time stepper's dense propagator, the full spectrum's ``eig``, the
-resolvent's SVD and the dissipativity ``eigh``.  At and above it A is a
-``scipy.sparse`` CSR array, which ``splu`` factors and the sparse resolvent
-norm applies.  The time stepper and the resolvent norm pick their dense or
+Each operator is stored in the form its consumers use.  G is stored as the
+energy's weights w (``assemble_gram``), and every energy norm goes through
+the factor J = diag(sqrt w) D that defines the energy, G = J^T J, where D
+takes the backward differences of the u block.
+``DiscreteGenerator.factor_product`` applies J or J^T and ``factor_solve``
+solves with them, each O(n), so no Cholesky factor of G is formed.  The
+energy is ||J V||_2, with no product by G.  A has a handful of nonzeros per
+row.  Below ``SPARSE_MIN_DIM`` it is a dense array, the form all its
+consumers there take: the time stepper's dense propagator, the full
+spectrum's ``eig``, the resolvent's SVD and the dissipativity ``eigh``.  At
+and above it A is a ``scipy.sparse`` CSR array, which ``splu`` factors and
+the sparse resolvent norm applies.  The time stepper and the resolvent norm pick their dense or
 sparse path from the form of A, so ``_fill`` is the one place that compares
 the state dimension with a constant.  ``scipy.sparse`` is imported only on
 the CSR side, so the commands at the reference grid never load it.
@@ -83,14 +81,13 @@ class DiscreteGenerator:
     its form picks the dense or sparse path of every consumer: a dense array
     below ``SPARSE_MIN_DIM``, a CSR array that stores its whole diagonal,
     explicit zeros included, at and above it, as ``shifted_lu`` and
-    ``shift_deviation`` require.  ``gram_band`` is G as (d, e): its
-    diagonal d, and e, its sub- and superdiagonal within the u block (the
-    first len(e) + 1 states), where all its off-diagonal entries lie.  G
-    must be J^T J for the energy's factor J (``factor_product``), as
-    ``assemble_gram`` makes it; a diagonal G, with e empty, is one.
-    ``grid`` is the grid ``assemble_generator`` built A on, and None for a
-    matrix given directly; the certified spectrum of a CSR internal-friction
-    A needs it.
+    ``shift_deviation`` require.  ``weights`` is G as the energy's weights
+    w, G = J^T J for the energy's factor J = diag(sqrt w) D
+    (``factor_product``), as ``assemble_gram`` makes them.  D takes the
+    backward differences of the u block, the first ``grid.nx`` states, and
+    is the identity past it.  ``grid`` is the grid ``assemble_generator``
+    built A on, and None for a matrix given directly, whose G is diag(w);
+    the certified spectrum of a CSR internal-friction A needs it.
 
     Immutable after construction apart from its caches; safe to share between
     threads.  The dense views are made on first use and time stepping never
@@ -99,14 +96,13 @@ class DiscreteGenerator:
     ``spectral.eigenvalues`` and ``symmetrized_max_eigenvalue``,
     ``weighted_matrix`` for ``spectral.resolvent_norm`` of a dense A.
     These caches are freed together with the generator:
-    ``_root_weights`` holds the square roots of the energy's weights, made
-    by the first use of J; ``generator_norm`` an upper bound on the energy
-    norm of A, at most sqrt(1.01) times it, made by the sparse resolvent
-    norm.
+    ``_root_weights`` holds sqrt(w), made by the first use of J;
+    ``generator_norm`` an upper bound on the energy norm of A, at most
+    sqrt(1.01) times it, made by the sparse resolvent norm.
     """
 
     operator: np.ndarray | sparray
-    gram_band: tuple[np.ndarray, np.ndarray]
+    weights: np.ndarray
     params: Params
     grid: Grid | None = None
     generator_norm: float | None = field(default=None, init=False, repr=False)
@@ -119,6 +115,12 @@ class DiscreteGenerator:
     def label(self) -> SystemLabel:
         return system_label(self.params)
 
+    @property
+    def _differenced(self) -> int:
+        """k, the number of leading states D differences: the u block, or,
+        with no grid, one state, with u_0 = 0 so that D = I."""
+        return 1 if self.grid is None else self.grid.nx
+
     @cached_property
     def matrix(self) -> np.ndarray:
         """A as a dense array: ``operator`` itself when that is dense.  For
@@ -130,11 +132,14 @@ class DiscreteGenerator:
 
     @cached_property
     def gram(self) -> np.ndarray:
-        """Dense copy of G."""
-        d, e = self.gram_band
-        g = np.diag(d)
-        k = np.arange(len(e))
-        g[k + 1, k] = g[k, k + 1] = e
+        """Dense G = D^T diag(w) D: tridiagonal in the first k states, with
+        diagonal w[i] + w[i+1] and off-diagonal -w[i+1] for i < k - 1, and
+        diag(w) past them."""
+        w, k = self.weights, self._differenced
+        g = np.diag(w)
+        i = np.arange(k - 1)
+        g[i, i] += w[1:k]
+        g[i + 1, i] = g[i, i + 1] = -w[1:k]
         return g
 
     @cached_property
@@ -146,30 +151,15 @@ class DiscreteGenerator:
 
     @cached_property
     def _root_weights(self) -> np.ndarray:
-        """The square roots of the energy's weights w, read off ``gram_band``.
-        G's u block, its first k = len(e) + 1 states, is D^T diag(w[:k]) D,
-        with D the backward difference and u_0 = 0: w[i] weighs
-        u_{i+1} - u_i, so e = -w[1:k] and d[0] = w[0] + w[1].  Past the u
-        block G is diagonal and w is d.  A band with d[i] != w[i] + w[i+1]
-        for some 0 < i < k, w[k] = 0, whose J^T J would not be G, raises
-        ``ValueError``."""
-        d, e = self.gram_band
-        root = np.sqrt(d)
-        if len(e):
-            if not (np.array_equal(d[1:len(e)], -e[:-1] - e[1:]) and d[len(e)] == -e[-1]):
-                raise ValueError("gram_band is not D^T diag(w) D for the backward difference D")
-            root[0] = np.sqrt(d[0] + e[0])
-            root[1:len(e) + 1] = np.sqrt(-e)
-        return root
+        return np.sqrt(self.weights)
 
     def factor_product(self, vec: np.ndarray, transpose: bool = False) -> np.ndarray:
         """J V, or J^T V with ``transpose``, for a flat state V, real or
         complex, or for each row of a block of them, as a new array, C-ordered
         for J V.  J = diag(sqrt w) D is the factor whose sum of squares is the
-        energy, G = J^T J: D takes the backward differences of the u block,
-        the first len(e) + 1 states, with u_0 = 0, and is the identity past
-        it."""
-        k = len(self.gram_band[1]) + 1
+        energy, G = J^T J: D takes the backward differences of the first k
+        states, with u_0 = 0, and is the identity past them."""
+        k = self._differenced
         if transpose:
             out = vec * self._root_weights
             out[..., :k - 1] = out[..., :k - 1] - out[..., 1:k]
@@ -182,8 +172,8 @@ class DiscreteGenerator:
     def factor_solve(self, vec: np.ndarray, transpose: bool = False) -> np.ndarray:
         """J^{-1} V, or J^{-T} V with ``transpose``, for what
         ``factor_product`` takes: a division by sqrt(w) and a running sum
-        over the u block, forwards for D^{-1}, backwards for D^{-T}."""
-        k = len(self.gram_band[1]) + 1
+        over the first k states, forwards for D^{-1}, backwards for D^{-T}."""
+        k = self._differenced
         if transpose:
             out = vec.copy()
             out[..., :k] = np.cumsum(vec[..., k - 1::-1], axis=-1)[..., ::-1]
@@ -312,23 +302,22 @@ def shift_deviation(shifted: DiscreteGenerator, original: DiscreteGenerator,
     return float(abs(diff).max()) if diff.nnz else 0.0
 
 
-def assemble_gram(p: Params, g: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Gram matrix G of the discrete energy, as ``DiscreteGenerator.gram_band``.
+def assemble_gram(p: Params, g: Grid) -> np.ndarray:
+    """Weights w of the discrete energy, as ``DiscreteGenerator.weights``.
 
     ||V||_G^2 = sum_i ((u_i - u_{i-1})/dx)^2 dx + sum_i v_i^2 dx + w^2
                + xi * sum_j z_j^2 drho,  with u_0 = 0,
 
-    that is (1/dx) * D^T D on u, with D the backward-difference map, and a
-    diagonal on v, w and z.
+    that is G = D^T diag(w) D, with D the backward-difference map on u and
+    w = 1/dx there, and diag(w) on v, w and z.
     """
     nx, dx = g.nx, g.dx
-    d = np.empty(g.dim)
-    d[:nx - 1] = 1.0 / dx + 1.0 / dx
-    d[nx - 1] = 1.0 / dx
-    d[nx:2 * nx - 1] = dx                # v_1..v_{nx-1}
-    d[2 * nx - 1] = 1.0                  # w
-    d[2 * nx:] = p.xi * g.drho
-    return d, np.full(nx - 1, -1.0 / dx)
+    w = np.empty(g.dim)
+    w[:nx] = 1.0 / dx
+    w[nx:2 * nx - 1] = dx                # v_1..v_{nx-1}
+    w[2 * nx - 1] = 1.0                  # w
+    w[2 * nx:] = p.xi * g.drho
+    return w
 
 
 def _generator_runs(p: Params, g: Grid) -> list[tuple[int, int, int, float]]:
@@ -380,7 +369,7 @@ def assemble_generator(p: Params, g: Grid,
     if label not in (None, system_label(p)):
         raise ValueError(f"label {label} does not match the params")
     a = _fill(_generator_runs(p, g), g.dim)
-    return DiscreteGenerator(operator=a, gram_band=assemble_gram(p, g), params=p, grid=g)
+    return DiscreteGenerator(operator=a, weights=assemble_gram(p, g), params=p, grid=g)
 
 
 def symmetrized_max_eigenvalue(gen: DiscreteGenerator) -> float:

@@ -17,8 +17,8 @@ only its first ``POWER_BLOCK`` iterates so and every later chunk of that
 many as one matrix product with P = M^POWER_BLOCK.  That one loop,
 ``_march``, yields the iterates a block at a time in one array it owns and
 refills, of up to ``ENERGY_BLOCK_ENTRIES`` floats; ``simulate`` and
-``shift_consistency`` take each block's energies in one call, which applies
-G by its two diagonals.
+``shift_consistency`` take each block's energies in one call, the sums of
+squares of J V with J the energy's factor.
 M, P, the chunk and the block are dropped with the run, also when its
 caller stops early.
 """
@@ -36,7 +36,7 @@ from .discretization import (DiscreteGenerator, assemble_generator,
 
 
 MAX_STEPS = 1_000_000  # largest t_end/dt of a run; step_count enforces it
-# floats of iterates per energy block, shared by marches read together: 128 KiB
+# floats of iterates per energy block: 128 KiB
 ENERGY_BLOCK_ENTRIES = 2 ** 14
 # iterates per power block of a long dense run, a power of two: P = M^32
 # takes five squarings
@@ -98,13 +98,12 @@ def _propagator(gen: DiscreteGenerator, dt: float) -> np.ndarray:
     return sla.lapack.dgetri(lu, piv, overwrite_lu=True)[0].T
 
 
-def _march(gen: DiscreteGenerator, vec: np.ndarray, dt: float, n_steps: int,
-           together: int = 1):
+def _march(gen: DiscreteGenerator, vec: np.ndarray, dt: float, n_steps: int):
     """The backward-Euler march V^1, ..., V^n_steps of V^0 = vec, yielded as
     (start, block) with block[j] = V^(start+j).  Each block is a view of one
-    array the march owns and refills; ``together`` marches read side by side
-    share ``ENERGY_BLOCK_ENTRIES`` floats.  The factors are made at the
-    first block, so a singular step is raised there.
+    array of up to ``ENERGY_BLOCK_ENTRIES`` floats that the march owns and
+    refills.  The factors are made at the first block, so a singular step is
+    raised there.
 
     The form of A picks the path.  For a CSR A each iterate is one solve
     with the ``splu`` factors, for a dense A one matvec with the propagator
@@ -128,7 +127,7 @@ def _march(gen: DiscreteGenerator, vec: np.ndarray, dt: float, n_steps: int,
         del step, vec  # only the chunk and P march on; M goes when squared
         for _ in range(POWER_BLOCK.bit_length() - 1):
             power = power @ power
-    rows = min(n_steps, max(1, ENERGY_BLOCK_ENTRIES // (together * gen.dim)))
+    rows = min(n_steps, max(1, ENERGY_BLOCK_ENTRIES // gen.dim))
     block = np.empty((rows, gen.dim))
     for start in range(1, n_steps + 1, rows):
         part = block[:n_steps + 1 - start]
@@ -231,7 +230,7 @@ def shift_consistency(p: Params, g: Grid, d: InitialData, dt: float,
     worst = 0.0
     compared = 0
     diverged = False
-    marches = zip(_march(gen_o, v0, dt, n_steps, 2), _march(gen_s, v0, dt, n_steps, 2))
+    marches = zip(_march(gen_o, v0, dt, n_steps), _march(gen_s, v0, dt, n_steps))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for (start, vo), (_, vs) in marches:
             norm_o = gen_o.energy(vo)

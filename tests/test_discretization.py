@@ -170,9 +170,13 @@ def test_assembly_equals_the_loop_assembly_bitwise(nx, nrho, label):
         rows = np.repeat(np.arange(g.dim), np.diff(m.indptr))
         np.testing.assert_array_equal(rows[rows == m.indices], np.arange(g.dim))
     _assert_same_bits(gen.gram, G)
-    d, e = assemble_gram(p, g)
-    _assert_same_bits(d, np.diag(G).copy())
-    _assert_same_bits(e, np.diag(G, 1)[:nx - 1].copy())
+    # G = D^T diag(w) D: G's u diagonal is w[i] + w[i+1], its off-diagonal
+    # -w[i+1], and past the u block G is diag(w)
+    w = assemble_gram(p, g)
+    _assert_same_bits(gen.weights, w)
+    _assert_same_bits(np.diag(G, 1)[:nx - 1].copy(), -w[1:nx])
+    _assert_same_bits(np.diag(G)[:nx - 1].copy(), w[:nx - 1] + w[1:nx])
+    _assert_same_bits(np.diag(G)[nx - 1:].copy(), w[nx - 1:])
     assert not np.diag(G, 1)[nx - 1:].any()
 
 
@@ -338,17 +342,15 @@ def _zero_dense(a):
 def test_changing_a_generator_leaves_the_next_assembly_unchanged(
         kv_params, grid, damage):
     before = assemble_generator(kv_params, grid)
-    want = (before.operator.copy(), [x.copy() for x in before.gram_band])
+    want = (before.operator.copy(), before.weights.copy())
     damage(before.operator)
-    for x in before.gram_band:
-        x[:] = 0.0
+    before.weights[:] = 0.0
     after = assemble_generator(kv_params, grid)
     if isinstance(want[0], np.ndarray):
         _assert_same_bits(after.operator, want[0])
     else:
         _assert_same_arrays(after.operator, want[0])
-    for got, band in zip(after.gram_band, want[1]):
-        _assert_same_bits(got, band)
+    _assert_same_bits(after.weights, want[1])
 
 
 def test_assemblies_keep_no_memory(ref_params, kv_params):
@@ -391,7 +393,7 @@ def test_a_matrix_without_its_whole_diagonal_is_rejected(ref_params, ref_grid):
     # be left off the diagonal silently
     gen = DiscreteGenerator(
         operator=sp.csr_array(np.array([[0.0, 1.0], [-1.0, -2.0]])),
-        gram_band=(np.ones(2), np.zeros(0)), params=ref_params)
+        weights=np.ones(2), params=ref_params)
     with pytest.raises(ValueError, match="whole diagonal"):
         shifted_lu(gen, 1.0, 0.1)
     with pytest.raises(ValueError, match="whole diagonal"):
@@ -584,12 +586,11 @@ def _sum_of_squares_energy(block, p, g):
 
 @pytest.mark.parametrize("nx, nrho", [(2, 1), (3, 2), (20, 22), (50, 50), (320, 322)])
 def test_gram_band_products_equal_a_csr_gram_bitwise(nx, nrho):
-    # the band's energies against the CSR G the band replaced, from the loop
-    # assembly, below and above the crossover, with infinite, NaN, huge and
-    # signed-zero entries.  They equal an independent sum of squares bit for
-    # bit, for a block and row by row, agree with the CSR quadratic form to
-    # 1e-14 wherever that is finite, and are non-finite exactly where it is
-    # not
+    # the energies from the weights against the CSR G of the loop assembly,
+    # below and above the crossover, with infinite, NaN, huge and signed-zero
+    # entries.  They equal an independent sum of squares bit for bit, for a
+    # block and row by row, agree with the CSR quadratic form to 1e-14
+    # wherever that is finite, and are non-finite exactly where it is not
     g = Grid(nx=nx, nrho=nrho)
     p = internal_friction(a=1.0, mu=1.0, tau=2.0)
     gen = assemble_generator(p, g)
@@ -611,60 +612,60 @@ def test_gram_band_products_equal_a_csr_gram_bitwise(nx, nrho):
             np.testing.assert_allclose(want[finite], quadratic[finite], rtol=1e-14, atol=0.0)
 
 
-@pytest.mark.parametrize("nx, nrho", [(2, 1), (20, 22), (320, 322)])
-def test_energy_factor_squares_to_the_gram_band_and_round_trips(nx, nrho):
-    # J^T J, applied to the unit vectors, is G's band within 2 ulps of each
-    # entry, and J and J^T undo their solves, for real and complex rows, to
-    # the bound of a running sum of nx terms; a row alone gives the bits it
-    # gives in a block
-    g = Grid(nx=nx, nrho=nrho)
-    gen = assemble_generator(internal_friction(a=1.0, mu=1.0, tau=2.0), g)
-    gram = gen.factor_product(gen.factor_product(np.eye(g.dim)), transpose=True)
-    d, e = gen.gram_band
-    k = np.arange(len(e))
+def _assert_factor_squares_to_gram_and_round_trips(gen, rng):
+    """J^T J, applied to the unit vectors, is the dense G within 2 ulps of
+    each entry, and J and J^T undo their solves, for real and complex rows,
+    to the bound of a running sum of k terms, k the states D differences; a
+    row alone gives the bits it gives in a block."""
+    gram = gen.factor_product(gen.factor_product(np.eye(gen.dim)), transpose=True)
     eps = np.finfo(float).eps
-    np.testing.assert_allclose(np.diag(gram), d, rtol=2 * eps, atol=0.0)
-    np.testing.assert_allclose(gram[k, k + 1], e, rtol=2 * eps, atol=0.0)
-    np.testing.assert_allclose(gram[k + 1, k], e, rtol=2 * eps, atol=0.0)
-    gram[k, k + 1] = gram[k + 1, k] = 0.0
-    np.fill_diagonal(gram, 0.0)
-    assert not gram.any()
-    rng = np.random.default_rng(nx)
-    block = rng.standard_normal((5, g.dim))
+    np.testing.assert_allclose(gram, gen.gram, rtol=2 * eps, atol=0.0)
+    k = 1 if gen.grid is None else gen.grid.nx
+    block = rng.standard_normal((5, gen.dim))
     for x in (block, block + 1j * rng.standard_normal(block.shape)):
         for transpose in (False, True):
             for there, back in ((gen.factor_product, gen.factor_solve),
                                 (gen.factor_solve, gen.factor_product)):
                 y = back(there(x, transpose), transpose)
                 assert y.dtype == x.dtype
-                np.testing.assert_allclose(y, x, rtol=0.0, atol=2 * eps * g.nx * np.abs(x).max())
+                np.testing.assert_allclose(y, x, rtol=0.0, atol=2 * eps * k * np.abs(x).max())
                 np.testing.assert_allclose(np.array([back(there(row, transpose), transpose)
                                                      for row in x]), y, rtol=0.0, atol=0.0)
 
 
-def test_a_gram_band_that_is_no_energy_factor_square_is_rejected(ref_params):
-    # d[1] = 3 is not w[1] = -e[0] = 1: J would square to another G, and the
-    # energy of (0, 1) read 1.0 where sqrt(V^T G V) is sqrt(3)
-    gen = DiscreteGenerator(operator=-np.eye(2), params=ref_params,
-                            gram_band=(np.array([3.0, 3.0]), np.array([-1.0])))
-    with pytest.raises(ValueError, match="not D\\^T diag\\(w\\) D"):
-        gen.energy(np.array([0.0, 1.0]))
+@pytest.mark.parametrize("nx, nrho", [(2, 1), (20, 22), (320, 322)])
+def test_energy_factor_squares_to_the_gram_band_and_round_trips(nx, nrho):
+    g = Grid(nx=nx, nrho=nrho)
+    gen = assemble_generator(internal_friction(a=1.0, mu=1.0, tau=2.0), g)
+    _assert_factor_squares_to_gram_and_round_trips(gen, np.random.default_rng(nx))
+
+
+def test_a_generator_with_no_grid_has_the_diagonal_gram_of_its_weights(ref_params):
+    # with no grid D is the identity: G = diag(w), the energy is
+    # sqrt(sum w v^2) and J = diag(sqrt w)
+    rng = np.random.default_rng(7)
+    w = 10.0 ** rng.uniform(-3, 3, 9)
+    gen = DiscreteGenerator(operator=-np.eye(9), weights=w, params=ref_params)
+    _assert_same_bits(gen.gram, np.diag(w))
+    vec = rng.standard_normal(9)
+    assert gen.energy(vec) == pytest.approx(math.sqrt(np.sum(w * vec ** 2)),
+                                            rel=4 * np.finfo(float).eps)
+    _assert_factor_squares_to_gram_and_round_trips(gen, rng)
 
 
 @pytest.mark.parametrize("nx", [20, 320, 1280])
 def test_energy_is_within_ulps_of_the_exact_value_of_its_inputs(nx):
     # a low-frequency u with v = w = z = 0, against V^T G V in exact
-    # rational arithmetic on the band's floats.  The quadratic form
+    # rational arithmetic on the weights' floats.  The quadratic form
     # V^T (G V) rounds the second differences in G V, and was 1.2e-14 off
     # at nx = 320
     g = Grid(nx=nx, nrho=nx)
     gen = assemble_generator(internal_friction(a=1.0, mu=1.0, tau=2.0), g)
     vec = np.zeros(g.dim)
     vec[:nx] = np.sin(0.5 * math.pi * g.x_nodes)
-    d, e = gen.gram_band
-    u = [Fraction(x) for x in vec[:nx]]
-    exact = (sum(Fraction(di) * ui * ui for di, ui in zip(d, u))
-             + 2 * sum(Fraction(ei) * ui * uj for ei, ui, uj in zip(e, u, u[1:])))
+    # G = D^T diag(w) D, so V^T G V = sum w_i (u_i - u_{i-1})^2 exactly
+    u = [Fraction(0)] + [Fraction(x) for x in vec[:nx]]
+    exact = sum(Fraction(wi) * (ui - uh) ** 2 for wi, uh, ui in zip(gen.weights, u, u[1:]))
     # E within 4 ulps, so E^2 within about 8
     error = abs(Fraction(gen.energy(vec)) ** 2 - exact) / exact
     assert error <= 8 * np.finfo(float).eps, float(error)

@@ -49,8 +49,7 @@ ROBIN_MINUS_2 = -3.6672558244966540   # -s^2 with tanh(s) = s/2
 def _toy_generator(matrix):
     """A generator of the small dense ``matrix`` with G = I."""
     n = len(matrix)
-    return DiscreteGenerator(operator=np.asarray(matrix, float),
-                             gram_band=(np.ones(n), np.zeros(0)),
+    return DiscreteGenerator(operator=np.asarray(matrix, float), weights=np.ones(n),
                              params=Params(a=0.0, mu=1.0, tau=1.0, xi=1.0))
 
 
@@ -361,6 +360,28 @@ def test_sparse_resolvent_norm_is_repeatable(ref_params):
     assert norms[0] == norms[1]
 
 
+# Lanczos operator applications per sparse norm at nx = nrho = 160, beta =
+# 1, 2, ..., 64, as measured when this guard was added; the first norm also
+# runs the ||A||_G Lanczos of the condition guard
+@pytest.mark.parametrize("params, applications", [
+    (internal_friction(a=1.0, mu=1.0, tau=2.0), [62, 21, 21, 21, 21, 21, 21]),
+    (kelvin_voigt(a=1.0, mu=0.5, tau=2.0), [52, 21, 21, 21, 21, 21, 51])])
+def test_sparse_resolvent_norms_take_no_more_lanczos_steps(params, applications,
+                                                            monkeypatch):
+    # each application of the Lanczos operator calls J twice
+    calls, product = [], DiscreteGenerator.factor_product
+    monkeypatch.setattr(DiscreteGenerator, "factor_product",
+                        lambda *args, **kwargs: calls.append(1) or product(*args, **kwargs))
+    gen = assemble_generator(params, Grid(nx=160, nrho=160))
+    assert not isinstance(gen.operator, np.ndarray)
+    counts = []
+    for beta in 2.0 ** np.arange(7):
+        calls.clear()
+        resolvent_norm(gen, beta)
+        counts.append(len(calls) // 2)
+    assert all(got <= pinned for got, pinned in zip(counts, applications)), counts
+
+
 def test_sparse_resolvent_norm_near_eigenvalue_errors():
     # undamped: beta = |Im lambda| of the slowest eigenvalue on the axis
     gen = assemble_generator(Params(a=0.0, mu=0.0, tau=2.0, xi=1.0),
@@ -380,7 +401,7 @@ def test_an_exactly_singular_sparse_lu_is_near_the_spectrum(monkeypatch):
     a = sp.csr_array((np.concatenate([[0.0, 1.0, -1.0, 0.0], -np.ones(n - 2)]),
                       np.concatenate([[0, 1, 0, 1], np.arange(2, n)]),
                       np.concatenate([[0, 2], np.arange(4, n + 3)])), shape=(n, n))
-    gen = DiscreteGenerator(operator=a, gram_band=(np.ones(n), np.zeros(0)),
+    gen = DiscreteGenerator(operator=a, weights=np.ones(n),
                             params=Params(a=0.0, mu=1.0, tau=1.0, xi=1.0))
     raised, lu = [], spla.splu
 

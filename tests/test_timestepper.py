@@ -18,15 +18,14 @@ from delay_wave_lab import (DiscreteGenerator, Grid, Params, SingularStepError,
                             SystemLabel, assemble_generator, builtin_data,
                             internal_friction, kelvin_voigt,
                             kv_condition_satisfied, sample_initial_state,
-                            shift_consistency, simulate, timestepper)
+                            shift_consistency, simulate, sweep, timestepper)
 from delay_wave_lab import discretization
 
 
 def _toy_generator(matrix):
     """A generator of the small dense ``matrix`` with G = I."""
     n = len(matrix)
-    return DiscreteGenerator(operator=np.asarray(matrix, float),
-                             gram_band=(np.ones(n), np.zeros(0)),
+    return DiscreteGenerator(operator=np.asarray(matrix, float), weights=np.ones(n),
                              params=Params(a=0.0, mu=1.0, tau=1.0, xi=1.0))
 
 
@@ -113,7 +112,7 @@ def test_an_exactly_singular_sparse_lu_is_a_singular_step(monkeypatch):
     diag[n // 2] = 1.0 / 0.25
     gen = DiscreteGenerator(
         operator=sp.csr_array((diag, np.arange(n), np.arange(n + 1)), shape=(n, n)),
-        gram_band=(np.ones(n), np.zeros(0)), params=Params(a=0.0, mu=1.0, tau=1.0, xi=1.0))
+        weights=np.ones(n), params=Params(a=0.0, mu=1.0, tau=1.0, xi=1.0))
     raised, lu = [], spla.splu
 
     def splu(*args, **kwargs):
@@ -304,6 +303,25 @@ def test_divergent_trace_truncates_where_single_energies_do(ref_grid, ref_data,
     assert trace.diverged
     np.testing.assert_array_equal(trace.energies, expected)
     assert len(trace.times) == first_nonfinite
+
+
+@pytest.mark.parametrize("grid", [Grid(nx=20, nrho=20), Grid(nx=60, nrho=61)],
+                         ids=["dense", "csr"])
+def test_a_run_and_each_sweep_row_factor_once(ref_params, ref_data, grid, monkeypatch):
+    # a dense A is factored by _propagator, a CSR A by shifted_lu; 300 steps
+    # take the power blocks of a dense run
+    made = Counter()
+    for name in ("_propagator", "shifted_lu"):
+        fn = getattr(timestepper, name)
+        monkeypatch.setattr(timestepper, name, lambda *args, name=name, fn=fn, **kwargs:
+                            made.update([name]) or fn(*args, **kwargs))
+    factor = "_propagator" if grid.dim < discretization.SPARSE_MIN_DIM else "shifted_lu"
+    simulate(ref_params, grid, ref_data, dt=0.1, t_end=30.0)
+    assert made == {factor: 1}
+    table = sweep(ref_params, grid, ref_data, dt=0.1, t_end=30.0, vary="mu",
+                  values=[0.5, 1.0, 2.0])
+    assert not any(row.error for row in table.rows)
+    assert made == {factor: 1 + len(table.rows)}
 
 
 @pytest.mark.parametrize("n_steps", [2_000, 20_000, 200_000])
