@@ -25,7 +25,12 @@ midpoints of the corners, a rectangle is cut through the midpoints of its
 longer sides, its children's walks start from its samples and the cut
 line's, and Newton starts from the first moment of the one root in a
 rectangle, taken over its walk's last ring (Delves and Lyness, Math. Comp.
-21 (1967)).
+21 (1967)).  F has real coefficients, so its roots are closed under
+conjugation: a rectangle symmetric about the real axis and taller than wide
+is cut along Im = +-h, not along the axis, into a strip about the axis,
+which holds the real roots, and the halves above and below it, of which
+only the upper one is searched and its roots reported with their exact
+conjugates.
 
 The Robin solver works on the analytic transcendental equation directly; it
 is deliberately independent of the matrix discretization so it can act as an
@@ -381,14 +386,17 @@ class _Boundary:
     entries ``start[w, k] + step[w, k]*j``, j = 0..d, of the flat buffers
     ``z`` (points) and ``v`` (values of F); ``step`` is -1 where the walk
     runs against the order the entries were stored in.  A child's side on
-    its parent's boundary or on the cut line points into those entries, so a
-    child walk evaluates only the points its parent and the cut lack.
+    its parent's boundary, on the cut line or on its mirror image points
+    into those entries, so a child walk evaluates only the points its parent
+    and the cut lack.
     ``final[w]`` is the samples per side of walk w's last ring.
     """
 
     def __init__(self):
-        self.z = np.empty(1 << 15, dtype=complex)  # a reference-region search fits unresized
-        self.v = np.empty(1 << 15, dtype=complex)
+        # a reference-region search fits unresized; the points start finite,
+        # since ``fill`` reads a fresh walk's first entries before placing it
+        self.z = np.zeros(1 << 15, dtype=complex)
+        self.v = np.zeros(1 << 15, dtype=complex)
         self.used = 0
         self.start = np.empty((0, 4), dtype=np.intp)
         self.step = np.empty((0, 4), dtype=np.intp)
@@ -422,27 +430,34 @@ class _Boundary:
 
     def fill(self, f, ids: np.ndarray, corners: np.ndarray, n: int) -> None:
         """Brings every side of the walks ``ids``, with corners ``corners``,
-        to at least n samples, in at most one call of f.  In the first
-        round, n = WINDING_MIN_SAMPLES, only the sides of a fresh walk lack
-        them, and are placed from its corners, each corner evaluated once;
-        after it a side that lacks them holds n/2, since a child inherits at
-        least WINDING_MIN_SAMPLES, and gets the n/2 midpoints."""
+        to at least n samples, in one call of f, or none where they hold
+        them.  A side that lacks them holds none or n/2.  One that holds
+        none belongs to a fresh walk, in its first round, which lacks all
+        four: they are placed from its corners, the last sample of each side
+        the first of the next, so each corner is evaluated once.  One that
+        holds n/2 gets the n/2 midpoints; in the first round, n =
+        WINDING_MIN_SAMPLES, that is an upright side of the upper child of a
+        ``_mirrors`` cut, a quarter of a side of 64."""
         w, k = np.nonzero(self.dens[ids] < n)
         if not w.size:
             return
         rows = ids[w]
-        if n == WINDING_MIN_SAMPLES:
-            z = _side_points(corners[w, k], corners[w, (k + 1) % 4], n).reshape(-1, 4, n + 1)
-            v = np.empty_like(z)
-            v[..., :n] = f(z[..., :n])
-            v[..., n] = np.roll(v[..., 0], -1, axis=1)
+        z = np.empty((w.size, n + 1), dtype=complex)
+        v = np.empty_like(z)
+        at = (self.start[rows, k][:, None]
+              + self.step[rows, k][:, None] * np.arange(n // 2 + 1))
+        z[:, ::2], v[:, ::2] = self.z[at], self.v[at]
+        z[:, 1::2] = 0.5 * z[:, :-1:2] + 0.5 * z[:, 2::2]
+        fresh = np.flatnonzero(self.dens[rows, k] == 0)
+        if fresh.size:
+            z[fresh] = _side_points(corners[w[fresh], k[fresh]],
+                                    corners[w[fresh], (k[fresh] + 1) % 4], n)
+            new = np.zeros(z.shape, dtype=bool)
+            new[:, 1::2] = True
+            new[fresh, :n] = True
+            v[new] = f(z[new])
+            v[fresh, n] = v[fresh + np.where(k[fresh] == 3, -3, 1), 0]
         else:
-            z = np.empty((w.size, n + 1), dtype=complex)
-            v = np.empty_like(z)
-            at = (self.start[rows, k][:, None]
-                  + self.step[rows, k][:, None] * np.arange(n // 2 + 1))
-            z[:, ::2], v[:, ::2] = self.z[at], self.v[at]
-            z[:, 1::2] = 0.5 * z[:, :-1:2] + 0.5 * z[:, 2::2]
             v[:, 1::2] = f(z[:, 1::2])
         first = self.append(z.ravel(), v.ravel())
         self.start[rows, k] = first + (n + 1) * np.arange(w.size)
@@ -595,16 +610,29 @@ def _seeds(rect: Rectangle) -> list[complex]:
     return seeds
 
 
+def _mirrors(rect: Rectangle) -> bool:
+    """Whether the cut of ``rect`` runs along Im = +-h: a rectangle
+    symmetric about the real axis and taller than wide, whose cut would
+    otherwise run along the axis.  Its children are the strip |Im| < h and
+    the half above it, which stands for its mirror image below the strip as
+    well, since the roots are closed under conjugation."""
+    return rect.im_min == -rect.im_max and rect.re_max - rect.re_min < rect.im_max - rect.im_min
+
+
 # The sides of the two children of a cut, in ring order, for a cut across the
-# imaginary side (left to right, row 0) and one across the real side (bottom
-# to top, row 1): side k of the parent whole (_WHOLE + k), its first half
-# (_FIRST + k) or second half (_SECOND + k), or the cut line forwards (_FWD) or
-# backwards (_BACK).
-_WHOLE, _FIRST, _SECOND, _FWD, _BACK = 0, 4, 8, 12, 13
+# imaginary side (row 0, the lower child first), one across the real side
+# (row 1, the left child first) and the cut along Im = +-h of ``_mirrors``
+# (row 2, the strip first): (source, offset, length), where the source is
+# side k of the parent (k = 0..3), the cut line (4) or its mirror image (5),
+# and offset and length count quarters of the source, a negative length
+# walking it backwards.  _CUT_ENDS holds the (side, quarter) of the parent
+# sample each row's cut line starts and ends at.
 _CHILD_SIDES = np.array([
-    [[_WHOLE + 0, _FIRST + 1, _BACK, _SECOND + 3], [_FWD, _SECOND + 1, _WHOLE + 2, _FIRST + 3]],
-    [[_FIRST + 0, _FWD, _SECOND + 2, _WHOLE + 3], [_SECOND + 0, _WHOLE + 1, _FIRST + 2, _BACK]],
+    [[(0, 0, 4), (1, 0, 2), (4, 4, -4), (3, 2, 2)], [(4, 0, 4), (1, 2, 2), (2, 0, 4), (3, 0, 2)]],
+    [[(0, 0, 2), (4, 0, 4), (2, 2, 2), (3, 0, 4)], [(0, 2, 2), (1, 0, 4), (2, 0, 2), (4, 4, -4)]],
+    [[(5, 0, 4), (1, 1, 2), (4, 4, -4), (3, 1, 2)], [(4, 0, 4), (1, 3, 1), (2, 0, 4), (3, 0, 1)]],
 ])
+_CUT_ENDS = np.array([[(3, 2), (1, 2)], [(0, 2), (2, 2)], [(3, 1), (1, 3)]])
 
 
 def _split(f, rects: list[Rectangle], boundary: _Boundary,
@@ -613,58 +641,71 @@ def _split(f, rects: list[Rectangle], boundary: _Boundary,
     across its longer side (the real one on a tie).
 
     The cut runs through the midpoints of the two opposite sides, which the
-    walk holds.  Its inner samples at 2*WINDING_MIN_SAMPLES = 64 intervals,
-    63 points, are evaluated in one call of f for all rectangles: both
-    children need the cut at that density in their second round, and this
-    way they do not evaluate it twice.  The children's sides then point at
-    their parent's samples and the cut's.  Where one of the cut's 33 values
-    at WINDING_MIN_SAMPLES intervals is zero or not finite, or a phase step
-    between them exceeds pi/2, the cut would pass too close to a root: that
-    rectangle is cut instead along the candidate line that keeps |f|
-    largest, the centre first on a tie, all such rectangles' candidates in
-    one more call, and its children start fresh walks.  Returns the
-    children, two per rectangle in order, and their walk ids.
+    walk holds, or, where ``_mirrors`` holds, along Im = h = im_max/2, through
+    samples the walk holds too, and its mirror image Im = -h.  Its inner
+    samples at 2*WINDING_MIN_SAMPLES = 64 intervals, 63 points, are
+    evaluated in one call of f for all rectangles: both children need the
+    cut at that density in their second round, and this way they do not
+    evaluate it twice.  The mirror image Im = -h takes the conjugate points
+    and values, which are F's own there, bit for bit, since F has real
+    coefficients.  The children's sides then point at their parent's
+    samples and the cut's; the upright sides of the upper child of a
+    ``_mirrors`` cut are the top quarters of the parent's.  Where one of the
+    cut's 33 values at WINDING_MIN_SAMPLES intervals is zero or not finite,
+    or a phase step between them exceeds pi/2, the cut would pass too close
+    to a root: that rectangle is cut instead along the candidate line (or
+    mirrored pair of lines) that keeps |f| largest, the centre first on a
+    tie, all such rectangles' candidates in one more call, and its children
+    start fresh walks.  Returns the children, two per rectangle in order,
+    and their walk ids.
     """
-    vertical = np.array([(r.re_max - r.re_min) >= (r.im_max - r.im_min) for r in rects])
+    kind = np.array([1 if r.re_max - r.re_min >= r.im_max - r.im_min else 2 if _mirrors(r) else 0
+                     for r in rects])
     st, sp, dn = boundary.start[ids], boundary.step[ids], boundary.dens[ids]
     rows = np.arange(len(rects))
-    mid = st + sp * (dn // 2)
-    ends = mid[rows, np.where(vertical, 0, 3)], mid[rows, np.where(vertical, 2, 1)]
+    r2 = rows[:, None]
+    side, quarter = _CUT_ENDS[kind, :, 0], _CUT_ENDS[kind, :, 1]
+    ends = st[r2, side] + sp[r2, side] * (dn[r2, side] * quarter // 4)
     n = 2 * WINDING_MIN_SAMPLES
-    line = _side_points(boundary.z[ends[0]], boundary.z[ends[1]], n)
+    line = _side_points(boundary.z[ends[:, 0]], boundary.z[ends[:, 1]], n)
     vals = np.empty_like(line)
-    vals[:, 0], vals[:, n] = boundary.v[ends[0]], boundary.v[ends[1]]
+    vals[:, 0], vals[:, n] = boundary.v[ends[:, 0]], boundary.v[ends[:, 1]]
     vals[:, 1:n] = f(line[:, 1:n])
     first = vals[:, ::2]
     with np.errstate(divide="ignore", invalid="ignore"):
         clear = (np.isfinite(first).all(axis=1) & first.all(axis=1)
                  & (np.abs(np.angle(first[:, 1:] / first[:, :-1])).max(axis=1) <= 0.5 * math.pi))
     cut = boundary.append(line.ravel(), vals.ravel()) + (n + 1) * rows
-    # the children's side records, (rect, child, side)
-    code = _CHILD_SIDES[vertical.astype(int)]
-    side = code % 4
+    below = np.zeros(len(rects), dtype=np.intp)
+    pairs = kind == 2
+    below[pairs] = (boundary.append(line[pairs].conj().ravel(), vals[pairs].conj().ravel())
+                    + (n + 1) * np.arange(pairs.sum()))
+    # the children's side records, (rect, child, side), from the sources
+    # (rect, source): the parent's four sides, the cut and its mirror image
+    st = np.column_stack([st, cut, below])
+    sp = np.column_stack([sp, np.ones((len(rects), 2), dtype=np.intp)])
+    dn = np.column_stack([dn, np.full((len(rects), 2), n)])
+    code = _CHILD_SIDES[kind]
+    source, offset, length = code[..., 0], code[..., 1], code[..., 2]
     r3 = rows[:, None, None]
-    whole = dn[r3, side]
-    half = code >= _FIRST
-    dens = np.where(half, whole // 2, whole)
-    step = sp[r3, side]
-    start = st[r3, side] + (code >= _SECOND) * step * dens
-    on_cut = code >= _FWD
-    start = np.where(on_cut, cut[:, None, None] + (code == _BACK) * n, start)
-    step = np.where(on_cut, np.where(code == _BACK, -1, 1), step)
-    dens = np.where(on_cut, n, dens)
+    whole, step = dn[r3, source], sp[r3, source]
+    start = st[r3, source] + step * (whole * offset // 4)
+    dens = whole * np.abs(length) // 4
+    step = step * np.sign(length)
     fallback = np.flatnonzero(~clear)
     start[fallback], step[fallback], dens[fallback] = 0, 1, 0  # fresh walks
     lines = dict(zip(fallback.tolist(),
                      _clearest_lines(f, [rects[i] for i in fallback])))
     children = []
-    for i, (r, vert) in enumerate(zip(rects, vertical.tolist())):
-        m = lines.get(i, 0.5 * r.re_min + 0.5 * r.re_max if vert
-                      else 0.5 * r.im_min + 0.5 * r.im_max)
-        children += ([Rectangle(r.re_min, m, r.im_min, r.im_max),
-                      Rectangle(m, r.re_max, r.im_min, r.im_max)] if vert else
-                     [Rectangle(r.re_min, r.re_max, r.im_min, m),
-                      Rectangle(r.re_min, r.re_max, m, r.im_max)])
+    for i, (r, k) in enumerate(zip(rects, kind.tolist())):
+        if k == 1:
+            m = lines.get(i, 0.5 * r.re_min + 0.5 * r.re_max)
+            children += [Rectangle(r.re_min, m, r.im_min, r.im_max),
+                         Rectangle(m, r.re_max, r.im_min, r.im_max)]
+        else:
+            m = lines.get(i, 0.5 * r.im_max if k == 2 else 0.5 * r.im_min + 0.5 * r.im_max)
+            children += [Rectangle(r.re_min, r.re_max, -m if k == 2 else r.im_min, m),
+                         Rectangle(r.re_min, r.re_max, m, r.im_max)]
     return children, boundary.walks(start.reshape(-1, 4), step.reshape(-1, 4),
                                     dens.reshape(-1, 4))
 
@@ -672,14 +713,16 @@ def _split(f, rects: list[Rectangle], boundary: _Boundary,
 def _clearest_lines(f, rects: list[Rectangle]) -> list[float]:
     """For each rectangle, the coordinate of the candidate line across its
     longer side that keeps |f| largest; ties go to the earlier candidate,
-    the centre first.  All candidates are sampled in one call of f."""
+    the centre first.  All candidates are sampled in one call of f.  Where
+    ``_mirrors`` holds, the candidates are the lines Im = h across its upper
+    half, each standing for the pair Im = +-h, on which |f| is the same."""
     if not rects:
         return []
     grids = []
     for r in rects:
         vertical = (r.re_max - r.re_min) >= (r.im_max - r.im_min)
         lo, hi, span = ((r.re_min, r.re_max, (r.im_min, r.im_max)) if vertical
-                        else (r.im_min, r.im_max, (r.re_min, r.re_max)))
+                        else (0.0 if _mirrors(r) else r.im_min, r.im_max, (r.re_min, r.re_max)))
         ts = np.linspace(span[0], span[1], 33)
         ms = lo + np.array([0.5, 0.46, 0.54, 0.42, 0.58, 0.38, 0.62]) * (hi - lo)
         grids.append((ms, ms[:, None] + 1j * ts if vertical else ts + 1j * ms[:, None]))
@@ -746,52 +789,59 @@ def _enumerate(f, region: Rectangle, scale: Callable) -> tuple[int, list[tuple[c
     walk's last ring, then the five of ``_seeds``.  A tiny rectangle reports
     its refined point ``count`` times, and raises if no seed converges.
     Every other rectangle is split, all of the level together, and the walks
-    of all children give the next level.  Reaching level 81 raises.
+    of all children give the next level.  A rectangle that stands for its
+    mirror image as well (the upper child of a ``_mirrors`` cut and all its
+    descendants) reports each root together with its conjugate, of the same
+    residual.  Reaching level 81 raises.
     """
     boundary = _Boundary()
     ids = boundary.fresh(1)
     (total,) = _winding_number(f, [region], boundary, ids)
     found: list[tuple[complex, float]] = []
-    level, depth = [(region, total, ids[0])], 0
+    level, depth = [(region, total, ids[0], False)], 0
     while True:
         if depth > 80:
             raise RootEnumerationError("subdivision depth exhausted during root search")
         split, refine = [], []
-        for rect, count, walk in level:
+        for rect, count, walk, mirrored in level:
             tiny = (rect.re_max - rect.re_min) < 1e-6 and (rect.im_max - rect.im_min) < 1e-6
             if count == 1 or (tiny and count != 0):
-                refine.append((rect, count, tiny, walk, _seeds(rect)))
+                refine.append((rect, count, tiny, walk, mirrored, _seeds(rect)))
             elif count != 0:
-                split.append((rect, walk))
+                split.append((rect, walk, mirrored))
         ones = [item for item in refine if item[1] == 1]
         if ones:
             walks = np.array([item[3] for item in ones], dtype=np.intp)
             for item, seed in zip(ones, _moment_seeds(boundary, walks, scale)):
                 if cmath.isfinite(seed):
-                    item[4].insert(0, seed)
+                    item[5].insert(0, seed)
         k = 0
         while True:  # the seeds in turn
-            trying = [item for item in refine if k < len(item[4])]
+            trying = [item for item in refine if k < len(item[5])]
             if not trying:
                 break
-            got = _newton(f, [item[4][k] for item in trying], [item[0] for item in trying])
+            got = _newton(f, [item[5][k] for item in trying], [item[0] for item in trying])
             hits = {id(item): g for item, g in zip(trying, got)
                     if g is not None and item[0].contains(g[0])}
-            found += [hits[id(item)] for item in trying if id(item) in hits
-                      for _ in range(item[1])]
+            for item in trying:
+                if id(item) in hits:
+                    z, r = hits[id(item)]
+                    found += ([(z, r), (z.conjugate(), r)] if item[4] else [(z, r)]) * item[1]
             refine = [item for item in refine if id(item) not in hits]
             k += 1
-        for rect, count, tiny, walk, seeds in refine:
+        for rect, count, tiny, walk, mirrored, seeds in refine:
             if tiny:
                 raise RootEnumerationError(
                     f"could not refine a root cluster of winding count {count} "
                     f"near {_seeds(rect)[0]}")
-            split.append((rect, walk))
+            split.append((rect, walk, mirrored))
         if not split:
             return total, found
-        children, ids = _split(f, [rect for rect, _ in split], boundary,
-                               np.array([walk for _, walk in split], dtype=np.intp))
-        level = list(zip(children, _winding_number(f, children, boundary, ids), ids))
+        children, ids = _split(f, [rect for rect, _, _ in split], boundary,
+                               np.array([walk for _, walk, _ in split], dtype=np.intp))
+        mirrored = [m or (half == 1 and _mirrors(rect))
+                    for rect, _, m in split for half in (0, 1)]
+        level = list(zip(children, _winding_number(f, children, boundary, ids), ids, mirrored))
         depth += 1
 
 
@@ -805,7 +855,10 @@ def characteristic_roots(p: Params, region: Rectangle) -> list[CharacteristicRoo
     cluster: the full region's walk is checked first, then each level in
     turn, where a tiny cluster that no seed refines raises before the walks
     of the level's children, and a walk failure raises in the first
-    refinement round in which any child's walk fails.  Roots are listed by
+    refinement round in which any child's walk fails.  A region symmetric
+    about the real axis is searched in a strip about the axis and the half
+    above it, whose roots come with their exact conjugates (``_mirrors``);
+    the reconciliation counts each of them twice.  Roots are listed by
     ascending real part; roots whose real parts agree to 1e-7*(1 + |lam|),
     such as a conjugate pair, by ascending imaginary part.
     """

@@ -34,7 +34,7 @@ GOLDEN = {
     "resolvent --nx 160 --nrho 160":
         "2396546254761402fdd95800bef73c85fa01741aa66cf4224c1ab5f0e86e94f8",
     "charroots":
-        "6bab93723706592f690dc450187c91e43964562fc6485e6ae1862bbe05082e12",
+        "9872eb45c084613dc9a72355a377dccb4e7c023d5b7ef5603585baa2f0a1ad91",
     "robin --c-star":
         "8d80dd54cefccd97dd4a137fda2a610a4f72f6c7aa1445fbbf470f5be6cce2fa",
     "robin --robin_c -2":

@@ -57,3 +57,30 @@ def test_readme_quoted_values_equal_the_code():
         value = float(base) ** int(exponent or 1)
         code = getattr(importlib.import_module(f"delay_wave_lab.{m[1]}"), m[2])
         assert code == value, f"README gives {m[1]}.{m[2]} = {m[3]}, the code {code}"
+
+
+def test_readme_root_search_counts_equal_the_search(monkeypatch):
+    # the roots, calls of F, points and repeated points README quotes for
+    # the reference, spectral and Kelvin-Voigt searches are the search's
+    from test_spectral import KV_WORKLOAD_CASE, REFERENCE_CASE, SPECTRAL_CASE, _search_calls
+
+    from delay_wave_lab.spectral import characteristic_roots
+
+    text = " ".join(README.read_text().split())
+    number = r"(\d[\d,]*)"
+    quoted = [re.search(pattern.replace("N", number), text) for pattern in (
+        r"The N roots of Re \[-5, 0\.5\] x Im \[-20, 20\] take N calls of N points",
+        r"the N of Im \[-60, 60\] take N calls of N points",
+        r"Re \[-0\.9, 0\.5\] x Im \[-60, 60\], takes N calls of N points",
+        r"Of these, N and N points are evaluated a second time")]
+    assert all(quoted), quoted
+    ints = [[int(g.replace(",", "")) for g in m.groups()] for m in quoted]
+    repeats = []
+    for (p, region), got in zip((REFERENCE_CASE, SPECTRAL_CASE, KV_WORKLOAD_CASE), ints):
+        calls, points, distinct = _search_calls(p, region, monkeypatch)
+        monkeypatch.undo()
+        if len(got) == 3:
+            assert got[0] == len(characteristic_roots(p, region))
+        assert got[-2:] == [calls, points], region
+        repeats.append(points - distinct)
+    assert ints[3] == repeats[:2]

@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import math
 import os
 import random
@@ -523,6 +524,8 @@ REFERENCE_CASE = (internal_friction(a=1.0, mu=1.0, tau=2.0),
 SPECTRAL_CASE = (internal_friction(a=1.0, mu=1.0, tau=2.0),
                  Rectangle(-5.0, 0.5, -60.0, 60.0))
 KV_CASE = (kelvin_voigt(a=1.0, mu=0.5, tau=2.0), Rectangle(-0.9, 0.3, 0.05, 8.0))
+# the spectral workload's Kelvin-Voigt search
+KV_WORKLOAD_CASE = (kelvin_voigt(a=1.0, mu=0.5, tau=2.0), Rectangle(-0.9, 0.5, -60.0, 60.0))
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
@@ -820,6 +823,43 @@ def test_characteristic_function_is_infinite_at_the_kelvin_voigt_pole(a):
     assert _scalar_characteristic_function(p)(-1.0 / a) == complex(math.inf, 0.0)
 
 
+@settings(max_examples=200, deadline=None)
+@given(law=st.sampled_from(["internal_friction", "kelvin_voigt"]),
+       a=st.sampled_from([0.5, 1.0, 2.0, 3.7]),
+       mu=st.sampled_from([0.0, 0.25, 1.0, 4.0]),
+       tau=st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+       shifted=st.booleans(),
+       box=st.lists(st.tuples(st.floats(-5.0, 0.5), st.floats(-60.0, 60.0)),
+                    min_size=1, max_size=8),
+       far=st.floats(60.0, 1e4),
+       where=st.sampled_from(["zero", "minus_a", "minus_shift", "minus_shift_a",
+                              "overflow", "pole"]),
+       offset=st.sampled_from([0j, 1e-18 + 0j, 3e-19j, 1e-10 - 1e-10j, 1e-3 + 1e-3j, 0.3j]))
+def test_characteristic_function_commutes_with_conjugation(
+        law, a, mu, tau, shifted, box, far, where, offset):
+    # F has real coefficients, and F(conj z) = conj F(z) holds bit for bit
+    # off the real axis, where the search takes the values of a mirrored cut
+    # line from those above the axis; on the axis, where it evaluates F, the
+    # two may differ in the sign of a zero imaginary part.  Points: random
+    # ones, the series branch around kappa = 0 (0, -a, -shift, -shift - a), the
+    # overflow of e^{-lam*tau}, the Kelvin-Voigt pole -1/a, the real axis
+    # and large |Im|
+    p = _model(law, a, mu, tau, shifted)
+    near = (complex(-1.0 / a) + offset if where == "pole"
+            else _anchor(p, where, offset))
+    pts = [complex(x, y) for x, y in box] + [near, near.conjugate(), complex(near.real)]
+    pts += [complex(x, sign * far) for x, _ in box for sign in (1.0, -1.0)]
+    z = np.array(pts + [complex(x) for x, _ in box])
+    f = characteristic_function(p)
+    mirrored, direct = f(z.conj()), f(z).conj()
+    finite = np.isfinite(direct)
+    assert np.array_equal(np.isfinite(mirrored), finite)
+    off = finite & (z.imag != 0.0)
+    assert np.array_equal(mirrored[off].view(np.int64), direct[off].view(np.int64)), z[off]
+    on = finite & (z.imag == 0.0)
+    assert np.array_equal(mirrored[on], direct[on])
+
+
 @pytest.mark.parametrize("case", [REFERENCE_CASE, SPECTRAL_CASE, KV_CASE],
                          ids=["reference", "spectral", "kelvin_voigt"])
 def test_roots_match_the_scalar_search(case, monkeypatch):
@@ -847,7 +887,7 @@ def test_conjugate_pairs_are_adjacent_negative_imaginary_part_first():
         if abs(lam.imag) < 1e-9:
             continue
         mate = lams[i + 1] if lam.imag < 0.0 else lams[i - 1]
-        assert abs(mate - lam.conjugate()) <= 1e-9 * abs(lam), (i, lam, mate)
+        assert mate == lam.conjugate(), (i, lam, mate)
         pairs += lam.imag < 0.0
     assert pairs == 38
 
@@ -977,13 +1017,13 @@ def test_centre_split_makes_one_call_and_the_fallback_one_more(ref_params):
                              _ring(fresh, fresh_walk, spectral.WINDING_MIN_SAMPLES)):
             assert np.array_equal(got, want)
 
-    # the centre cut of the reference region runs along the real axis
-    # through the real root -1.953, where F changes sign, a phase step of pi,
-    # and that of Im [0.05, 4] passes 0.06 from another root, a step of 1.7;
-    # both are cut along the clearest candidate line instead: 7 lines of 33
-    # points each in a second call, and their children walk afresh
-    rects = [Rectangle(-5.0, 0.5, -20.0, 20.0), Rectangle(-6.0, 0.5, -5.0, 0.5),
-             Rectangle(-5.0, 0.5, 0.05, 4.0)]
+    # the centre cut of Im [0.05, 4] passes 0.06 from a root, a phase step
+    # of 1.7, and that of Im [-2.2, -0.1] runs along Im = -1.15, 0.0055 from
+    # the root -1.423 - 1.144i; both are cut along the clearest candidate line
+    # instead: 7 lines of 33 points each in a second call, and their
+    # children walk afresh
+    rects = [Rectangle(-5.0, 0.5, 0.05, 4.0), Rectangle(-6.0, 0.5, -5.0, 0.5),
+             Rectangle(-2.0, -1.0, -2.2, -0.1)]
     boundary, ids = _walked(f, rects)
     counter = _SizeCounter(f)
     children, child_ids = spectral._split(counter, rects, boundary, ids)
@@ -1002,6 +1042,120 @@ def test_centre_split_makes_one_call_and_the_fallback_one_more(ref_params):
     children, _ = spectral._split(counter, [rect], boundary, ids)
     assert counter.sizes == [2 * spectral.WINDING_MIN_SAMPLES - 1, 7 * 33]
     assert children == _halves(rect, _clearest_line(toy, rect)) != _halves(rect, 0.0)
+
+
+def test_symmetric_rectangle_is_cut_along_a_mirrored_pair(ref_params):
+    # a rectangle symmetric about the real axis and taller than wide is cut
+    # along Im = +-im_max/2, in one call of the 63 inner points of the upper
+    # line: the lower line takes their conjugates.  The strip |Im| < h
+    # inherits the middle halves of its parent's upright sides, the half
+    # above it their top quarters and the top side, and the children's
+    # first rings are those of fresh walks, points and values.  The third
+    # rectangle's cut falls back, and its children walk afresh alongside
+    f = characteristic_function(ref_params)
+    rects = [Rectangle(-5.0, 0.5, -20.0, 20.0), Rectangle(-5.0, 0.5, -8.0, 8.0),
+             Rectangle(-2.0, -1.0, -2.2, -0.1)]
+    assert list(map(spectral._mirrors, rects)) == [True, True, False]
+    boundary, ids = _walked(f, rects)
+    n = spectral.WINDING_MIN_SAMPLES
+    assert boundary.final[ids[:2]].tolist() == [8 * n, 2 * n]
+    counter = _SizeCounter(f)
+    children, child_ids = spectral._split(counter, rects, boundary, ids)
+    assert counter.sizes == [3 * (2 * n - 1), 7 * 33]
+    assert children[:4] == [Rectangle(-5.0, 0.5, -10.0, 10.0), Rectangle(-5.0, 0.5, 10.0, 20.0),
+                            Rectangle(-5.0, 0.5, -4.0, 4.0), Rectangle(-5.0, 0.5, 4.0, 8.0)]
+    assert [spectral._mirrors(r) for r in children[:4]] == [True, False, True, False]
+    assert boundary.dens[child_ids].tolist() == [[64, 128, 64, 128], [64, 64, 256, 64],
+                                                 [64, 32, 64, 32], [64, 16, 64, 16],
+                                                 [0, 0, 0, 0], [0, 0, 0, 0]]
+    # the first round evaluates the 16 midpoints of each upright side of the
+    # fourth child, a quarter of a side of 64, and the fresh walks
+    counter.sizes.clear()
+    counts = spectral._winding_number(counter, children, boundary, child_ids)
+    assert counts == spectral._winding_number(f, children)
+    assert counter.sizes[0] == 2 * n // 2 + 2 * 4 * n
+    fresh, fresh_ids = _walked(f, children)
+    for walk, fresh_walk in zip(child_ids, fresh_ids):
+        for got, want in zip(_ring(boundary, walk, n), _ring(fresh, fresh_walk, n)):
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("case", [REFERENCE_CASE, SPECTRAL_CASE, KV_WORKLOAD_CASE],
+                         ids=["reference", "spectral", "kelvin_voigt"])
+def test_every_stored_sample_is_the_value_of_f_there(case, monkeypatch):
+    # the mirrored cut lines below the real axis hold conjugates of the
+    # values above it, which are F's own values there
+    boundaries = []
+
+    class Recording(spectral._Boundary):
+        def __init__(self):
+            super().__init__()
+            boundaries.append(self)
+
+    monkeypatch.setattr(spectral, "_Boundary", Recording)
+    p, region = case
+    characteristic_roots(p, region)
+    (boundary,) = boundaries
+    z, v = boundary.z[:boundary.used], boundary.v[:boundary.used]
+    # F's last bits depend on the call a point is evaluated in, so the
+    # stored values are compared to rounding: 9.7e-16 at worst here
+    want = characteristic_function(p)(z)
+    assert (z.imag < 0.0).any() and np.isfinite(want).all()
+    assert (np.abs(v - want) <= 1e-13 * (1.0 + np.abs(want))).all()
+
+
+def test_asymmetric_regions_keep_their_roots_bit_for_bit(monkeypatch):
+    # no rectangle of these searches is symmetric about the real axis, so
+    # none is cut along a mirrored pair: the roots are, bit for bit, those
+    # found before that cut existed (SHA-256 of their float hex digits).
+    # The second search keeps its calls of F, points and distinct points;
+    # test_search_batches_the_calls_of_each_level pins verify's window's
+    cases = [(Params(a=0.0, mu=0.0, tau=2.0, xi=1.0), Rectangle(-0.5, 0.5, 0.05, 2.0),
+              "6e706dfd68f765f1156aaed49bcc338ef41de63a602b6e5935ea93fc165c0516"),
+             (REFERENCE_CASE[0], Rectangle(-5.0, 0.5, -20.0, 21.0),
+              "bc1db6d379c17ba71a5be60a78ec044241cf13858f703f8953248e24b2550878")]
+    for p, region, digest in cases:
+        roots = characteristic_roots(p, region)
+        text = "\n".join(f"{r.lam.real.hex()} {r.lam.imag.hex()} {r.residual.hex()} "
+                         f"{r.multiplicity_hint}" for r in roots)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert _search_calls(*cases[1][:2], monkeypatch) == (37, 8252, 7064)
+
+
+@pytest.mark.parametrize("shift", [0.0, 1.0 / 32.0], ids=["on_samples", "between_samples"])
+def test_mirrored_cut_without_a_clear_line_raises_or_counts_right(shift, monkeypatch):
+    # a toy with real coefficients and a root pair on a sample of the first
+    # cut line, Im = +-2, and of each candidate pair Im = +-4c, or 1e-3 above
+    # each line, half way between two samples: no line is clear, and the
+    # children of the clearest candidate pair walk afresh.  On the samples
+    # a child's walk meets a root and the search raises; between them every
+    # root is found once
+    region = Rectangle(-1.0, 1.0, -4.0, 4.0)
+    heights = 0.0 + np.array([0.5, 0.46, 0.54, 0.42, 0.58, 0.38, 0.62]) * region.im_max
+    x = np.linspace(region.re_min, region.re_max, 33)[17] + shift
+    upper = [complex(x, h + 1e-3 * (shift > 0.0)) for h in heights.tolist()]
+    roots = np.array(upper + [r.conjugate() for r in upper])
+    toy = lambda z: np.prod(np.asarray(z)[..., None] - roots, axis=-1)
+    real = spectral._split
+    splits = []
+
+    def split(f, rects, boundary, ids):
+        children, child_ids = real(f, rects, boundary, ids)
+        splits.append((rects, children, boundary.dens[child_ids]))
+        return children, child_ids
+
+    monkeypatch.setattr(spectral, "_split", split)
+    if shift == 0.0:
+        with pytest.raises(RootEnumerationError, match="vanishes or overflows"):
+            _toy_search(monkeypatch, toy, region)
+    else:
+        found = _toy_search(monkeypatch, toy, region)
+        assert [r.multiplicity_hint for r in found] == [1] * len(roots)
+        assert max(np.abs(r.lam - roots).min() for r in found) < 1e-9
+    rects, (strip, half), dens = splits[0]
+    assert rects == [region] and (dens == 0).all()
+    assert -strip.im_min == strip.im_max == half.im_min in heights
+    assert half.im_max == region.im_max and spectral._mirrors(strip) and not spectral._mirrors(half)
 
 
 def _newton_alone_and_together(f, seeds, rects):
@@ -1087,24 +1241,28 @@ def test_search_batches_the_calls_of_each_level(monkeypatch):
     # inherits from the other: a half cut line that two cousins refine in
     # one round, a line that a neighbour refined further at an earlier
     # level, and the samples a fallback split and its fresh walks take again.
-    # Newton's one more step after a small |F| adds one point per root (27
-    # on the reference region), and one call to a Newton pass whose runs all
-    # stopped on a small |F|
-    assert _search_calls(*REFERENCE_CASE, monkeypatch) == (49, 9400, 8017)
-    assert _search_calls(*SPECTRAL_CASE, monkeypatch) == (54, 23881, 19770)
+    # Newton's one more step after a small |F| adds one point per root it
+    # refines, and one call to a Newton pass whose runs all stopped on a
+    # small |F|.  The three regions are symmetric about the real axis: cut
+    # along Im = +-h, the half below the strip about the axis is not
+    # searched.  Cutting them through the axis took (49, 9400, 8017),
+    # (54, 23881, 19770) and (37, 14203, 12996)
+    assert _search_calls(*REFERENCE_CASE, monkeypatch) == (37, 4506, 4179)
+    assert _search_calls(*SPECTRAL_CASE, monkeypatch) == (40, 11626, 10189)
     # the spectral workload's Kelvin-Voigt search and verify's oracle search
-    assert _search_calls(kelvin_voigt(a=1.0, mu=0.5, tau=2.0),
-                         Rectangle(-0.9, 0.5, -60.0, 60.0), monkeypatch) == (37, 14203, 12996)
+    assert _search_calls(*KV_WORKLOAD_CASE, monkeypatch) == (30, 12139, 12139)
     assert _search_calls(Params(a=0.0, mu=0.0, tau=2.0, xi=1.0),
                          Rectangle(-0.5, 0.5, 0.05, 2.0), monkeypatch) == (6, 266, 266)
 
 
-def _depth_first(f, rect, count, boundary, walk, scale, depth=0):
+def _depth_first(f, rect, count, boundary, walk, scale, depth=0, mirrored=False):
     """The search one rectangle at a time, in the depth-first order of the
     recursion the level-by-level search replaced: the rectangle's own split,
     the walks of its children one at a time, each from the samples its
     parent and its cut line hold, and Newton from the first-moment seed of
-    its last ring before the five of ``_seeds``."""
+    its last ring before the five of ``_seeds``.  The upper child of a cut
+    along Im = +-h (``_mirrors``), and every rectangle inside it, reports
+    each root with its conjugate."""
     if depth > 80:
         raise RootEnumerationError("subdivision depth exhausted during root search")
     if count == 0:
@@ -1118,16 +1276,17 @@ def _depth_first(f, rect, count, boundary, walk, scale, depth=0):
         for z0 in seeds:
             (got,) = spectral._newton(f, [z0], [rect])
             if got is not None and rect.contains(got[0]):
-                return [got] * count
+                return ([got, (got[0].conjugate(), got[1])] if mirrored else [got]) * count
         if tiny:
             raise RootEnumerationError(f"could not refine a root cluster of "
                                        f"winding count {count} near "
                                        f"{spectral._seeds(rect)[0]}")
     found = []
     parts, walks = spectral._split(f, [rect], boundary, np.array([walk]))
-    for part, part_walk in zip(parts, walks):
+    for half, (part, part_walk) in enumerate(zip(parts, walks)):
         (part_count,) = spectral._winding_number(f, [part], boundary, np.array([part_walk]))
-        found += _depth_first(f, part, part_count, boundary, part_walk, scale, depth + 1)
+        found += _depth_first(f, part, part_count, boundary, part_walk, scale, depth + 1,
+                              mirrored or (half == 1 and spectral._mirrors(rect)))
     return found
 
 
@@ -1249,7 +1408,9 @@ def test_moment_seed_lands_next_to_the_root(monkeypatch):
             bare = spectral._moment_seed(z, v, 0.0 * z.real)[0]
             assert min(abs(bare - lam) for lam in roots) > 1e-3
             seeds += 1
-    assert seeds == 27
+    # the real root and the 13 above the strip about the axis, whose
+    # conjugates are reported without a walk or a seed of their own
+    assert seeds == 14
 
 
 def _toy_search(monkeypatch, toy, region):
@@ -1259,21 +1420,27 @@ def _toy_search(monkeypatch, toy, region):
 
 def test_double_root_is_one_row_of_multiplicity_two(monkeypatch):
     # the winding count stays 2 down to a rectangle below 1e-6 a side, whose
-    # refined point is reported twice and merged into one row
+    # refined point is reported twice and merged into one row; the toy has
+    # real coefficients, as F has, and its conjugate root comes as the
+    # exact conjugate, from the mirrored half of the region
     root = 0.3 + 0.2j
-    roots = _toy_search(monkeypatch, lambda z: (np.asarray(z) - root) ** 2,
-                        Rectangle(-1.0, 1.0, -1.0, 1.0))
-    assert len(roots) == 1 and roots[0].multiplicity_hint == 2
-    assert abs(roots[0].lam - root) < 1e-6 and roots[0].residual < 1e-10
+    toy = lambda z: (np.asarray(z) - root) ** 2 * (np.asarray(z) - root.conjugate()) ** 2
+    roots = _toy_search(monkeypatch, toy, Rectangle(-1.0, 1.0, -1.0, 1.0))
+    assert [r.multiplicity_hint for r in roots] == [2, 2]
+    assert roots[0].lam == roots[1].lam.conjugate()
+    assert abs(roots[1].lam - root) < 1e-6 and roots[1].residual < 1e-10
 
 
 def test_roots_that_do_not_add_up_to_the_winding_count_are_reported(monkeypatch):
-    # (z - c)^2 conj(z - c)^3 winds -1 times around its one zero, where
-    # |F| = |z - c|^5 accepts the centre of the tiny rectangle at once: the
-    # search reports it -1 times, that is none, against a count of -1
+    # h = (z - c)^2 conj(z - c)^3 winds -1 times around its one zero, where
+    # |h| = |z - c|^5 accepts the centre of the tiny rectangle at once; the
+    # toy h(z) conj(h(conj z)) has real coefficients, as F has, and a zero
+    # like it at conj(c).  The search reports each of them -1 times, that is
+    # none, against a count of -2
     c = 0.3 + 0.2j
-    toy = lambda z: (np.asarray(z) - c) ** 2 * np.conj(np.asarray(z) - c) ** 3
-    with pytest.raises(RootEnumerationError, match="winding count -1 of the region "
+    h = lambda z: (np.asarray(z) - c) ** 2 * np.conj(np.asarray(z) - c) ** 3
+    toy = lambda z: h(z) * np.conj(h(np.conj(z)))
+    with pytest.raises(RootEnumerationError, match="winding count -2 of the region "
                                                    "disagrees with the 0 refined roots"):
         _toy_search(monkeypatch, toy, Rectangle(-1.0, 1.0, -1.0, 1.0))
 
