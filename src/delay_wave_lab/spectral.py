@@ -23,14 +23,15 @@ roots equal, bit for bit, those of a search that takes the rectangles one at
 a time.  The search reuses its samples: boundary points are recursive
 midpoints of the corners, a rectangle is cut through the midpoints of its
 longer sides, its children's walks start from its samples and the cut
-line's, and Newton starts from the first moment of the one root in a
-rectangle, taken over its walk's last ring (Delves and Lyness, Math. Comp.
-21 (1967)).  F has real coefficients, so its roots are closed under
-conjugation: a rectangle symmetric about the real axis and taller than wide
-is cut along Im = +-h, not along the axis, into a strip about the axis,
-which holds the real roots, and the halves above and below it, of which
-only the upper one is searched and its roots reported with their exact
-conjugates.
+line's, and Newton makes one run in a rectangle of one root, from the
+first moment of that root over its walk's last ring (Delves and Lyness,
+Math. Comp. 21 (1967)), or its real part where the rectangle is symmetric
+about the real axis and the root therefore real.  F has real coefficients,
+so its roots are closed under conjugation: a rectangle symmetric about the
+real axis and taller than wide is cut along Im = +-h, not along the axis,
+into a strip about the axis, which holds the real roots, and the halves
+above and below it, of which only the upper one is searched and its roots
+reported with their exact conjugates.
 
 The Robin solver works on the analytic transcendental equation directly; it
 is deliberately independent of the matrix discretization so it can act as an
@@ -294,6 +295,10 @@ class Rectangle:
         slack = CONTAINS_SLACK
         return (self.re_min - slack <= z.real <= self.re_max + slack
                 and self.im_min - slack <= z.imag <= self.im_max + slack)
+
+    @property
+    def centre(self) -> complex:
+        return complex((self.re_min + self.re_max) / 2, (self.im_min + self.im_max) / 2)
 
 
 @dataclass(frozen=True)
@@ -559,12 +564,14 @@ def _newton(f, seeds: list[complex],
     Stopped on a step or at the cap, it returns the final point only if |f|
     is that small there.  The runs step in lockstep: each iteration is one
     call of f at z and z +- h of every open run and at the final point of
-    every run that stopped in the iteration before.
+    every run that stopped in the iteration before.  The difference quotient,
+    h = 1e-7*(1 + |z|), is no derivative where roots lie closer than h: a
+    caller with such roots must use an exact derivative, as
+    ``charpoly.certified_roots`` does for F_h.
     """
     z = list(seeds)
     bound = [4.0 * max(r.re_max - r.re_min, r.im_max - r.im_min) for r in rects]
-    center = [complex((r.re_min + r.re_max) / 2, (r.im_min + r.im_max) / 2)
-              for r in rects]
+    center = [r.centre for r in rects]
     steps = [0] * len(z)
     out: list[tuple[complex, float] | None] = [None] * len(z)
     runs, last = list(range(len(z))), []  # open runs; runs owing a final value
@@ -597,17 +604,6 @@ def _newton(f, seeds: list[complex],
                 going.append(i)
         runs = going
     return out
-
-
-def _seeds(rect: Rectangle) -> list[complex]:
-    """Newton seeds of a rectangle, in the order they are tried: the centre,
-    then the four quarter points."""
-    seeds = [complex((rect.re_min + rect.re_max) / 2,
-                     (rect.im_min + rect.im_max) / 2)]
-    seeds += [complex(rect.re_min + sr * (rect.re_max - rect.re_min),
-                      rect.im_min + si * (rect.im_max - rect.im_min))
-              for sr in (0.25, 0.75) for si in (0.25, 0.75)]
-    return seeds
 
 
 def _mirrors(rect: Rectangle) -> bool:
@@ -755,7 +751,7 @@ def _moment_seed(z: np.ndarray, v: np.ndarray, scale: np.ndarray) -> np.ndarray:
     arrives back at z0 one turn up; the integral is the trapezoid rule over
     the ring.
     """
-    with np.errstate(all="ignore"):  # a seed that comes out non-finite is not tried
+    with np.errstate(all="ignore"):  # a seed that comes out non-finite fails its run
         steps = np.angle(np.roll(v, -1, axis=-1) / v)
     phase = np.cumsum(np.concatenate([np.angle(v[:, :1]), steps], axis=1), axis=1)
     logs = np.log(np.abs(v)) + scale
@@ -783,12 +779,13 @@ def _enumerate(f, region: Rectangle, scale: Callable) -> tuple[int, list[tuple[c
     level at a time; ``scale`` is ``_log_scale`` of F's parameters.
 
     A rectangle of count 0 is dropped.  One of count 1, or one below 1e-6 on
-    both sides, is refined by Newton from its seeds in turn, all runs of the
-    level in lockstep, a further seed only where the one before failed or
-    left the rectangle: first, for count 1, the first-moment seed of its
-    walk's last ring, then the five of ``_seeds``.  A tiny rectangle reports
-    its refined point ``count`` times, and raises if no seed converges.
-    Every other rectangle is split, all of the level together, and the walks
+    both sides, gets one Newton run, all of the level in one ``_newton``
+    call: for count 1 from the first-moment seed of its walk's last ring,
+    or its real part where the rectangle is symmetric about the real axis
+    and its root therefore real, else from its centre.  A tiny rectangle
+    reports its refined point ``count`` times, and raises if the run fails
+    or leaves it.  Every other rectangle, and one of count 1 whose run
+    fails or leaves it, is split, all of the level together, and the walks
     of all children give the next level.  A rectangle that stands for its
     mirror image as well (the upper child of a ``_mirrors`` cut and all its
     descendants) reports each root together with its conjugate, of the same
@@ -806,35 +803,25 @@ def _enumerate(f, region: Rectangle, scale: Callable) -> tuple[int, list[tuple[c
         for rect, count, walk, mirrored in level:
             tiny = (rect.re_max - rect.re_min) < 1e-6 and (rect.im_max - rect.im_min) < 1e-6
             if count == 1 or (tiny and count != 0):
-                refine.append((rect, count, tiny, walk, mirrored, _seeds(rect)))
+                refine.append((rect, count, tiny, walk, mirrored))
             elif count != 0:
                 split.append((rect, walk, mirrored))
-        ones = [item for item in refine if item[1] == 1]
-        if ones:
-            walks = np.array([item[3] for item in ones], dtype=np.intp)
-            for item, seed in zip(ones, _moment_seeds(boundary, walks, scale)):
-                if cmath.isfinite(seed):
-                    item[5].insert(0, seed)
-        k = 0
-        while True:  # the seeds in turn
-            trying = [item for item in refine if k < len(item[5])]
-            if not trying:
-                break
-            got = _newton(f, [item[5][k] for item in trying], [item[0] for item in trying])
-            hits = {id(item): g for item, g in zip(trying, got)
-                    if g is not None and item[0].contains(g[0])}
-            for item in trying:
-                if id(item) in hits:
-                    z, r = hits[id(item)]
-                    found += ([(z, r), (z.conjugate(), r)] if item[4] else [(z, r)]) * item[1]
-            refine = [item for item in refine if id(item) not in hits]
-            k += 1
-        for rect, count, tiny, walk, mirrored, seeds in refine:
-            if tiny:
-                raise RootEnumerationError(
-                    f"could not refine a root cluster of winding count {count} "
-                    f"near {_seeds(rect)[0]}")
-            split.append((rect, walk, mirrored))
+        walks = np.array([item[3] for item in refine if item[1] == 1], dtype=np.intp)
+        moments = iter(_moment_seeds(boundary, walks, scale))
+        seeds = [next(moments) if count == 1 else rect.centre for rect, count, *_ in refine]
+        # a lone root of a rectangle symmetric about the real axis is real
+        seeds = [complex(z.real) if rect.im_min == -rect.im_max else z
+                 for z, (rect, *_) in zip(seeds, refine)]
+        got = _newton(f, seeds, [item[0] for item in refine]) if refine else []
+        for (rect, count, tiny, walk, mirrored), g in zip(refine, got):
+            if g is not None and rect.contains(g[0]):
+                z, r = g
+                found += ([(z, r), (z.conjugate(), r)] if mirrored else [(z, r)]) * count
+            elif tiny:
+                raise RootEnumerationError(f"could not refine a root cluster of winding "
+                                           f"count {count} near {rect.centre}")
+            else:
+                split.append((rect, walk, mirrored))
         if not split:
             return total, found
         children, ids = _split(f, [rect for rect, _, _ in split], boundary,
@@ -853,7 +840,7 @@ def characteristic_roots(p: Params, region: Rectangle) -> list[CharacteristicRoo
     reconciled against the winding count of the full region; disagreement
     raises :class:`RootEnumerationError`.  So does an unusable contour or
     cluster: the full region's walk is checked first, then each level in
-    turn, where a tiny cluster that no seed refines raises before the walks
+    turn, where a tiny cluster whose Newton run fails raises before the walks
     of the level's children, and a walk failure raises in the first
     refinement round in which any child's walk fails.  A region symmetric
     about the real axis is searched in a strip about the axis and the half

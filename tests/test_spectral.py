@@ -1246,9 +1246,12 @@ def test_search_batches_the_calls_of_each_level(monkeypatch):
     # small |F|.  The three regions are symmetric about the real axis: cut
     # along Im = +-h, the half below the strip about the axis is not
     # searched.  Cutting them through the axis took (49, 9400, 8017),
-    # (54, 23881, 19770) and (37, 14203, 12996)
+    # (54, 23881, 19770) and (37, 14203, 12996).  On the spectral region the
+    # run from the real part of the real root's seed takes its one more step
+    # onto the float it stopped at, -1.9530804098342471, and evaluates it
+    # twice: a complex seed made that (40, 11626, 10189)
     assert _search_calls(*REFERENCE_CASE, monkeypatch) == (37, 4506, 4179)
-    assert _search_calls(*SPECTRAL_CASE, monkeypatch) == (40, 11626, 10189)
+    assert _search_calls(*SPECTRAL_CASE, monkeypatch) == (40, 11626, 10188)
     # the spectral workload's Kelvin-Voigt search and verify's oracle search
     assert _search_calls(*KV_WORKLOAD_CASE, monkeypatch) == (30, 12139, 12139)
     assert _search_calls(Params(a=0.0, mu=0.0, tau=2.0, xi=1.0),
@@ -1259,28 +1262,28 @@ def _depth_first(f, rect, count, boundary, walk, scale, depth=0, mirrored=False)
     """The search one rectangle at a time, in the depth-first order of the
     recursion the level-by-level search replaced: the rectangle's own split,
     the walks of its children one at a time, each from the samples its
-    parent and its cut line hold, and Newton from the first-moment seed of
-    its last ring before the five of ``_seeds``.  The upper child of a cut
-    along Im = +-h (``_mirrors``), and every rectangle inside it, reports
-    each root with its conjugate."""
+    parent and its cut line hold, and one Newton run: from the first-moment
+    seed of its last ring for count 1, its real part where the rectangle is
+    symmetric about the real axis, else from the centre.  The upper child
+    of a cut along Im = +-h (``_mirrors``), and every rectangle inside it,
+    reports each root with its conjugate."""
     if depth > 80:
         raise RootEnumerationError("subdivision depth exhausted during root search")
     if count == 0:
         return []
     tiny = (rect.re_max - rect.re_min) < 1e-6 and (rect.im_max - rect.im_min) < 1e-6
     if count == 1 or tiny:
-        seeds = spectral._seeds(rect)
+        z0 = rect.centre
         if count == 1:
-            (moment,) = spectral._moment_seeds(boundary, np.array([walk]), scale)
-            seeds = [moment] * cmath.isfinite(moment) + seeds
-        for z0 in seeds:
-            (got,) = spectral._newton(f, [z0], [rect])
-            if got is not None and rect.contains(got[0]):
-                return ([got, (got[0].conjugate(), got[1])] if mirrored else [got]) * count
+            (z0,) = spectral._moment_seeds(boundary, np.array([walk]), scale)
+            if rect.im_min == -rect.im_max:
+                z0 = complex(z0.real)
+        (got,) = spectral._newton(f, [z0], [rect])
+        if got is not None and rect.contains(got[0]):
+            return ([got, (got[0].conjugate(), got[1])] if mirrored else [got]) * count
         if tiny:
             raise RootEnumerationError(f"could not refine a root cluster of "
-                                       f"winding count {count} near "
-                                       f"{spectral._seeds(rect)[0]}")
+                                       f"winding count {count} near {rect.centre}")
     found = []
     parts, walks = spectral._split(f, [rect], boundary, np.array([walk]))
     for half, (part, part_walk) in enumerate(zip(parts, walks)):
@@ -1477,13 +1480,76 @@ def test_root_just_outside_an_edge_is_found_once_the_edge_clears_it():
     pair = [-0.374946159446 - 0.959361699507j, -0.374946159446 + 0.959361699507j]
     roots = characteristic_roots(p, Rectangle(-0.9, 0.5, -60.0, 60.0))
     assert [r.lam for r in roots] == pytest.approx(pair, abs=1e-11)
-    # Newton from the first-moment seed reaches |F| = 5.4e-11 at a point
-    # 1.1e-10 from the root; its one more step lands where the run from the
-    # centre stops, -0.9027213242021
+    # Newton from the first-moment seed's real part reaches |F| = 5.7e-11
+    # at a point 1.2e-10 from the root; its one more step lands where the
+    # run from the centre stops, -0.9027213242021
     roots += characteristic_roots(p, Rectangle(-0.95, 0.5, -60.0, 60.0))
     assert roots[2].lam == pytest.approx(-0.9027213242021, abs=1e-12)
     assert [r.lam for r in roots[3:]] == pytest.approx(pair, abs=1e-11)
     assert all(r.residual < 1e-10 for r in roots)
+
+
+@pytest.mark.parametrize("case", [
+    (kelvin_voigt(a=1.0, mu=0.2, tau=2.0), Rectangle(-0.95, 0.5, -60.0, 60.0), -0.9027213242021),
+    KV_WORKLOAD_CASE + (-0.5583241589049,),
+    REFERENCE_CASE + (-1.9530804098342,),
+], ids=["kelvin_voigt_mu_0.2", "kelvin_voigt_mu_0.5", "reference"])
+def test_real_roots_of_a_symmetric_region_are_exactly_real(case):
+    # the one root of a count-1 rectangle symmetric about the real axis is
+    # real, and Newton runs from the real part of its first-moment seed, so
+    # it stays on the axis.  From the complex seed the first two roots kept
+    # im = 5.5e-30 and 7.1e-32
+    p, region, want = case
+    assert region.im_min == -region.im_max
+    real = [r.lam for r in characteristic_roots(p, region) if abs(r.lam.imag) < 1e-6]
+    assert len(real) == 1 and real[0].real == pytest.approx(want, abs=1e-12)
+    assert real[0].imag == 0.0
+
+
+def test_a_count_one_rectangle_whose_run_fails_is_split(monkeypatch):
+    # the first run of the first Newton call fails: with one seed per
+    # rectangle and no fallback seeds, that rectangle is cut like any other
+    # and its root found in a child, so the search returns the same 27 roots
+    p, region = REFERENCE_CASE
+    want = characteristic_roots(p, region)
+    newton, split = spectral._newton, spectral._split
+    failed, cut = [], []
+
+    def failing(f, seeds, rects):
+        got = newton(f, seeds, rects)
+        if not failed:
+            failed.append(rects[0])
+            got[0] = None
+        return got
+
+    def recording(f, rects, boundary, ids):
+        cut.extend(rects)
+        return split(f, rects, boundary, ids)
+
+    monkeypatch.setattr(spectral, "_newton", failing)
+    monkeypatch.setattr(spectral, "_split", recording)
+    got = characteristic_roots(p, region)
+    assert failed and failed[0] in cut
+    assert len(got) == len(want) == 27
+    assert [r.multiplicity_hint for r in got] == [r.multiplicity_hint for r in want]
+    assert [r.lam for r in got] == pytest.approx([r.lam for r in want], abs=1e-12)
+
+
+def test_search_makes_at_most_one_newton_call_per_level(monkeypatch):
+    # every rectangle to refine gets one run, all of a level in one call;
+    # the pins are the calls the searches made when this rule came in
+    # (reference, spectral, Kelvin-Voigt workload, verify's window)
+    cases = [(REFERENCE_CASE, 4), (SPECTRAL_CASE, 3), (KV_WORKLOAD_CASE, 1),
+             ((Params(a=0.0, mu=0.0, tau=2.0, xi=1.0), Rectangle(-0.5, 0.5, 0.05, 2.0)), 1)]
+    newton, walk = spectral._newton, spectral._winding_number
+    for (p, region), most in cases:
+        calls, levels = [], []
+        monkeypatch.setattr(spectral, "_newton",
+                            lambda f, seeds, rects: calls.append(1) or newton(f, seeds, rects))
+        monkeypatch.setattr(spectral, "_winding_number",
+                            lambda *args: levels.append(1) or walk(*args))
+        characteristic_roots(p, region)
+        assert 1 <= len(calls) <= min(most, len(levels)), region
 
 
 def test_walk_through_a_root_stops_at_the_sample_cap():
